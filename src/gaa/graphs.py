@@ -10,6 +10,7 @@ File formats:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +53,15 @@ class Graph:
             raise DomainError(
                 f"adjacency {self.adjacency.shape} does not match {n} feature rows"
             )
-        if np.abs(self.adjacency - self.adjacency.T).max(initial=0.0) > ADJ_SYMMETRY_TOL:
+        if not np.isfinite(self.features).all():
+            raise DomainError("features hold non-finite values")
+        # a non-finite entry makes its difference non-finite, so the symmetry
+        # check's one pass over the matrix also screens for inf and nan
+        with np.errstate(invalid="ignore"):
+            asymmetry = np.abs(self.adjacency - self.adjacency.T).max(initial=0.0)
+        if not np.isfinite(asymmetry) and not np.isfinite(self.adjacency).all():
+            raise DomainError("adjacency holds non-finite values")
+        if not asymmetry <= ADJ_SYMMETRY_TOL:
             raise DomainError("adjacency is not symmetric")
         if self.labels is not None:
             if len(self.labels) != n:
@@ -112,12 +121,14 @@ def _parse_edges(path) -> list[tuple[int, int, float, int]]:
                     weight = float(parts[2])
                 except ValueError:
                     raise ParseError(path, line_no, f"non-numeric weight in {raw.strip()!r}")
+                if not math.isfinite(weight):
+                    raise ParseError(path, line_no, f"non-finite weight in {raw.strip()!r}")
             edges.append((i, j, weight, line_no))
     return edges
 
 
 def _parse_features(path) -> np.ndarray:
-    rows = []
+    rows, line_nos = [], []
     width = None
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -134,9 +145,15 @@ def _parse_features(path) -> np.ndarray:
             elif len(row) != width:
                 raise ParseError(path, line_no, f"expected {width} columns, got {len(row)}")
             rows.append(row)
+            line_nos.append(line_no)
     if not rows:
         raise ParseError(path, 1, "empty feature file")
-    return np.asarray(rows, dtype=np.float64)
+    features = np.asarray(rows, dtype=np.float64)
+    finite_rows = np.isfinite(features).all(axis=1)
+    if not finite_rows.all():
+        bad = int(np.argmin(finite_rows))
+        raise ParseError(path, line_nos[bad], "non-finite feature value")
+    return features
 
 
 def _parse_labels(path) -> np.ndarray:

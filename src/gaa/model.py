@@ -144,13 +144,11 @@ def gcn_encode(view_norm: Tensor, x: Tensor, w1: Tensor, w2: Tensor,
 
 
 def attention_embed(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Scaled dot-product attention over nodes in a shared latent space."""
-    zt = ad.transpose(z)                       # e x n
-    q = ad.matmul(wq, zt)
-    k = ad.matmul(wk, zt)
-    m = ad.matmul(wv, zt)
-    scores = ad.scale(ad.matmul(ad.transpose(k), q), 1.0 / np.sqrt(z.cols))
-    return ad.matmul(ad.row_softmax(scores), ad.transpose(m))
+    """Scaled dot-product attention over nodes in a shared latent space.
+
+    One streamed tape op (``autodiff.attention``); the output is n x e.
+    """
+    return ad.attention(z, wq, wk, wv)
 
 
 def cross_view_scores(z_f: Tensor, z: Tensor) -> Tensor:

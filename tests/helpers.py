@@ -50,6 +50,16 @@ def fd_check(build_loss, leaves, h=FD_H, rel_tol=FD_REL_TOL):
                 )
 
 
+def dense_attention(z, wq, wk, wv):
+    """Node attention composed from dense tape ops; it builds the n x n scores."""
+    zt = ad.transpose(z)
+    q = ad.matmul(wq, zt)
+    k = ad.matmul(wk, zt)
+    m = ad.matmul(wv, zt)
+    scores = ad.scale(ad.matmul(ad.transpose(k), q), 1.0 / np.sqrt(z.cols))
+    return ad.matmul(ad.row_softmax(scores), ad.transpose(m))
+
+
 def loop_cosine_matrix(x):
     """Double-loop cosine similarity with zero-norm rows scoring 0."""
     n = x.shape[0]

@@ -125,6 +125,9 @@ def test_criterion_1_gradient_correctness():
                  [(r, c)], positive=True)
         check_op("row_softmax", i,
                  lambda L: ad.sum_all(ad.hadamard(ad.row_softmax(L[0]), w_full)), [(r, c)])
+        check_op("attention", i,
+                 lambda L: ad.sum_all(ad.hadamard(ad.attention(*L), w_full)),
+                 [(r, c), (c, c), (c, c), (c, c)])
         check_op("sum", i, lambda L: ad.scale(ad.sum_all(L[0]), 0.9), [(r, c)])
         check_op("mean_rows", i,
                  lambda L: ad.sum_all(ad.hadamard(ad.mean_rows(L[0]), w_row)), [(r, c)])

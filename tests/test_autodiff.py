@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gaa import autodiff as ad
 from gaa.exceptions import DomainError, NumericError, ShapeError
 
-from helpers import fd_check
+from helpers import dense_attention, fd_check
 
 
 def rand(rng, r, c, lo=-2.0, hi=2.0):
@@ -30,6 +30,22 @@ def test_matmul_shape_error_names_shapes():
     b = ad.constant(np.zeros((2, 3)))
     with pytest.raises(ShapeError, match=r"\(2, 3\)"):
         ad.matmul(a, b)
+
+
+def test_matmul_constant_operand_gets_no_gradient():
+    rng = np.random.default_rng(1)
+    const, param = ad.constant(rand(rng, 3, 3)), ad.parameter(rand(rng, 3, 2))
+    g = np.ones((3, 2))
+    with ad.Tape() as tape:
+        ad.matmul(const, param)
+        grad_const, grad_param = tape.records[-1].backward_fn(g)
+    assert grad_const is None
+    np.testing.assert_array_equal(grad_param, const.data.T @ g)
+
+    with ad.Tape() as tape:
+        ad.matmul(param, ad.constant(rand(rng, 2, 4)))
+        grad_param, grad_const = tape.records[-1].backward_fn(np.ones((3, 4)))
+    assert grad_const is None and grad_param.shape == (3, 2)
 
 
 def test_relu_definition():
@@ -286,3 +302,44 @@ def test_row_softmax_rows_sum_to_one(r, c, seed):
     s = ad.row_softmax(ad.constant(rng.uniform(-50, 50, size=(r, c))))
     np.testing.assert_allclose(s.data.sum(axis=1), np.ones(r), atol=1e-12)
     assert np.all(s.data > 0) and np.all(s.data <= 1.0)
+
+
+def _attention_leaves(seed, n, e):
+    rng = np.random.default_rng(seed)
+    return [ad.parameter(rng.normal(size=(n, e)))] + \
+        [ad.parameter(rng.normal(size=(e, e)) / 2) for _ in range(3)]
+
+
+def _attention_value_and_grads(fn, leaves, w):
+    for leaf in leaves:
+        leaf.zero_grad()
+    with ad.Tape() as tape:
+        out = fn(*leaves)
+        ad.backward(ad.sum_all(ad.hadamard(out, w)), tape)
+    return out.data, [leaf.grad.copy() for leaf in leaves]
+
+
+def test_attention_matches_dense_composition_over_ragged_blocks():
+    n, e = 2 * ad.ATTENTION_BLOCK + 3, 5
+    leaves = _attention_leaves(21, n, e)
+    w = ad.constant(np.random.default_rng(22).normal(size=(n, e)))
+    streamed, streamed_grads = _attention_value_and_grads(ad.attention, leaves, w)
+    dense, dense_grads = _attention_value_and_grads(dense_attention, leaves, w)
+    assert streamed.shape == (n, e)
+    for got, want in zip([streamed] + streamed_grads, [dense] + dense_grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
+def test_attention_rejects_non_finite(value):
+    # 1e200 is finite, but its scores overflow
+    z, wq, wk, wv = _attention_leaves(5, 4, 3)
+    z.data[2] = value
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        ad.attention(z, wq, wk, wv)
+
+
+def test_attention_shape_error():
+    z, wq, wk, _ = _attention_leaves(6, 4, 3)
+    with pytest.raises(ShapeError, match="wv"):
+        ad.attention(z, wq, wk, ad.constant(np.zeros((3, 2))))

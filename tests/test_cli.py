@@ -136,6 +136,30 @@ class TestErrors:
         (pair_dir / "source.features.csv").write_text("1.0,oops\n")
         assert cli("bound", "--pair", str(pair_dir)) == 1
 
+    def test_non_finite_feature_exit_1(self, pair_dir, tmp_path, capsys):
+        path = pair_dir / "target.features.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = ",".join(["nan"] + lines[4].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--set", "epochs=1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{path}:5: non-finite feature value" in err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_edge_weight_exit_1(self, pair_dir, tmp_path, capsys, weight):
+        path = pair_dir / "source.edges"
+        path.write_text(path.read_text() + f"0 1 {weight}\n")
+        line_no = path.read_text().count("\n")
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--set", "epochs=1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{path}:{line_no}: non-finite weight" in err
+
 
 class TestBoundDiagnose:
     def test_bound_json(self, pair_dir, capsys):

@@ -58,6 +58,18 @@ class TestLoadGraph:
         with pytest.raises(ParseError, match=r"g.csv:2"):
             load_graph(e, f)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_names_line(self, tmp_path, cell):
+        e, f, _ = self.write(tmp_path, "0 1\n", f"1.0,2.0\n\n3.0,{cell}\n")
+        with pytest.raises(ParseError, match=r"g.csv:3: non-finite feature"):
+            load_graph(e, f)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_edge_weight_names_line(self, tmp_path, weight):
+        e, f, _ = self.write(tmp_path, f"0 1 0.5\n1 2 {weight}\n", "1\n2\n3\n")
+        with pytest.raises(ParseError, match=r"g.edges:2: non-finite weight"):
+            load_graph(e, f)
+
     def test_roundtrip_through_save(self, tmp_path):
         g = gen_attribute_shift(0.7, seed=5, n=12, d=3)
         save_graph(g, tmp_path / "a.edges", tmp_path / "a.csv", tmp_path / "a.labels")
@@ -71,6 +83,22 @@ class TestGraphInvariants:
     def test_asymmetric_adjacency_rejected(self):
         with pytest.raises(DomainError):
             Graph(adjacency=np.array([[0.0, 1.0], [0.0, 0.0]]), features=np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        features = np.ones((2, 2))
+        features[1, 0] = value
+        with pytest.raises(DomainError, match="features hold non-finite"):
+            Graph(adjacency=np.zeros((2, 2)), features=features)
+
+    @pytest.mark.parametrize("cells", [[(0, 1), (1, 0)], [(1, 1)], [(0, 1)]])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_adjacency_rejected(self, cells, value):
+        adjacency = np.zeros((2, 2))
+        for cell in cells:
+            adjacency[cell] = value
+        with pytest.raises(DomainError, match="adjacency holds non-finite"):
+            Graph(adjacency=adjacency, features=np.ones((2, 1)))
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(DomainError):

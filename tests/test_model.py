@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,23 @@ class TestAttention:
             for j in range(n):
                 expected[i] += weights[j] * m[:, j]
         np.testing.assert_allclose(att.data, expected, atol=1e-10)
+
+    def test_backward_peak_memory_below_one_score_matrix(self):
+        n, e = 3000, 16
+        rng = np.random.default_rng(8)
+        z = ad.parameter(rng.normal(size=(n, e)))
+        wq, wk, wv = (ad.parameter(rng.normal(size=(e, e)) / 4) for _ in range(3))
+        w = ad.constant(rng.normal(size=(n, e)))
+        tracemalloc.start()
+        try:
+            with ad.Tape() as tape:
+                att = attention_embed(z, wq, wk, wv)
+                ad.backward(ad.sum_all(ad.hadamard(att, w)), tape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert att.shape == (n, e)
+        assert peak < n * n * 8, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestCrossView:

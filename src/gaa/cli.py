@@ -24,7 +24,7 @@ from dataclasses import replace
 from multiprocessing import Pool
 from pathlib import Path
 
-from .exceptions import ConfigError, GaaError, ParseError
+from .exceptions import CheckpointError, ConfigError, GaaError, ParseError
 from .analysis import avg_feature_value, proposition1_bound
 from .graphs import (
     DomainPair,
@@ -212,8 +212,7 @@ def _cmd_train(args) -> int:
         for i, metrics in enumerate(result.metrics):
             metrics.wall_seconds = 0.0
             save_metrics(metrics, out / f"metrics_run{i}.json")
-        model, _ = train_gaa(pair, cfg)
-        save_model(model, out / "model.bin")
+        save_model(result.first_model, out / "model.bin")
         with open(out / "summary.json", "w", encoding="utf-8") as fh:
             json.dump({"mean_acc": result.mean_acc, "std_acc": result.std_acc,
                        "accuracies": result.accuracies, "runs": args.runs}, fh, indent=2)
@@ -296,15 +295,19 @@ def _sweep_cell(task):
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    pair = load_pair(args.pair)
     grid = _parse_grid(args.grid)
+    raw_workers = os.environ.get("GAA_THREADS", "1")
+    try:
+        workers = int(raw_workers)
+    except ValueError:
+        raise ConfigError(f"GAA_THREADS must be an integer, got {raw_workers!r}")
+    pair = load_pair(args.pair)
     cells = list(itertools.product(grid["alpha"], grid["beta"], grid["tau"], grid["k"]))
     tasks = []
     for alpha, beta, tau, k in cells:
         cell_cfg = replace(cfg, k=k, weights=LossWeights(alpha=alpha, beta=beta, tau=tau))
         tasks.append((pair, cell_cfg, args.runs))
 
-    workers = int(os.environ.get("GAA_THREADS", "1"))
     if workers > 1 and len(tasks) > 1:
         with Pool(processes=workers) as pool:
             results = pool.map(_sweep_cell, tasks)
@@ -342,7 +345,7 @@ def run_command(argv=None) -> int:
         return 1
     try:
         return _HANDLERS[args.verb](args)
-    except (ConfigError, ParseError) as exc:
+    except (ConfigError, ParseError, CheckpointError) as exc:
         # user-fixable input problems
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,5 +26,13 @@ class ParseError(GaaError):
         self.line_no = line_no
 
 
+class CheckpointError(GaaError):
+    """A model checkpoint is malformed; the message names the path."""
+
+    def __init__(self, path, message):
+        super().__init__(f"{path}: {message}")
+        self.path = str(path)
+
+
 class ConfigError(GaaError):
     """Invalid configuration (bad key, bad value, missing file)."""

@@ -8,12 +8,14 @@ both the original topology and this kNN graph are symmetrically normalized
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .exceptions import DomainError
 
 SYMMETRY_TOL = 1e-12
+KNN_BLOCK = 256  # rows of the similarity matrix selected at a time
 
 
 def cosine_similarity_matrix(x: np.ndarray) -> np.ndarray:
@@ -38,20 +40,32 @@ def knn_graph(sim: np.ndarray, k: int) -> np.ndarray:
     Self-edges are excluded, ties break toward the lower node index, and the
     result is the union of both endpoints' selections (so it is symmetric
     with zero diagonal).
+
+    Rows are selected ``KNN_BLOCK`` at a time: a row takes every score above
+    its k-th largest and the ones equal to it. Only a row where that is not
+    exactly k (more ties than slots, or NaN scores) is ordered in full.
     """
     sim = np.asarray(sim, dtype=np.float64)
     n = sim.shape[0]
     if not 1 <= k <= n - 1:
         raise DomainError(f"k must be in [1, {n - 1}] for {n} nodes, got {k}")
-    scores = sim.copy()
-    np.fill_diagonal(scores, -np.inf)
-    # stable argsort on -score keeps ascending index order among ties
-    order = np.argsort(-scores, axis=1, kind="stable")
     adj = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), k)
-    cols = order[:, :k].reshape(-1)
-    adj[rows, cols] = 1.0
-    return np.maximum(adj, adj.T)
+    for start in range(0, n, KNN_BLOCK):
+        # ascending order of -score is descending score, NaN last
+        neg = -sim[start:start + KNN_BLOCK]
+        local = np.arange(neg.shape[0])
+        neg[local, start + local] = np.inf
+        kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+        picked = neg <= kth
+        for i in np.flatnonzero(picked.sum(axis=1) != k):
+            # a stable sort keeps ascending index order among ties
+            picked[i] = False
+            picked[i, np.argsort(neg[i], kind="stable")[:k]] = True
+        rows, cols = np.nonzero(picked)
+        rows += start
+        adj[rows, cols] = 1.0
+        adj[cols, rows] = 1.0  # the union with the other endpoint's selection
+    return adj
 
 
 def sym_normalize(adj: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
@@ -63,34 +77,49 @@ def sym_normalize(adj: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
     adj = np.asarray(adj, dtype=np.float64)
     if np.any(adj < 0.0):
         raise DomainError("sym_normalize needs a non-negative adjacency")
-    a = adj + np.eye(adj.shape[0]) if add_self_loops else adj
+    a = adj
+    if add_self_loops:
+        a = adj.copy()
+        a[np.diag_indices_from(a)] += 1.0
     deg = a.sum(axis=1)
     with np.errstate(divide="ignore"):
         dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
-    return np.multiply.outer(dinv, dinv) * a
+    out = np.multiply.outer(dinv, dinv)
+    out *= a
+    return out
 
 
 @dataclass(frozen=True)
 class ViewMatrices:
-    """Normalized propagation matrices for the two message-passing views."""
+    """Normalized propagation matrices for the two message-passing views.
 
-    topo_norm: np.ndarray
-    feat_norm: np.ndarray
+    A view that its consumer never reads may be None.
+    """
+
+    topo_norm: Optional[np.ndarray]
+    feat_norm: Optional[np.ndarray]
     k: int
 
     def __post_init__(self):
         for name, m in (("topo_norm", self.topo_norm), ("feat_norm", self.feat_norm)):
+            if m is None:
+                continue
             if np.abs(m - m.T).max() > SYMMETRY_TOL:
                 raise DomainError(f"{name} is not symmetric")
             if np.any(m < 0.0):
                 raise DomainError(f"{name} has negative entries")
 
 
-def build_views(adjacency: np.ndarray, features: np.ndarray, k: int,
+def build_views(adjacency: Optional[np.ndarray], features: Optional[np.ndarray], k: int,
                 add_self_loops: bool = True) -> ViewMatrices:
-    feat_adj = knn_graph(cosine_similarity_matrix(features), k)
-    return ViewMatrices(
-        topo_norm=sym_normalize(adjacency, add_self_loops),
-        feat_norm=sym_normalize(feat_adj, add_self_loops),
-        k=k,
-    )
+    """The normalized topology and kNN views; a view whose input is None is
+    not built and stays None."""
+    topo_norm = feat_norm = None
+    # the kNN view first, so that its n x n temporaries are freed before the
+    # topology view exists (the other order measured a higher peak RSS)
+    if features is not None:
+        feat_norm = sym_normalize(knn_graph(cosine_similarity_matrix(features), k),
+                                  add_self_loops)
+    if adjacency is not None:
+        topo_norm = sym_normalize(adjacency, add_self_loops)
+    return ViewMatrices(topo_norm=topo_norm, feat_norm=feat_norm, k=k)

@@ -193,13 +193,11 @@ def load_graph(edge_path, feature_path, label_path=None, num_classes=None) -> Gr
 
 def save_graph(graph: Graph, edge_path, feature_path, label_path=None):
     edge_path, feature_path = Path(edge_path), Path(feature_path)
+    rows, cols = np.nonzero(np.triu(graph.adjacency, 1))  # row-major, i < j
+    weights = graph.adjacency[rows, cols]
     with open(edge_path, "w") as fh:
-        n = graph.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = graph.adjacency[i, j]
-                if w != 0.0:
-                    fh.write(f"{i} {j}\n" if w == 1.0 else f"{i} {j} {float(w)!r}\n")
+        fh.writelines(f"{i} {j}\n" if w == 1.0 else f"{i} {j} {w!r}\n"
+                      for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist()))
     with open(feature_path, "w") as fh:
         for row in graph.features:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -15,6 +15,7 @@ the alignment terms meaningful. Variants drop parts of the network:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .exceptions import DomainError, ShapeError
+from .exceptions import CheckpointError, DomainError, ShapeError
 from .featgraph import ViewMatrices
 
 VARIANTS = ("GAA", "GAA1", "GAA2", "GAA3", "GCN", "KNN_GCN")
@@ -98,6 +99,19 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     return ad.parameter(rng.uniform(-limit, limit, size=(rows, cols)))
 
 
+def _param_shapes(variant: str, in_dim: int, num_classes: int, hyper: Hyper) -> dict:
+    """(rows, cols) of each parameter the variant has, in FIELD_ORDER."""
+    h, e, c = hyper.hidden, hyper.embed, num_classes
+    shapes = {
+        "W1_topo": (in_dim, h), "W2_topo": (h, e),
+        "W1_feat": (in_dim, h), "W2_feat": (h, e),
+        "Wq": (e, e), "Wk": (e, e), "Wv": (e, e),
+        "Wc": (e, c), "bc": (1, c),
+        "Wd": (e, 1), "bd": (1, 1),
+    }
+    return {name: shapes[name] for name in FIELD_ORDER if name in _FIELDS_BY_VARIANT[variant]}
+
+
 def init_model(in_dim: int, num_classes: int, variant: str, k: int,
                hyper: Hyper, seed_seq: np.random.SeedSequence) -> GaaModel:
     """Glorot-uniform weights, zero biases.
@@ -108,18 +122,11 @@ def init_model(in_dim: int, num_classes: int, variant: str, k: int,
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    h, e, c = hyper.hidden, hyper.embed, num_classes
-    shapes = {
-        "W1_topo": (in_dim, h), "W2_topo": (h, e),
-        "W1_feat": (in_dim, h), "W2_feat": (h, e),
-        "Wq": (e, e), "Wk": (e, e), "Wv": (e, e),
-        "Wc": (e, c), "bc": (1, c),
-        "Wd": (e, 1), "bd": (1, 1),
-    }
+    shapes = _param_shapes(variant, in_dim, num_classes, hyper)
     streams = seed_seq.spawn(len(FIELD_ORDER))
     model = GaaModel(variant=variant, k=k, in_dim=in_dim, num_classes=num_classes, hyper=hyper)
     for idx, name in enumerate(FIELD_ORDER):
-        if name not in _FIELDS_BY_VARIANT[variant]:
+        if name not in shapes:
             continue
         rows, cols = shapes[name]
         if name.startswith("b"):
@@ -212,16 +219,13 @@ def forward_all(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices,
     out = ForwardOutputs()
     variant = model.variant
 
-    topo_s = ad.constant(views_s.topo_norm)
-    topo_t = ad.constant(views_t.topo_norm)
-
     if variant == "KNN_GCN":
         out.z_s_f = gcn_encode(ad.constant(views_s.feat_norm), x_s, model.W1_feat, model.W2_feat,
                                hy.dropout, rng, training, hy.relu_second_layer)
         out.probs_s = classify(out.z_s_f, model.Wc, model.bc)
         return out
 
-    out.z_s = gcn_encode(topo_s, x_s, model.W1_topo, model.W2_topo,
+    out.z_s = gcn_encode(ad.constant(views_s.topo_norm), x_s, model.W1_topo, model.W2_topo,
                          hy.dropout, rng, training, hy.relu_second_layer)
     if variant == "GCN":
         out.probs_s = classify(out.z_s, model.Wc, model.bc)
@@ -231,7 +235,7 @@ def forward_all(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices,
     if with_feat:
         out.z_s_f = gcn_encode(ad.constant(views_s.feat_norm), x_s, model.W1_feat, model.W2_feat,
                                hy.dropout, rng, training, hy.relu_second_layer)
-    out.z_t = gcn_encode(topo_t, x_t, model.W1_topo, model.W2_topo,
+    out.z_t = gcn_encode(ad.constant(views_t.topo_norm), x_t, model.W1_topo, model.W2_topo,
                          hy.dropout, rng, training, hy.relu_second_layer)
     if with_feat:
         out.z_t_f = gcn_encode(ad.constant(views_t.feat_norm), x_t, model.W1_feat, model.W2_feat,
@@ -283,25 +287,67 @@ def save_model(model: GaaModel, path):
             fh.write(np.ascontiguousarray(getattr(model, name).data, dtype="<f8").tobytes())
 
 
+def _count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _header_problem(header) -> Optional[str]:
+    """Why a decoded checkpoint header cannot describe a model, or None."""
+    if not isinstance(header, dict) or header.get("format") != "gaa-model-v1":
+        return "not a model checkpoint"
+    for key in ("variant", "k", "in_dim", "num_classes", "hyper", "tensors"):
+        if key not in header:
+            return f"header has no {key!r}"
+    if header["variant"] not in VARIANTS:
+        return f"unknown variant {header['variant']!r}"
+    if not all(_count(header[key]) for key in ("k", "in_dim", "num_classes")):
+        return "k, in_dim and num_classes must be positive integers"
+    hyper = header["hyper"]
+    if not isinstance(hyper, dict) or set(hyper) != set(Hyper.__dataclass_fields__):
+        return "hyper does not list exactly the Hyper fields"
+    if not (_count(hyper["hidden"]) and _count(hyper["embed"])
+            and _real(hyper["dropout"]) and 0.0 <= hyper["dropout"] < 1.0
+            and _real(hyper["grl_lambda"]) and isinstance(hyper["relu_second_layer"], bool)):
+        return "bad value in hyper"
+    return None
+
+
 def load_model(path) -> GaaModel:
+    """Read a checkpoint; a malformed one raises CheckpointError."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != "gaa-model-v1":
-            raise DomainError(f"{path}: not a model checkpoint")
-        if header["variant"] not in VARIANTS:
-            raise DomainError(f"{path}: unknown variant {header['variant']!r}")
-        model = GaaModel(
-            variant=header["variant"],
-            k=header["k"],
-            in_dim=header["in_dim"],
-            num_classes=header["num_classes"],
-            hyper=Hyper(**header["hyper"]),
-        )
-        for spec in header["tensors"]:
-            rows, cols = spec["rows"], spec["cols"]
-            buf = fh.read(rows * cols * 8)
-            if len(buf) != rows * cols * 8:
-                raise DomainError(f"{path}: truncated payload for {spec['name']}")
-            data = np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
-            setattr(model, spec["name"], ad.parameter(data))
+        header_line = fh.readline()
+        payload = fh.read()
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except ValueError:  # undecodable bytes or invalid JSON
+        raise CheckpointError(path, "header is not UTF-8 JSON")
+    problem = _header_problem(header)
+    if problem is not None:
+        raise CheckpointError(path, problem)
+    model = GaaModel(
+        variant=header["variant"],
+        k=header["k"],
+        in_dim=header["in_dim"],
+        num_classes=header["num_classes"],
+        hyper=Hyper(**header["hyper"]),
+    )
+    shapes = _param_shapes(model.variant, model.in_dim, model.num_classes, model.hyper)
+    if header["tensors"] != [{"name": name, "rows": rows, "cols": cols}
+                             for name, (rows, cols) in shapes.items()]:
+        raise CheckpointError(path, f"tensor list does not match a {model.variant} model")
+    expected = 8 * sum(rows * cols for rows, cols in shapes.values())
+    if len(payload) != expected:
+        raise CheckpointError(path, f"payload is {len(payload)} bytes, expected {expected}")
+    if not np.isfinite(np.frombuffer(payload, dtype="<f8")).all():
+        raise CheckpointError(path, "non-finite parameter value")
+    offset = 0
+    for name, (rows, cols) in shapes.items():
+        data = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
+        setattr(model, name, ad.parameter(data.reshape(rows, cols).copy()))
+        offset += 8 * rows * cols
     return model

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as L
 from .exceptions import ConfigError, DomainError, NumericError
-from .featgraph import build_views, cosine_similarity_matrix, knn_graph, sym_normalize
+from .featgraph import ViewMatrices, build_views
 from .graphs import DomainPair, EpochLosses, Graph, RunMetrics
 from .model import (
     GaaModel,
@@ -151,8 +151,9 @@ def _epoch_losses(model: GaaModel, out, labels_s, w: L.LossWeights):
 def train_gaa(pair: DomainPair, cfg: TrainConfig) -> tuple[GaaModel, RunMetrics]:
     """Full-batch training per the configured variant.
 
-    View matrices are built once up front; every epoch runs one forward,
-    one backward, and one optimizer step.
+    The views the variant reads are built once up front and reused by the
+    final evaluation; every epoch runs one forward, one backward, and one
+    optimizer step.
     """
     start = time.perf_counter()
     master = np.random.SeedSequence(cfg.seed)
@@ -162,8 +163,8 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig) -> tuple[GaaModel, RunMetrics]
     params = model.parameters()
     state = AdamState(params)
 
-    views_s = build_views(pair.source.adjacency, pair.source.features, cfg.k)
-    views_t = build_views(pair.target.adjacency, pair.target.features, cfg.k)
+    views_s = _views_for(model, pair.source, training=True)
+    views_t = _views_for(model, pair.target, training=True)
     x_s = ad.constant(pair.source.features)
     x_t = ad.constant(pair.target.features)
     labels_s = pair.source.labels
@@ -186,28 +187,43 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig) -> tuple[GaaModel, RunMetrics]
         ))
 
     if pair.target.labels is not None:
-        metrics.target_accuracy = evaluate(model, pair.target)
+        metrics.target_accuracy = _accuracy(model, views_t, pair.target)
     metrics.wall_seconds = time.perf_counter() - start
     return model, metrics
 
 
-def _embed_for_eval(model: GaaModel, graph: Graph):
-    x = ad.constant(graph.features)
+def _views_for(model: GaaModel, graph: Graph, training: bool) -> ViewMatrices:
+    """The normalized views of ``graph`` that ``model`` reads; the rest are None.
+
+    Training reads every channel of the variant. Classification reads one:
+    the topology, or the feature view for the variant without topology.
+    """
+    topo = model.uses_topo_view
+    feat = model.uses_feat_view and (training or not topo)
+    return build_views(graph.adjacency if topo else None,
+                       graph.features if feat else None, model.k)
+
+
+def _predict(model: GaaModel, views: ViewMatrices, features: np.ndarray) -> np.ndarray:
+    x = ad.constant(features)
     rng = np.random.default_rng(0)  # never consumed: dropout is off in eval
-    if model.variant == "KNN_GCN":
-        feat_adj = knn_graph(cosine_similarity_matrix(graph.features), model.k)
-        return gcn_encode(ad.constant(sym_normalize(feat_adj)), x,
-                          model.W1_feat, model.W2_feat,
-                          model.hyper.dropout, rng, False, model.hyper.relu_second_layer)
-    return gcn_encode(ad.constant(sym_normalize(graph.adjacency)), x,
-                      model.W1_topo, model.W2_topo,
-                      model.hyper.dropout, rng, False, model.hyper.relu_second_layer)
+    if model.uses_topo_view:
+        norm, w1, w2 = views.topo_norm, model.W1_topo, model.W2_topo
+    else:
+        norm, w1, w2 = views.feat_norm, model.W1_feat, model.W2_feat
+    z = gcn_encode(ad.constant(norm), x, w1, w2,
+                   model.hyper.dropout, rng, False, model.hyper.relu_second_layer)
+    return classify(z, model.Wc, model.bc).data
+
+
+def _accuracy(model: GaaModel, views: ViewMatrices, graph: Graph) -> float:
+    probs = _predict(model, views, graph.features)
+    return float((probs.argmax(axis=1) == graph.labels).mean())
 
 
 def predict(model: GaaModel, graph: Graph) -> np.ndarray:
     """Class probabilities for every node, dropout disabled."""
-    z = _embed_for_eval(model, graph)
-    return classify(z, model.Wc, model.bc).data
+    return _predict(model, _views_for(model, graph, training=False), graph.features)
 
 
 def evaluate(model: GaaModel, graph: Graph) -> float:
@@ -215,9 +231,7 @@ def evaluate(model: GaaModel, graph: Graph) -> float:
     matches the label."""
     if graph.labels is None:
         raise DomainError("evaluate needs a labeled graph")
-    probs = predict(model, graph)
-    predicted = probs.argmax(axis=1)
-    return float((predicted == graph.labels).mean())
+    return _accuracy(model, _views_for(model, graph, training=False), graph)
 
 
 @dataclass
@@ -226,6 +240,7 @@ class RepeatedResult:
     std_acc: float
     accuracies: list[float]
     metrics: list[RunMetrics]
+    first_model: GaaModel  # the model trained with cfg.seed
 
 
 def run_repeated(pair: DomainPair, cfg: TrainConfig, n_runs: int = 5) -> RepeatedResult:
@@ -235,11 +250,14 @@ def run_repeated(pair: DomainPair, cfg: TrainConfig, n_runs: int = 5) -> Repeate
     accs = []
     all_metrics = []
     for offset in range(n_runs):
-        _, metrics = train_gaa(pair, replace(cfg, seed=cfg.seed + offset))
+        model, metrics = train_gaa(pair, replace(cfg, seed=cfg.seed + offset))
         if metrics.target_accuracy is None:
             raise DomainError("run_repeated needs a labeled target graph")
+        if offset == 0:
+            first_model = model
         accs.append(metrics.target_accuracy)
         all_metrics.append(metrics)
     mean = float(np.mean(accs))
     std = float(np.std(accs, ddof=1)) if n_runs > 1 else 0.0
-    return RepeatedResult(mean_acc=mean, std_acc=std, accuracies=accs, metrics=all_metrics)
+    return RepeatedResult(mean_acc=mean, std_acc=std, accuracies=accs, metrics=all_metrics,
+                          first_model=first_model)

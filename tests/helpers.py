@@ -88,6 +88,18 @@ def loop_knn(sm, k):
     return adj
 
 
+def loop_edge_lines(adjacency):
+    """The edge-file text of ``adjacency``: an upper-triangle walk over all pairs."""
+    n = adjacency.shape[0]
+    lines = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = adjacency[i, j]
+            if w != 0.0:
+                lines.append(f"{i} {j}\n" if w == 1.0 else f"{i} {j} {float(w)!r}\n")
+    return "".join(lines)
+
+
 def loop_knn_selection(sm, k):
     """The pre-symmetrization selection: k chosen neighbors per node."""
     n = sm.shape[0]

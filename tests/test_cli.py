@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaa.cli import load_pair, run_command
 
@@ -100,6 +104,28 @@ class TestTrainEval:
         assert (out / "metrics_run0.json").exists()
         assert (out / "metrics_run1.json").exists()
 
+    def test_runs_flag_trains_each_seed_once(self, pair_dir, tmp_path, monkeypatch):
+        from gaa import cli as cli_mod
+        from gaa import train
+
+        calls = []
+        original = train.train_gaa
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(train, "train_gaa", counting)
+        monkeypatch.setattr(cli_mod, "train_gaa", counting)
+        single, multi = tmp_path / "single", tmp_path / "multi"
+        assert cli(*self.train_args(pair_dir, single)) == 0
+        calls.clear()
+        assert cli(*self.train_args(pair_dir, multi), "--runs", "3") == 0
+        assert len(calls) == 3
+        # the seed model from run 0 is the one a single run writes
+        assert (multi / "model.bin").read_bytes() == (single / "model.bin").read_bytes()
+        assert (multi / "metrics_run0.json").read_bytes() == (single / "metrics.json").read_bytes()
+
     def test_config_file_with_flag_override(self, pair_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 2, "hidden": 8, "embed": 4, "k": 2}))
@@ -159,6 +185,84 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"{path}:{line_no}: non-finite weight" in err
+
+    def test_non_integer_gaa_threads_exit_1(self, pair_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GAA_THREADS", "abc")
+        code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
+                   "--runs", "1", "--grid", "k=2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: GAA_THREADS must be an integer, got 'abc'\n"
+
+
+class TestBadCheckpoint:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("ckpt")
+        pair = root / "pair"
+        assert cli("generate", "--kind", "attribute-shift", "--seed", "7", "--n", "24",
+                   "--d", "4", "--out", str(pair)) == 0
+        assert cli("train", "--pair", str(pair), "--out", str(root / "run"), "--seed", "1",
+                   "--set", "epochs=2", "--set", "hidden=8", "--set", "embed=4",
+                   "--set", "k=2") == 0
+        return pair, (root / "run" / "model.bin").read_bytes(), root / "bad.bin"
+
+    @staticmethod
+    def eval_bytes(trained, blob):
+        """Exit code and stderr of ``gaa eval`` on a checkpoint holding ``blob``."""
+        pair, _, path = trained
+        path.write_bytes(blob)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli("eval", "--checkpoint", str(path), "--edges", str(pair / "target.edges"),
+                       "--features", str(pair / "target.features.csv"),
+                       "--labels", str(pair / "target.labels.txt"))
+        return code, err.getvalue()
+
+    def test_random_bytes_exit_1(self, trained):
+        code, err = self.eval_bytes(trained, bytes(range(128, 256)) + b"\n")
+        assert code == 1
+        assert err == f"error: {trained[2]}: header is not UTF-8 JSON\n"
+
+    def test_header_without_variant_exit_1(self, trained):
+        header, payload = trained[1].split(b"\n", 1)
+        doc = json.loads(header)
+        del doc["variant"]
+        code, err = self.eval_bytes(trained, json.dumps(doc).encode() + b"\n" + payload)
+        assert code == 1
+        assert err == f"error: {trained[2]}: header has no 'variant'\n"
+
+    @pytest.mark.parametrize("change", [-1, -8, 8])
+    def test_payload_of_wrong_length_exit_1(self, trained, change):
+        good = trained[1]
+        payload = len(good.split(b"\n", 1)[1])
+        blob = good[:change] if change < 0 else good + bytes(change)
+        code, err = self.eval_bytes(trained, blob)
+        assert code == 1
+        assert err == (f"error: {trained[2]}: payload is {payload + change} bytes, "
+                       f"expected {payload}\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fuzzed_bytes_never_raise(self, trained, data):
+        good = trained[1]
+        blob = data.draw(st.one_of(
+            st.binary(max_size=400),
+            st.integers(0, len(good)).map(lambda cut: good[:cut]),
+            st.lists(st.tuples(st.integers(0, len(good) - 1), st.integers(0, 255)),
+                     min_size=1, max_size=6).map(lambda edits: _patched(good, edits)),
+        ))
+        code, err = self.eval_bytes(trained, blob)
+        if code != 0:
+            assert code in (1, 2)
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _patched(blob, edits):
+    out = bytearray(blob)
+    for pos, value in edits:
+        out[pos] = value
+    return bytes(out)
 
 
 class TestBoundDiagnose:

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gaa import featgraph
 from gaa.exceptions import DomainError
 from gaa.featgraph import ViewMatrices, build_views, cosine_similarity_matrix, knn_graph, sym_normalize
 
@@ -70,6 +74,19 @@ class TestKnn:
         assert picks[3] == [0, 1]
         np.testing.assert_array_equal(adj, loop_knn(sim, 2))
 
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 14), st.integers(1, 3)),
+                      elements=st.integers(-1, 2).map(float)),
+           st.sets(st.integers(0, 13), max_size=4), st.sampled_from([1, 2, 5, 256]))
+    def test_matches_oracle_on_ties_for_every_k(self, x, zero_rows, block):
+        # few distinct small-integer features make tied scores the common case;
+        # small blocks leave a ragged last block
+        x[[r for r in zero_rows if r < len(x)]] = 0.0
+        sim = cosine_similarity_matrix(x)
+        with mock.patch.object(featgraph, "KNN_BLOCK", block):
+            for k in range(1, len(x)):
+                np.testing.assert_array_equal(knn_graph(sim, k), loop_knn(sim, k))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(3, 12), st.integers(1, 4))
     def test_structural_invariants(self, seed, n, k):
@@ -110,6 +127,11 @@ class TestSymNormalize:
         norm = sym_normalize(adj, add_self_loops=False)
         np.testing.assert_array_equal(norm[2], np.zeros(3))
 
+    def test_leaves_input_unchanged(self):
+        adj = np.array([[0.0, 2.0], [2.0, 0.0]])
+        sym_normalize(adj)
+        np.testing.assert_array_equal(adj, [[0.0, 2.0], [2.0, 0.0]])
+
     def test_rejects_negative_entries(self):
         with pytest.raises(DomainError):
             sym_normalize(np.array([[0.0, -1.0], [-1.0, 0.0]]))
@@ -146,3 +168,25 @@ def test_build_views_invariants():
         assert np.abs(m - m.T).max() <= 1e-12
         assert m.min() >= 0.0
         assert np.all(m.sum(axis=1) > 0.0)  # no zero rows once loops are added
+
+
+def test_build_views_skips_a_view_whose_input_is_none():
+    rng = np.random.default_rng(6)
+    adj = np.triu((rng.random((8, 8)) < 0.4).astype(float), 1)
+    adj = adj + adj.T
+    x = rng.normal(size=(8, 3))
+    both = build_views(adj, x, k=2)
+    topo_only = build_views(adj, None, k=2)
+    feat_only = build_views(None, x, k=2)
+    assert topo_only.feat_norm is None and feat_only.topo_norm is None
+    np.testing.assert_array_equal(topo_only.topo_norm, both.topo_norm)
+    np.testing.assert_array_equal(feat_only.feat_norm, both.feat_norm)
+
+
+def test_view_matrices_skip_absent_views_and_check_built_ones():
+    views = ViewMatrices(topo_norm=None, feat_norm=np.eye(3), k=2)
+    assert views.topo_norm is None
+    with pytest.raises(DomainError, match="feat_norm is not symmetric"):
+        ViewMatrices(topo_norm=None, feat_norm=np.triu(np.ones((3, 3))), k=2)
+    with pytest.raises(DomainError, match="topo_norm has negative entries"):
+        ViewMatrices(topo_norm=-np.eye(3), feat_norm=None, k=2)

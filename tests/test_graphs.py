@@ -15,6 +15,8 @@ from gaa.graphs import (
     save_metrics,
 )
 
+from helpers import loop_edge_lines
+
 
 class TestLoadGraph:
     def write(self, tmp_path, edges, feats, labels=None):
@@ -231,3 +233,14 @@ def test_weighted_edge_roundtrip(tmp_path):
     save_graph(g, tmp_path / "s.edges", tmp_path / "s.csv", tmp_path / "s.labels")
     back = load_graph(tmp_path / "s.edges", tmp_path / "s.csv", tmp_path / "s.labels")
     np.testing.assert_array_equal(back.adjacency, g.adjacency)
+
+
+def test_save_graph_edges_match_pair_walk(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 30
+    adj = np.triu(rng.random((n, n)) < 0.3, 1) * rng.choice([1.0, 0.1 + 0.2, 2.5, 1e-7], (n, n))
+    adj = adj + adj.T
+    assert {1.0, 0.1 + 0.2}.issubset(set(adj.reshape(-1)))
+    g = Graph(adjacency=adj, features=rng.normal(size=(n, 2)))
+    save_graph(g, tmp_path / "w.edges", tmp_path / "w.csv")
+    assert (tmp_path / "w.edges").read_text() == loop_edge_lines(adj)

@@ -230,3 +230,37 @@ class TestRunRepeated:
     def test_seeds_advance_per_run(self):
         result = run_repeated(small_pair(), quick_cfg(epochs=2, seed=10), n_runs=3)
         assert [m.seed for m in result.metrics] == [10, 11, 12]
+
+
+class TestViewBuilding:
+    @pytest.mark.parametrize("variant", ["GCN", "GAA3"])
+    def test_topology_only_variants_never_build_knn(self, variant, monkeypatch):
+        from gaa import featgraph
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("knn_graph called")
+
+        monkeypatch.setattr(featgraph, "knn_graph", forbidden)
+        train_gaa(small_pair(), quick_cfg(variant=variant, epochs=1))
+
+    def test_knn_gcn_never_normalizes_topology(self, monkeypatch):
+        from gaa import featgraph
+
+        pair = small_pair()
+        topologies = (pair.source.adjacency, pair.target.adjacency)
+        normalized = []
+        original = featgraph.sym_normalize
+
+        def recording(adj, *args, **kwargs):
+            normalized.append(any(adj is a for a in topologies))
+            return original(adj, *args, **kwargs)
+
+        monkeypatch.setattr(featgraph, "sym_normalize", recording)
+        train_gaa(pair, quick_cfg(variant="KNN_GCN", epochs=1))
+        assert normalized == [False, False]  # the two domains' kNN graphs
+
+    @pytest.mark.parametrize("variant", ["GAA", "GAA1", "GAA2", "GAA3", "GCN", "KNN_GCN"])
+    def test_training_accuracy_equals_rebuilt_evaluation(self, variant):
+        pair = small_pair(n=20)
+        model, metrics = train_gaa(pair, quick_cfg(variant=variant, epochs=4))
+        assert metrics.target_accuracy == evaluate(model, pair.target)

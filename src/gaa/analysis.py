@@ -25,14 +25,6 @@ class BoundReport:
     total: float
     normalization: int
 
-    def to_dict(self):
-        return {
-            "topo_term": self.topo_term,
-            "attr_term": self.attr_term,
-            "total": self.total,
-            "normalization": self.normalization,
-        }
-
 
 def _pairwise_sq_sum(u: np.ndarray, v: np.ndarray) -> float:
     # sum_{i,j} ||u_i - v_j||^2 without materializing the pairs

@@ -20,11 +20,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from multiprocessing import Pool
 from pathlib import Path
 
-from .exceptions import CheckpointError, ConfigError, GaaError, ParseError
+from .exceptions import CheckpointError, ConfigError, GaaError, ParseError, field_types
 from .analysis import avg_feature_value, proposition1_bound
 from .graphs import (
     DomainPair,
@@ -114,26 +114,23 @@ def _build_parser() -> _Parser:
 # config plumbing
 
 
-def _coerce(field: str, raw: str):
-    kinds = {
-        "epochs": int, "k": int, "seed": int, "hidden": int, "embed": int,
-        "lr": float, "weight_decay": float, "dropout": float, "grl_lambda": float,
-        "variant": str,
-    }
-    if field in ("relu_second_layer",):
+def _coerce(key: str, raw: str):
+    """Parse a ``--set`` value as the type of the config field it names."""
+    owner, name = ((LossWeights, key[len("weights."):]) if key.startswith("weights.")
+                   else (TrainConfig, key))
+    kind = field_types(owner).get(name)
+    if kind not in (int, float, str, bool):
+        raise ConfigError(f"unknown config key {key!r}")
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"expected a boolean for {field}, got {raw!r}")
-    if field.startswith("weights."):
-        return float(raw)
-    if field not in kinds:
-        raise ConfigError(f"unknown config key {field!r}")
+        raise ConfigError(f"expected a boolean for {key}, got {raw!r}")
     try:
-        return kinds[field](raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"bad value for {field}: {raw!r}")
+        raise ConfigError(f"bad value for {key}: {raw!r}")
 
 
 def _load_config(args) -> TrainConfig:
@@ -158,10 +155,7 @@ def _load_config(args) -> TrainConfig:
         key, raw = item.split("=", 1)
         value = _coerce(key, raw)
         if key.startswith("weights."):
-            wfield = key.split(".", 1)[1]
-            if wfield not in ("alpha", "beta", "tau"):
-                raise ConfigError(f"unknown config key {key!r}")
-            cfg = replace(cfg, weights=replace(cfg.weights, **{wfield: value}))
+            cfg = replace(cfg, weights=replace(cfg.weights, **{key[len("weights."):]: value}))
         else:
             cfg = replace(cfg, **{key: value})
     return cfg
@@ -175,7 +169,8 @@ def load_pair(pair_dir) -> DomainPair:
                         pair_dir / "source.labels.txt")
     target_labels = pair_dir / "target.labels.txt"
     target = load_graph(pair_dir / "target.edges", pair_dir / "target.features.csv",
-                        target_labels if target_labels.exists() else None)
+                        target_labels if target_labels.exists() else None,
+                        num_classes=source.num_classes)
     return DomainPair(source=source, target=target)
 
 
@@ -224,7 +219,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_model(args.checkpoint)
-    graph = load_graph(args.edges, args.features, args.labels)
+    graph = load_graph(args.edges, args.features, args.labels, num_classes=model.num_classes)
     acc = evaluate(model, graph)
     print(json.dumps({"accuracy": acc}))
     return 0
@@ -253,7 +248,7 @@ def _cmd_generate(args) -> int:
 def _cmd_bound(args) -> int:
     pair = load_pair(args.pair)
     report = proposition1_bound(pair.source, pair.target, args.normalize_by)
-    print(json.dumps(report.to_dict()))
+    print(json.dumps(asdict(report)))
     return 0
 
 

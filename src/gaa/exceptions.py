@@ -1,4 +1,10 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the field type check that
+config dataclasses run where a value enters."""
+
+import dataclasses
+import functools
+import sys
+import typing
 
 
 class GaaError(Exception):
@@ -36,3 +42,20 @@ class CheckpointError(GaaError):
 
 class ConfigError(GaaError):
     """Invalid configuration (bad key, bad value, missing file)."""
+
+
+field_types = functools.cache(typing.get_type_hints)
+
+
+def check_field_types(obj, prefix: str = "") -> None:
+    """Raise ConfigError unless every field of dataclass ``obj`` holds its
+    declared type. A float field takes an int too, but no bool, and must be
+    finite."""
+    kinds = field_types(type(obj))
+    for f in dataclasses.fields(obj):
+        value, kind = getattr(obj, f.name), kinds[f.name]
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or isinstance(value, bool) and kind is not bool:
+            raise ConfigError(f"{prefix}{f.name} must be {kind.__name__}, got {value!r}")
+        if kind is float and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{prefix}{f.name} must be finite, got {value!r}")

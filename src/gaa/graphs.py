@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -156,8 +156,9 @@ def _parse_features(path) -> np.ndarray:
     return features
 
 
-def _parse_labels(path) -> np.ndarray:
+def _parse_labels(path, num_classes=None) -> np.ndarray:
     labels = []
+    bound = math.inf if num_classes is None else num_classes
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -167,11 +168,16 @@ def _parse_labels(path) -> np.ndarray:
                 labels.append(int(line))
             except ValueError:
                 raise ParseError(path, line_no, f"non-integer label {raw.strip()!r}")
+            if not 0 <= labels[-1] < bound:
+                raise ParseError(path, line_no, f"label {labels[-1]} outside [0, {bound})")
     return np.asarray(labels, dtype=np.int64)
 
 
 def load_graph(edge_path, feature_path, label_path=None, num_classes=None) -> Graph:
-    """Read a graph from the text formats; symmetrizes and deduplicates edges."""
+    """Read a graph from the text formats; symmetrizes and deduplicates edges.
+
+    A negative label, or one at or above ``num_classes``, is a ParseError.
+    """
     features = _parse_features(feature_path)
     n = features.shape[0]
     adjacency = np.zeros((n, n))
@@ -184,7 +190,7 @@ def load_graph(edge_path, feature_path, label_path=None, num_classes=None) -> Gr
         adjacency[j, i] = weight
     labels = None
     if label_path is not None:
-        labels = _parse_labels(label_path)
+        labels = _parse_labels(label_path, num_classes)
         if len(labels) != n:
             raise ParseError(label_path, len(labels) + 1,
                              f"{len(labels)} labels for {n} feature rows")
@@ -283,16 +289,6 @@ class EpochLosses:
     loss_D: float
     loss_T: float
 
-    def to_dict(self):
-        return {
-            "epoch": self.epoch,
-            "loss_total": self.loss_total,
-            "loss_S": self.loss_S,
-            "loss_A": self.loss_A,
-            "loss_D": self.loss_D,
-            "loss_T": self.loss_T,
-        }
-
 
 @dataclass
 class RunMetrics:
@@ -303,31 +299,14 @@ class RunMetrics:
     wall_seconds: float = 0.0
     config_echo: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "per_epoch": [e.to_dict() for e in self.per_epoch],
-            "target_accuracy": self.target_accuracy,
-            "wall_seconds": self.wall_seconds,
-            "config_echo": self.config_echo,
-        }
-
 
 def save_metrics(metrics: RunMetrics, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metrics.to_dict(), fh, indent=2)
+        json.dump(asdict(metrics), fh, indent=2)
         fh.write("\n")
 
 
 def load_metrics(path) -> RunMetrics:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    return RunMetrics(
-        seed=doc["seed"],
-        epochs=doc["epochs"],
-        per_epoch=[EpochLosses(**e) for e in doc["per_epoch"]],
-        target_accuracy=doc["target_accuracy"],
-        wall_seconds=doc["wall_seconds"],
-        config_echo=doc["config_echo"],
-    )
+    return RunMetrics(**{**doc, "per_epoch": [EpochLosses(**e) for e in doc["per_epoch"]]})

@@ -9,14 +9,13 @@ sign flip happens here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .exceptions import DomainError, ShapeError
+from .exceptions import ConfigError, ShapeError, check_field_types
 
 PROB_CLAMP = 1e-12
 
@@ -28,13 +27,10 @@ class LossWeights:
     tau: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self, "weights.")
         for name in ("alpha", "beta", "tau"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise DomainError(f"loss weight {name} must be finite and >= 0, got {v}")
-
-    def to_dict(self):
-        return {"alpha": self.alpha, "beta": self.beta, "tau": self.tau}
+            if getattr(self, name) < 0:
+                raise ConfigError(f"weights.{name} must be >= 0, got {getattr(self, name)}")
 
 
 def source_ce(probs: Tensor, labels: np.ndarray) -> Tensor:

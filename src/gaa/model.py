@@ -2,7 +2,8 @@
 cross-view refinement, label classifier, and a gradient-reversal domain head.
 
 One parameter set processes both domains; that weight sharing is what makes
-the alignment terms meaningful. Variants drop parts of the network:
+the alignment terms meaningful. Each variant is one row of ``VARIANT_SPECS``,
+which init, forward, loss assembly, view building and evaluation all read:
 
   GAA      full model
   GAA1     no cross-view refinement (raw attention embeddings)
@@ -15,31 +16,55 @@ the alignment terms meaningful. Variants drop parts of the network:
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .exceptions import CheckpointError, DomainError, ShapeError
+from .exceptions import CheckpointError, ConfigError, DomainError, ShapeError, check_field_types
 from .featgraph import ViewMatrices
-
-VARIANTS = ("GAA", "GAA1", "GAA2", "GAA3", "GCN", "KNN_GCN")
 
 # checkpoint payload order; also the order parameters are initialized in
 FIELD_ORDER = ("W1_topo", "W2_topo", "W1_feat", "W2_feat",
                "Wq", "Wk", "Wv", "Wc", "bc", "Wd", "bd")
 
-_FIELDS_BY_VARIANT = {
-    "GAA": FIELD_ORDER,
-    "GAA1": FIELD_ORDER,
-    "GAA2": FIELD_ORDER,
-    "GAA3": ("W1_topo", "W2_topo", "Wc", "bc", "Wd", "bd"),
-    "GCN": ("W1_topo", "W2_topo", "Wc", "bc"),
-    "KNN_GCN": ("W1_feat", "W2_feat", "Wc", "bc"),
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """What one variant computes.
+
+    ``topo`` and ``feat`` name the channels it encodes; the classifier reads
+    the topology embedding when there is one. A variant that adapts encodes
+    the target too and adds L_D and L_T; one that attends embeds all four
+    encodings with attention, one that refines gates them by cross-view
+    agreement, and one that aligns adds L_A. ``fields`` are its parameters.
+    """
+
+    topo: bool
+    feat: bool
+    fields: tuple[str, ...]
+    attends: bool = False
+    refines: bool = False
+    aligns: bool = False
+    adapts: bool = False
+
+
+VARIANT_SPECS = {
+    "GAA": VariantSpec(topo=True, feat=True, fields=FIELD_ORDER,
+                       attends=True, refines=True, aligns=True, adapts=True),
+    "GAA1": VariantSpec(topo=True, feat=True, fields=FIELD_ORDER,
+                        attends=True, aligns=True, adapts=True),
+    # encodes the feature channel and owns the attention weights, though no
+    # loss reads either
+    "GAA2": VariantSpec(topo=True, feat=True, fields=FIELD_ORDER, adapts=True),
+    "GAA3": VariantSpec(topo=True, feat=False, adapts=True,
+                        fields=("W1_topo", "W2_topo", "Wc", "bc", "Wd", "bd")),
+    "GCN": VariantSpec(topo=True, feat=False, fields=("W1_topo", "W2_topo", "Wc", "bc")),
+    "KNN_GCN": VariantSpec(topo=False, feat=True, fields=("W1_feat", "W2_feat", "Wc", "bc")),
 }
+VARIANTS = tuple(VARIANT_SPECS)
 
 
 @dataclass
@@ -50,14 +75,15 @@ class Hyper:
     grl_lambda: float = 1.0
     relu_second_layer: bool = False
 
-    def to_dict(self):
-        return {
-            "hidden": self.hidden,
-            "embed": self.embed,
-            "dropout": self.dropout,
-            "grl_lambda": self.grl_lambda,
-            "relu_second_layer": self.relu_second_layer,
-        }
+    def __post_init__(self):
+        check_field_types(self)
+        for name in ("hidden", "embed"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.grl_lambda < 0:
+            raise ConfigError(f"grl_lambda must be >= 0, got {self.grl_lambda}")
 
 
 @dataclass
@@ -79,19 +105,15 @@ class GaaModel:
     Wd: Optional[Tensor] = None
     bd: Optional[Tensor] = None
 
+    @property
+    def spec(self) -> VariantSpec:
+        return VARIANT_SPECS[self.variant]
+
     def parameters(self) -> list[Tensor]:
         return [getattr(self, name) for name in FIELD_ORDER if getattr(self, name) is not None]
 
     def parameter_names(self) -> list[str]:
         return [name for name in FIELD_ORDER if getattr(self, name) is not None]
-
-    @property
-    def uses_topo_view(self) -> bool:
-        return self.variant != "KNN_GCN"
-
-    @property
-    def uses_feat_view(self) -> bool:
-        return self.variant in ("GAA", "GAA1", "GAA2", "KNN_GCN")
 
 
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -109,7 +131,7 @@ def _param_shapes(variant: str, in_dim: int, num_classes: int, hyper: Hyper) -> 
         "Wc": (e, c), "bc": (1, c),
         "Wd": (e, 1), "bd": (1, 1),
     }
-    return {name: shapes[name] for name in FIELD_ORDER if name in _FIELDS_BY_VARIANT[variant]}
+    return {name: shapes[name] for name in FIELD_ORDER if name in VARIANT_SPECS[variant].fields}
 
 
 def init_model(in_dim: int, num_classes: int, variant: str, k: int,
@@ -210,54 +232,41 @@ class ForwardOutputs:
 def forward_all(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices,
                 x_s: Tensor, x_t: Tensor, training: bool,
                 rng: np.random.Generator) -> ForwardOutputs:
-    """Run every branch the variant needs, in a fixed order.
+    """Run every branch the variant's row names, in a fixed order.
 
     Dropout draws happen in encoder order (source topo, source feat, target
-    topo, target feat), so equal seeds give bit-identical passes.
+    topo, target feat), so equal seeds give bit-identical passes. A variant
+    that does not adapt never encodes the target.
     """
-    hy = model.hyper
+    spec, hy = model.spec, model.hyper
+
+    def encode(views, x):
+        def gcn(norm, w1, w2):
+            return gcn_encode(ad.constant(norm), x, w1, w2,
+                              hy.dropout, rng, training, hy.relu_second_layer)
+        return (gcn(views.topo_norm, model.W1_topo, model.W2_topo) if spec.topo else None,
+                gcn(views.feat_norm, model.W1_feat, model.W2_feat) if spec.feat else None)
+
     out = ForwardOutputs()
-    variant = model.variant
+    out.z_s, out.z_s_f = encode(views_s, x_s)
+    if spec.adapts:
+        out.z_t, out.z_t_f = encode(views_t, x_t)
+    if spec.attends:
+        out.att_s, out.att_s_f, out.att_t, out.att_t_f = [
+            attention_embed(z, model.Wq, model.Wk, model.Wv)
+            for z in (out.z_s, out.z_s_f, out.z_t, out.z_t_f)]
+    if spec.refines:
+        out.scores_s = cross_view_scores(out.z_s_f, out.z_s)
+        out.scores_t = cross_view_scores(out.z_t_f, out.z_t)
+        out.att_s, out.att_s_f = refine(out.att_s, out.scores_s), refine(out.att_s_f, out.scores_s)
+        out.att_t, out.att_t_f = refine(out.att_t, out.scores_t), refine(out.att_t_f, out.scores_t)
 
-    if variant == "KNN_GCN":
-        out.z_s_f = gcn_encode(ad.constant(views_s.feat_norm), x_s, model.W1_feat, model.W2_feat,
-                               hy.dropout, rng, training, hy.relu_second_layer)
-        out.probs_s = classify(out.z_s_f, model.Wc, model.bc)
-        return out
-
-    out.z_s = gcn_encode(ad.constant(views_s.topo_norm), x_s, model.W1_topo, model.W2_topo,
-                         hy.dropout, rng, training, hy.relu_second_layer)
-    if variant == "GCN":
-        out.probs_s = classify(out.z_s, model.Wc, model.bc)
-        return out
-
-    with_feat = variant in ("GAA", "GAA1", "GAA2")
-    if with_feat:
-        out.z_s_f = gcn_encode(ad.constant(views_s.feat_norm), x_s, model.W1_feat, model.W2_feat,
-                               hy.dropout, rng, training, hy.relu_second_layer)
-    out.z_t = gcn_encode(ad.constant(views_t.topo_norm), x_t, model.W1_topo, model.W2_topo,
-                         hy.dropout, rng, training, hy.relu_second_layer)
-    if with_feat:
-        out.z_t_f = gcn_encode(ad.constant(views_t.feat_norm), x_t, model.W1_feat, model.W2_feat,
-                               hy.dropout, rng, training, hy.relu_second_layer)
-
-    if variant in ("GAA", "GAA1"):
-        out.att_s = attention_embed(out.z_s, model.Wq, model.Wk, model.Wv)
-        out.att_s_f = attention_embed(out.z_s_f, model.Wq, model.Wk, model.Wv)
-        out.att_t = attention_embed(out.z_t, model.Wq, model.Wk, model.Wv)
-        out.att_t_f = attention_embed(out.z_t_f, model.Wq, model.Wk, model.Wv)
-        if variant == "GAA":
-            out.scores_s = cross_view_scores(out.z_s_f, out.z_s)
-            out.scores_t = cross_view_scores(out.z_t_f, out.z_t)
-            out.att_s = refine(out.att_s, out.scores_s)
-            out.att_s_f = refine(out.att_s_f, out.scores_s)
-            out.att_t = refine(out.att_t, out.scores_t)
-            out.att_t_f = refine(out.att_t_f, out.scores_t)
-
-    out.probs_s = classify(out.z_s, model.Wc, model.bc)
-    out.probs_t = classify(out.z_t, model.Wc, model.bc)
-    out.dom_s = domain_discriminate(out.z_s, hy.grl_lambda, model.Wd, model.bd)
-    out.dom_t = domain_discriminate(out.z_t, hy.grl_lambda, model.Wd, model.bd)
+    z_s, z_t = (out.z_s, out.z_t) if spec.topo else (out.z_s_f, out.z_t_f)
+    out.probs_s = classify(z_s, model.Wc, model.bc)
+    if spec.adapts:
+        out.probs_t = classify(z_t, model.Wc, model.bc)
+        out.dom_s = domain_discriminate(z_s, hy.grl_lambda, model.Wd, model.bd)
+        out.dom_t = domain_discriminate(z_t, hy.grl_lambda, model.Wd, model.bd)
     return out
 
 
@@ -274,7 +283,7 @@ def save_model(model: GaaModel, path):
         "k": model.k,
         "in_dim": model.in_dim,
         "num_classes": model.num_classes,
-        "hyper": model.hyper.to_dict(),
+        "hyper": asdict(model.hyper),
         "tensors": [
             {"name": name, "rows": getattr(model, name).rows, "cols": getattr(model, name).cols}
             for name in names
@@ -291,13 +300,11 @@ def _count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def _real(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _header_problem(header) -> Optional[str]:
-    """Why a decoded checkpoint header cannot describe a model, or None."""
+    """Why a decoded checkpoint header cannot describe a model, or None.
+
+    The hyperparameter values are left to ``Hyper``, the rule training uses.
+    """
     if not isinstance(header, dict) or header.get("format") != "gaa-model-v1":
         return "not a model checkpoint"
     for key in ("variant", "k", "in_dim", "num_classes", "hyper", "tensors"):
@@ -310,10 +317,6 @@ def _header_problem(header) -> Optional[str]:
     hyper = header["hyper"]
     if not isinstance(hyper, dict) or set(hyper) != set(Hyper.__dataclass_fields__):
         return "hyper does not list exactly the Hyper fields"
-    if not (_count(hyper["hidden"]) and _count(hyper["embed"])
-            and _real(hyper["dropout"]) and 0.0 <= hyper["dropout"] < 1.0
-            and _real(hyper["grl_lambda"]) and isinstance(hyper["relu_second_layer"], bool)):
-        return "bad value in hyper"
     return None
 
 
@@ -329,13 +332,12 @@ def load_model(path) -> GaaModel:
     problem = _header_problem(header)
     if problem is not None:
         raise CheckpointError(path, problem)
-    model = GaaModel(
-        variant=header["variant"],
-        k=header["k"],
-        in_dim=header["in_dim"],
-        num_classes=header["num_classes"],
-        hyper=Hyper(**header["hyper"]),
-    )
+    try:
+        hyper = Hyper(**header["hyper"])
+    except ConfigError as exc:
+        raise CheckpointError(path, f"bad hyper: {exc}")
+    model = GaaModel(variant=header["variant"], k=header["k"], in_dim=header["in_dim"],
+                     num_classes=header["num_classes"], hyper=hyper)
     shapes = _param_shapes(model.variant, model.in_dim, model.num_classes, model.hyper)
     if header["tensors"] != [{"name": name, "rows": rows, "cols": cols}
                              for name, (rows, cols) in shapes.items()]:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import losses as L
-from .exceptions import ConfigError, DomainError, NumericError
+from .exceptions import ConfigError, DomainError, NumericError, check_field_types, field_types
 from .featgraph import ViewMatrices, build_views
 from .graphs import DomainPair, EpochLosses, Graph, RunMetrics
 from .model import (
@@ -40,57 +40,49 @@ class TrainConfig:
     weights: L.LossWeights = field(default_factory=L.LossWeights)
     grl_lambda: float = 1.0
     seed: int = 0
-    variant: str = "GAA"
+    variant: str = VARIANTS[0]  # the full model
     hidden: int = 128
     embed: int = 16
     relu_second_layer: bool = False
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        check_field_types(self)
+        for name in ("epochs", "k"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        self.hyper()  # hidden, embed, dropout and grl_lambda follow the checkpoint's rule
 
     def hyper(self) -> Hyper:
         return Hyper(hidden=self.hidden, embed=self.embed, dropout=self.dropout,
                      grl_lambda=self.grl_lambda, relu_second_layer=self.relu_second_layer)
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "dropout": self.dropout,
-            "k": self.k,
-            "weights": self.weights.to_dict(),
-            "grl_lambda": self.grl_lambda,
-            "seed": self.seed,
-            "variant": self.variant,
-            "hidden": self.hidden,
-            "embed": self.embed,
-            "relu_second_layer": self.relu_second_layer,
-        }
-
     @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-        kwargs = dict(doc)
-        if "weights" in kwargs:
-            wdoc = kwargs["weights"]
-            wkeys = set(wdoc) - {"alpha", "beta", "tau"}
-            if wkeys:
-                raise ConfigError(f"unknown config key 'weights.{sorted(wkeys)[0]}'")
-            kwargs["weights"] = L.LossWeights(**wdoc)
-        return cls(**kwargs)
+    def from_dict(cls, doc) -> "TrainConfig":
+        """The config whose ``asdict`` is ``doc``, defaults filling absent keys."""
+        return _from_fields(cls, doc)
+
+
+def _from_fields(cls, doc, prefix: str = ""):
+    """Build dataclass ``cls`` from a document shaped like ``asdict`` of it;
+    a nested dataclass field (``weights``) takes a nested document."""
+    if not isinstance(doc, dict):
+        name = prefix.rstrip(".") or "config"
+        raise ConfigError(f"{name} must be an object, got {type(doc).__name__}")
+    kinds = field_types(cls)
+    unknown = [key for key in doc if key not in kinds]
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix + str(unknown[0])!r}")
+    return cls(**{key: _from_fields(kinds[key], value, f"{prefix}{key}.")
+                  if is_dataclass(kinds[key]) else value
+                  for key, value in doc.items()})
 
 
 class AdamState:
@@ -135,17 +127,13 @@ def _epoch_losses(model: GaaModel, out, labels_s, w: L.LossWeights):
     """Assemble the variant's loss graph; returns (total, L_S, L_A, L_D, L_T)."""
     zero = ad.constant([[0.0]])
     l_s = L.source_ce(out.probs_s, labels_s)
-    variant = model.variant
-    if variant in ("GCN", "KNN_GCN"):
+    if not model.spec.adapts:
         return l_s, l_s, zero, zero, zero
     l_d = L.domain_bce(out.dom_s, out.dom_t)
     l_t = L.target_entropy(out.probs_t)
-    if variant in ("GAA2", "GAA3"):
-        total = L.total_loss(zero, l_s, l_d, l_t, w)
-        return total, l_s, zero, l_d, l_t
-    l_a = L.alignment_loss(out.att_s, out.att_t, out.att_s_f, out.att_t_f)
-    total = L.total_loss(l_a, l_s, l_d, l_t, w)
-    return total, l_s, l_a, l_d, l_t
+    l_a = (L.alignment_loss(out.att_s, out.att_t, out.att_s_f, out.att_t_f)
+           if model.spec.aligns else zero)
+    return L.total_loss(l_a, l_s, l_d, l_t, w), l_s, l_a, l_d, l_t
 
 
 def train_gaa(pair: DomainPair, cfg: TrainConfig) -> tuple[GaaModel, RunMetrics]:
@@ -170,7 +158,7 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig) -> tuple[GaaModel, RunMetrics]
     labels_s = pair.source.labels
 
     dropout_rng = np.random.default_rng(dropout_seq)
-    metrics = RunMetrics(seed=cfg.seed, epochs=cfg.epochs, config_echo=cfg.to_dict())
+    metrics = RunMetrics(seed=cfg.seed, epochs=cfg.epochs, config_echo=asdict(cfg))
     for epoch in range(cfg.epochs):
         with ad.Tape() as tape:
             out = forward_all(model, views_s, views_t, x_s, x_t, True, dropout_rng)
@@ -198,16 +186,16 @@ def _views_for(model: GaaModel, graph: Graph, training: bool) -> ViewMatrices:
     Training reads every channel of the variant. Classification reads one:
     the topology, or the feature view for the variant without topology.
     """
-    topo = model.uses_topo_view
-    feat = model.uses_feat_view and (training or not topo)
-    return build_views(graph.adjacency if topo else None,
+    spec = model.spec
+    feat = spec.feat and (training or not spec.topo)
+    return build_views(graph.adjacency if spec.topo else None,
                        graph.features if feat else None, model.k)
 
 
 def _predict(model: GaaModel, views: ViewMatrices, features: np.ndarray) -> np.ndarray:
     x = ad.constant(features)
     rng = np.random.default_rng(0)  # never consumed: dropout is off in eval
-    if model.uses_topo_view:
+    if model.spec.topo:
         norm, w1, w2 = views.topo_norm, model.W1_topo, model.W2_topo
     else:
         norm, w1, w2 = views.feat_norm, model.W1_feat, model.W2_feat

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaa import cli as cli_module
 from gaa.cli import load_pair, run_command
+from gaa.exceptions import GaaError
+from gaa.model import VARIANTS
 
 
 def cli(*argv):
@@ -94,6 +97,18 @@ class TestTrainEval:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert 0.0 <= doc["accuracy"] <= 1.0
+
+    def test_eval_rejects_label_beyond_model_classes(self, pair_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli(*self.train_args(pair_dir, out)) == 0
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n" * 23 + "5\n")
+        capsys.readouterr()
+        code = cli("eval", "--checkpoint", str(out / "model.bin"),
+                   "--edges", str(pair_dir / "target.edges"),
+                   "--features", str(pair_dir / "target.features.csv"), "--labels", str(labels))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {labels}:24: label 5 outside [0, 2)\n"
 
     def test_runs_flag_writes_summary(self, pair_dir, tmp_path):
         out = tmp_path / "multi"
@@ -194,6 +209,114 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == "error: GAA_THREADS must be an integer, got 'abc'\n"
 
+    def one_error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("item", [
+        "weights.alpha=abc", "embed=-2", "weights.alpha=nan", "grl_lambda=-1",
+        "lr=nan", "weight_decay=nan", "seed=-1",
+    ])
+    def test_bad_set_value_exit_1(self, pair_dir, tmp_path, capsys, item):
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--set", item)
+        assert code == 1
+        assert item.split("=")[0] in self.one_error_line(capsys)
+        assert not (tmp_path / "x").exists()  # rejected before anything ran
+
+    @pytest.mark.parametrize("doc", [
+        {"epochs": "10"}, {"weights": 5}, {"hidden": 2.5}, {"weights": {"alpha": "x"}},
+        [1, 2], {"relu_second_layer": 1}, {"lr": 1e999},
+    ])
+    def test_bad_config_file_value_exit_1(self, pair_dir, tmp_path, capsys, doc):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--config", str(cfg_path))
+        assert code == 1
+        self.one_error_line(capsys)
+
+    def test_zero_hidden_rejected_at_train(self, pair_dir, tmp_path, capsys):
+        # the rule load_model applies to checkpoints, so train never writes one eval rejects
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--set", "hidden=0")
+        assert code == 1
+        assert capsys.readouterr().err == "error: hidden must be >= 1, got 0\n"
+        assert not (tmp_path / "x" / "model.bin").exists()
+
+    def test_target_without_highest_class_trains(self, pair_dir, tmp_path):
+        (pair_dir / "target.labels.txt").write_text("0\n" * 24)
+        assert load_pair(pair_dir).target.num_classes == 2
+        out = tmp_path / "x"
+        assert cli("train", "--pair", str(pair_dir), "--out", str(out),
+                   "--set", "epochs=1", "--set", "hidden=8") == 0
+        assert json.loads((out / "metrics.json").read_text())["target_accuracy"] is not None
+
+    def test_target_label_beyond_source_classes_exit_1(self, pair_dir, tmp_path, capsys):
+        path = pair_dir / "target.labels.txt"
+        lines = path.read_text().splitlines()
+        lines[2] = "2"
+        path.write_text("\n".join(lines) + "\n")
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}:3: label 2 outside [0, 2)\n"
+
+
+_CONFIG_KEYS = st.sampled_from(["epochs", "lr", "weight_decay", "dropout", "k", "weights",
+                                "grl_lambda", "seed", "variant", "hidden", "embed",
+                                "relu_second_layer"]) | st.text(max_size=6)
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 40) | st.integers()
+            | st.floats() | st.text(max_size=6) | st.sampled_from(VARIANTS))
+_WEIGHTS = st.dictionaries(st.sampled_from(["alpha", "beta", "tau"]) | st.text(max_size=4),
+                           _SCALARS, max_size=3)
+_DOCS = (st.dictionaries(_CONFIG_KEYS, _SCALARS | _WEIGHTS | st.lists(_SCALARS, max_size=2),
+                         max_size=6)
+         | _SCALARS | st.lists(_SCALARS, max_size=3))
+_SET_ITEMS = (st.tuples(_CONFIG_KEYS | st.sampled_from(["weights.alpha", "weights.beta",
+                                                         "weights.tau", "weights.gamma"]),
+                        st.text(max_size=8) | st.integers().map(str) | st.floats().map(repr)
+                        | st.sampled_from(["true", "no", "nan", "-1", "0", "1e400"]))
+              .map("=".join) | st.text(max_size=10))
+
+
+class _Reached(GaaError):
+    """Raised in place of loading the pair, once a config was accepted."""
+
+
+class TestConfigInput:
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCS)
+    def test_from_dict_gives_valid_config_or_config_error(self, doc):
+        from dataclasses import asdict
+
+        from gaa.exceptions import ConfigError
+        from gaa.train import TrainConfig
+
+        try:
+            cfg = TrainConfig.from_dict(doc)
+        except ConfigError as exc:
+            assert "\n" not in str(exc)
+            return
+        assert TrainConfig.from_dict(asdict(cfg)) == cfg
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SET_ITEMS, max_size=4))
+    def test_set_gives_valid_config_or_exit_1(self, items):
+        def reached(pair_dir):
+            raise _Reached("config accepted")
+
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+            mp.setattr(cli_module, "load_pair", reached)
+            code = cli("train", "--pair", "unused", "--out", "unused",
+                       *[f"--set={item}" for item in items])
+        if code == 2:
+            assert err.getvalue() == "error: config accepted\n"
+        else:
+            assert code == 1
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
 
 class TestBadCheckpoint:
     @pytest.fixture(scope="class")
@@ -231,6 +354,14 @@ class TestBadCheckpoint:
         code, err = self.eval_bytes(trained, json.dumps(doc).encode() + b"\n" + payload)
         assert code == 1
         assert err == f"error: {trained[2]}: header has no 'variant'\n"
+
+    def test_hyper_value_train_rejects_exit_1(self, trained):
+        header, payload = trained[1].split(b"\n", 1)
+        doc = json.loads(header)
+        doc["hyper"]["hidden"] = 0
+        code, err = self.eval_bytes(trained, json.dumps(doc).encode() + b"\n" + payload)
+        assert code == 1
+        assert err == f"error: {trained[2]}: bad hyper: hidden must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("change", [-1, -8, 8])
     def test_payload_of_wrong_length_exit_1(self, trained, change):

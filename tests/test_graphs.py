@@ -50,6 +50,18 @@ class TestLoadGraph:
         with pytest.raises(ParseError, match="2 labels for 3"):
             load_graph(e, f, lp)
 
+    def test_label_at_or_above_class_count_names_line(self, tmp_path):
+        e, f, lp = self.write(tmp_path, "0 1\n", "1\n2\n3\n", "0\n\n1\n2\n")
+        g = load_graph(e, f, lp, num_classes=3)
+        assert g.num_classes == 3
+        with pytest.raises(ParseError, match=r"g.labels:4: label 2 outside \[0, 2\)"):
+            load_graph(e, f, lp, num_classes=2)
+
+    def test_negative_label_names_line(self, tmp_path):
+        e, f, lp = self.write(tmp_path, "0 1\n", "1\n2\n", "0\n-1\n")
+        with pytest.raises(ParseError, match=r"g.labels:2: label -1 outside"):
+            load_graph(e, f, lp)
+
     def test_node_id_out_of_range_names_line(self, tmp_path):
         e, f, _ = self.write(tmp_path, "0 1\n0 5\n", "1\n2\n")
         with pytest.raises(ParseError, match=r"g.edges:2"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaa import autodiff as ad
-from gaa.exceptions import DomainError, ShapeError
+from gaa.exceptions import ConfigError, ShapeError
 from gaa.losses import (
     LossWeights,
     alignment_loss,
@@ -163,9 +163,10 @@ class TestTotalLoss:
             assert slope == pytest.approx(term, abs=1e-9)
 
     def test_weights_validated(self):
-        with pytest.raises(DomainError):
+        # a bad weight is a config problem (CLI exit 1), not a math-domain one
+        with pytest.raises(ConfigError):
             LossWeights(alpha=-0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             LossWeights(tau=float("nan"))
 
     def test_all_losses_nonnegative_on_random_inputs(self):

@@ -9,6 +9,7 @@ from gaa.featgraph import build_views
 from gaa.graphs import gen_attribute_shift
 from gaa.model import (
     FIELD_ORDER,
+    VARIANT_SPECS,
     GaaModel,
     Hyper,
     attention_embed,
@@ -263,6 +264,25 @@ class TestModelInit:
     def test_field_order_is_checkpoint_order(self):
         model = make_model("GAA")
         assert model.parameter_names() == list(FIELD_ORDER)
+
+
+@pytest.mark.parametrize("variant", VARIANT_SPECS)
+def test_variant_row_is_consistent(variant):
+    """A row owns the parameters its flags read, in checkpoint order."""
+    spec = VARIANT_SPECS[variant]
+    assert list(spec.fields) == [name for name in FIELD_ORDER if name in spec.fields]
+    needed = {"Wc", "bc"}
+    needed |= {"W1_topo", "W2_topo"} if spec.topo else set()
+    needed |= {"W1_feat", "W2_feat"} if spec.feat else set()
+    needed |= {"Wq", "Wk", "Wv"} if spec.attends else set()
+    needed |= {"Wd", "bd"} if spec.adapts else set()
+    assert needed <= set(spec.fields)
+    assert spec.topo or spec.feat
+    if spec.refines or spec.aligns:
+        assert spec.attends
+    if spec.attends:  # attention embeds both channels of both domains
+        assert spec.topo and spec.feat and spec.adapts
+    assert make_model(variant).parameter_names() == list(spec.fields)
 
 
 class TestForwardAll:

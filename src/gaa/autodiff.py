@@ -399,8 +399,10 @@ def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
 
     With Q = z Wq^T, K = z Wk^T and M = z Wv^T, row i of the n x e output is
     softmax_j(K_i . Q_j / sqrt(e)) M. Forward and backward visit the scores
-    ATTENTION_BLOCK rows at a time, and backward recomputes each block's
-    softmax, so memory is O(n * block) and no n x n array is kept.
+    ATTENTION_BLOCK rows at a time, so memory is O(n * block) and no n x n
+    array is kept. Forward saves each row's max and softmax sum; backward
+    rebuilds each block's softmax from them and, as in FlashAttention-2
+    (arXiv:2307.08691), uses D = rowsum(G * out) = rowsum(P * dP).
     """
     e = z.cols
     for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
@@ -413,30 +415,37 @@ def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     # the 1/sqrt(e) scale rides on Q, an n x e array, not on the scores
     q, k, m = (z_data @ wq_data.T) * c, z_data @ wk_data.T, z_data @ wv_data.T
     blocks = [(lo, min(lo + ATTENTION_BLOCK, n)) for lo in range(0, n, ATTENTION_BLOCK)]
+    row_max, row_sum = np.empty((n, 1)), np.empty((n, 1))
 
-    def softmax_block(lo, hi):
+    def softmax_block(lo, hi, forward=False):
         # the scores live only inside this call, so one block exists at a
         # time; keeping two alive raised the peak RSS at n=2000 by 30 MB
         p = k[lo:hi] @ q.T
-        row_max = p.max(axis=1, keepdims=True)
-        if not (np.isfinite(row_max).all() and np.isfinite(p.min())):
-            raise NumericError("attention scores overflowed")
-        p -= row_max
+        if forward:
+            # only forward checks: backward replays this arithmetic on the
+            # same q and k, so it cannot overflow where forward did not
+            row_max[lo:hi] = p.max(axis=1, keepdims=True)
+            if not (np.isfinite(row_max[lo:hi]).all() and np.isfinite(p.min())):
+                raise NumericError("attention scores overflowed")
+        p -= row_max[lo:hi]
         np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
+        if forward:
+            row_sum[lo:hi] = p.sum(axis=1, keepdims=True)
+        p /= row_sum[lo:hi]  # so backward's P is bit-identical to forward's
         return p
 
     out = np.empty((n, e))
     for lo, hi in blocks:
-        out[lo:hi] = softmax_block(lo, hi) @ m
+        out[lo:hi] = softmax_block(lo, hi, forward=True) @ m
 
     def backward_fn(g):
         dq, dk, dm = np.zeros_like(q), np.empty_like(k), np.zeros_like(m)
+        d = (g * out).sum(axis=1, keepdims=True)
         for lo, hi in blocks:
             p = softmax_block(lo, hi)
             dm += p.T @ g[lo:hi]
             ds = g[lo:hi] @ m.T
-            ds -= (p * ds).sum(axis=1, keepdims=True)
+            ds -= d[lo:hi]
             ds *= p
             dk[lo:hi] = ds @ q
             dq += ds.T @ k[lo:hi]

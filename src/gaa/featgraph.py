@@ -16,6 +16,23 @@ from .exceptions import DomainError
 
 SYMMETRY_TOL = 1e-12
 KNN_BLOCK = 256  # rows of the similarity matrix selected at a time
+SYMMETRY_BLOCK = 256  # rows of the upper triangle compared at a time
+
+
+def max_asymmetry(m: np.ndarray) -> float:
+    """max |m[i, j] - m[j, i]| over i <= j, NaN if any entry is NaN.
+
+    Each ``SYMMETRY_BLOCK`` rows are compared against the matching columns
+    from the diagonal on, so every pair is read once and no n x n temporary
+    exists. A non-finite entry makes the result non-finite.
+    """
+    worst = np.float64(0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for lo in range(0, m.shape[0], SYMMETRY_BLOCK):
+            hi = lo + SYMMETRY_BLOCK
+            # np.maximum, unlike max(), carries a NaN through
+            worst = np.maximum(worst, np.abs(m[lo:hi, lo:] - m[lo:, lo:hi].T).max())
+    return float(worst)
 
 
 def cosine_similarity_matrix(x: np.ndarray) -> np.ndarray:
@@ -104,7 +121,7 @@ class ViewMatrices:
         for name, m in (("topo_norm", self.topo_norm), ("feat_norm", self.feat_norm)):
             if m is None:
                 continue
-            if np.abs(m - m.T).max() > SYMMETRY_TOL:
+            if not max_asymmetry(m) <= SYMMETRY_TOL:
                 raise DomainError(f"{name} is not symmetric")
             if np.any(m < 0.0):
                 raise DomainError(f"{name} has negative entries")

@@ -9,6 +9,7 @@ File formats:
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DomainError, ParseError
+from .featgraph import max_asymmetry
 
 ADJ_SYMMETRY_TOL = 1e-12
 
@@ -57,8 +59,7 @@ class Graph:
             raise DomainError("features hold non-finite values")
         # a non-finite entry makes its difference non-finite, so the symmetry
         # check's one pass over the matrix also screens for inf and nan
-        with np.errstate(invalid="ignore"):
-            asymmetry = np.abs(self.adjacency - self.adjacency.T).max(initial=0.0)
+        asymmetry = max_asymmetry(self.adjacency)
         if not np.isfinite(asymmetry) and not np.isfinite(self.adjacency).all():
             raise DomainError("adjacency holds non-finite values")
         if not asymmetry <= ADJ_SYMMETRY_TOL:
@@ -100,52 +101,63 @@ class DomainPair:
 # text formats
 
 
+def _lines(path):
+    """(line number, text) for each line of a UTF-8 text file, split as
+    text-mode ``open`` splits them; an undecodable byte is a ParseError at
+    its line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(raw[:exc.start].decode("utf-8"), newline=None).read()
+        raise ParseError(path, before.count("\n") + 1, "not UTF-8 text")
+    return enumerate(io.StringIO(text, newline=None), start=1)
+
+
 def _parse_edges(path) -> list[tuple[int, int, float, int]]:
     edges = []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ParseError(path, line_no,
-                                 f"expected 'i j' or 'i j weight', got {raw.strip()!r}")
+    for line_no, raw in _lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(path, line_no,
+                             f"expected 'i j' or 'i j weight', got {raw.strip()!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(path, line_no, f"non-integer node id in {raw.strip()!r}")
+        weight = 1.0
+        if len(parts) == 3:
             try:
-                i, j = int(parts[0]), int(parts[1])
+                weight = float(parts[2])
             except ValueError:
-                raise ParseError(path, line_no, f"non-integer node id in {raw.strip()!r}")
-            weight = 1.0
-            if len(parts) == 3:
-                try:
-                    weight = float(parts[2])
-                except ValueError:
-                    raise ParseError(path, line_no, f"non-numeric weight in {raw.strip()!r}")
-                if not math.isfinite(weight):
-                    raise ParseError(path, line_no, f"non-finite weight in {raw.strip()!r}")
-            edges.append((i, j, weight, line_no))
+                raise ParseError(path, line_no, f"non-numeric weight in {raw.strip()!r}")
+            if not math.isfinite(weight):
+                raise ParseError(path, line_no, f"non-finite weight in {raw.strip()!r}")
+        edges.append((i, j, weight, line_no))
     return edges
 
 
 def _parse_features(path) -> np.ndarray:
     rows, line_nos = [], []
     width = None
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                raise ParseError(path, line_no, f"non-numeric feature in {raw.strip()!r}")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(path, line_no, f"expected {width} columns, got {len(row)}")
-            rows.append(row)
-            line_nos.append(line_no)
+    for line_no, raw in _lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise ParseError(path, line_no, f"non-numeric feature in {raw.strip()!r}")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(path, line_no, f"expected {width} columns, got {len(row)}")
+        rows.append(row)
+        line_nos.append(line_no)
     if not rows:
         raise ParseError(path, 1, "empty feature file")
     features = np.asarray(rows, dtype=np.float64)
@@ -158,18 +170,18 @@ def _parse_features(path) -> np.ndarray:
 
 def _parse_labels(path, num_classes=None) -> np.ndarray:
     labels = []
-    bound = math.inf if num_classes is None else num_classes
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError:
-                raise ParseError(path, line_no, f"non-integer label {raw.strip()!r}")
-            if not 0 <= labels[-1] < bound:
-                raise ParseError(path, line_no, f"label {labels[-1]} outside [0, {bound})")
+    # without a class count, a label must still fit the int64 label array
+    bound = np.iinfo(np.int64).max if num_classes is None else num_classes
+    for line_no, raw in _lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            labels.append(int(line))
+        except ValueError:
+            raise ParseError(path, line_no, f"non-integer label {raw.strip()!r}")
+        if not 0 <= labels[-1] < bound:
+            raise ParseError(path, line_no, f"label {labels[-1]} outside [0, {bound})")
     return np.asarray(labels, dtype=np.int64)
 
 

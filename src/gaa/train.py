@@ -27,6 +27,7 @@ from .model import (
     forward_all,
     gcn_encode,
     init_model,
+    propagate,
 )
 
 
@@ -139,9 +140,9 @@ def _epoch_losses(model: GaaModel, out, labels_s, w: L.LossWeights):
 def train_gaa(pair: DomainPair, cfg: TrainConfig) -> tuple[GaaModel, RunMetrics]:
     """Full-batch training per the configured variant.
 
-    The views the variant reads are built once up front and reused by the
-    final evaluation; every epoch runs one forward, one backward, and one
-    optimizer step.
+    The views the variant reads, and ÂX for each, are built once up front
+    and reused by the final evaluation; every epoch runs one forward, one
+    backward, and one optimizer step.
     """
     start = time.perf_counter()
     master = np.random.SeedSequence(cfg.seed)
@@ -153,15 +154,15 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig) -> tuple[GaaModel, RunMetrics]
 
     views_s = _views_for(model, pair.source, training=True)
     views_t = _views_for(model, pair.target, training=True)
-    x_s = ad.constant(pair.source.features)
-    x_t = ad.constant(pair.target.features)
+    ax_s = propagate(views_s, pair.source.features)
+    ax_t = propagate(views_t, pair.target.features)
     labels_s = pair.source.labels
 
     dropout_rng = np.random.default_rng(dropout_seq)
     metrics = RunMetrics(seed=cfg.seed, epochs=cfg.epochs, config_echo=asdict(cfg))
     for epoch in range(cfg.epochs):
         with ad.Tape() as tape:
-            out = forward_all(model, views_s, views_t, x_s, x_t, True, dropout_rng)
+            out = forward_all(model, views_s, views_t, ax_s, ax_t, True, dropout_rng)
             total, l_s, l_a, l_d, l_t = _epoch_losses(model, out, labels_s, cfg.weights)
             values = [t.item() for t in (total, l_s, l_a, l_d, l_t)]
             if not all(math.isfinite(v) for v in values):
@@ -175,7 +176,7 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig) -> tuple[GaaModel, RunMetrics]
         ))
 
     if pair.target.labels is not None:
-        metrics.target_accuracy = _accuracy(model, views_t, pair.target)
+        metrics.target_accuracy = _accuracy(model, views_t, ax_t, pair.target)
     metrics.wall_seconds = time.perf_counter() - start
     return model, metrics
 
@@ -192,26 +193,27 @@ def _views_for(model: GaaModel, graph: Graph, training: bool) -> ViewMatrices:
                        graph.features if feat else None, model.k)
 
 
-def _predict(model: GaaModel, views: ViewMatrices, features: np.ndarray) -> np.ndarray:
-    x = ad.constant(features)
+def _predict(model: GaaModel, views: ViewMatrices, ax: tuple) -> np.ndarray:
+    """Class probabilities from ``views`` and their ``propagate``d features."""
     rng = np.random.default_rng(0)  # never consumed: dropout is off in eval
     if model.spec.topo:
-        norm, w1, w2 = views.topo_norm, model.W1_topo, model.W2_topo
+        norm, ax_view, w1, w2 = views.topo_norm, ax[0], model.W1_topo, model.W2_topo
     else:
-        norm, w1, w2 = views.feat_norm, model.W1_feat, model.W2_feat
-    z = gcn_encode(ad.constant(norm), x, w1, w2,
+        norm, ax_view, w1, w2 = views.feat_norm, ax[1], model.W1_feat, model.W2_feat
+    z = gcn_encode(ad.constant(norm), ax_view, w1, w2,
                    model.hyper.dropout, rng, False, model.hyper.relu_second_layer)
     return classify(z, model.Wc, model.bc).data
 
 
-def _accuracy(model: GaaModel, views: ViewMatrices, graph: Graph) -> float:
-    probs = _predict(model, views, graph.features)
+def _accuracy(model: GaaModel, views: ViewMatrices, ax: tuple, graph: Graph) -> float:
+    probs = _predict(model, views, ax)
     return float((probs.argmax(axis=1) == graph.labels).mean())
 
 
 def predict(model: GaaModel, graph: Graph) -> np.ndarray:
     """Class probabilities for every node, dropout disabled."""
-    return _predict(model, _views_for(model, graph, training=False), graph.features)
+    views = _views_for(model, graph, training=False)
+    return _predict(model, views, propagate(views, graph.features))
 
 
 def evaluate(model: GaaModel, graph: Graph) -> float:
@@ -219,7 +221,8 @@ def evaluate(model: GaaModel, graph: Graph) -> float:
     matches the label."""
     if graph.labels is None:
         raise DomainError("evaluate needs a labeled graph")
-    return _accuracy(model, _views_for(model, graph, training=False), graph)
+    views = _views_for(model, graph, training=False)
+    return _accuracy(model, views, propagate(views, graph.features), graph)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from gaa.cli import run_command
 from gaa.featgraph import build_views, cosine_similarity_matrix, knn_graph
 from gaa.graphs import DomainPair, Graph, gen_attribute_shift
 from gaa.losses import LossWeights, alignment_loss, domain_bce, source_ce, target_entropy
-from gaa.model import forward_all, init_model, Hyper
+from gaa.model import forward_all, init_model, propagate, Hyper
 from gaa.train import TrainConfig, run_repeated, train_gaa, _epoch_losses
 
 from helpers import (
@@ -154,12 +154,12 @@ def test_criterion_1_gradient_correctness():
         model = init_model(d, 2, "GAA", 2, hyper, np.random.SeedSequence(5000 + i))
         views_s = build_views(pair.source.adjacency, pair.source.features / 10.0, 2)
         views_t = build_views(pair.target.adjacency, pair.target.features / 10.0, 2)
-        x_s = ad.constant(pair.source.features / 10.0)
-        x_t = ad.constant(pair.target.features / 10.0)
+        ax_s = propagate(views_s, pair.source.features / 10.0)
+        ax_t = propagate(views_t, pair.target.features / 10.0)
         labels = pair.source.labels
 
         def terms():
-            out = forward_all(model, views_s, views_t, x_s, x_t,
+            out = forward_all(model, views_s, views_t, ax_s, ax_t,
                               hyper.dropout > 0, np.random.default_rng(6000 + i))
             total, _, _, l_d, _ = _epoch_losses(model, out, labels, w)
             return total, l_d

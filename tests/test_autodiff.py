@@ -330,6 +330,22 @@ def test_attention_matches_dense_composition_over_ragged_blocks():
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_attention_matches_dense_composition_on_nearly_one_hot_rows():
+    # a large-norm z puts almost all of each softmax row on one entry, where
+    # backward's D = rowsum(G * out) cancels against dP
+    n, e = 2 * ad.ATTENTION_BLOCK + 3, 5
+    leaves = _attention_leaves(23, n, e)
+    leaves[0].data *= 6.0
+    w = ad.constant(np.random.default_rng(24).normal(size=(n, e)))
+    streamed, streamed_grads = _attention_value_and_grads(ad.attention, leaves, w)
+    dense, dense_grads = _attention_value_and_grads(dense_attention, leaves, w)
+    z, wq, wk, _ = (leaf.data for leaf in leaves)
+    scores = (z @ wk.T) @ (z @ wq.T).T / np.sqrt(e)
+    assert np.median(ad.row_softmax(ad.constant(scores)).data.max(axis=1)) > 0.999
+    for got, want in zip([streamed] + streamed_grads, [dense] + dense_grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
 def test_attention_rejects_non_finite(value):
     # 1e200 is finite, but its scores overflow

@@ -189,6 +189,18 @@ class TestErrors:
         assert err.count("\n") == 1
         assert f"{path}:5: non-finite feature value" in err
 
+    def test_non_utf8_labels_exit_1(self, pair_dir, tmp_path, capsys):
+        path = pair_dir / "source.labels.txt"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"".join(lines))
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--set", "epochs=1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{path}:3: not UTF-8 text" in err
+
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_edge_weight_exit_1(self, pair_dir, tmp_path, capsys, weight):
         path = pair_dir / "source.edges"

@@ -8,7 +8,14 @@ from hypothesis.extra import numpy as hnp
 
 from gaa import featgraph
 from gaa.exceptions import DomainError
-from gaa.featgraph import ViewMatrices, build_views, cosine_similarity_matrix, knn_graph, sym_normalize
+from gaa.featgraph import (
+    ViewMatrices,
+    build_views,
+    cosine_similarity_matrix,
+    knn_graph,
+    max_asymmetry,
+    sym_normalize,
+)
 
 from helpers import loop_cosine_matrix, loop_knn, loop_knn_selection
 
@@ -190,3 +197,21 @@ def test_view_matrices_skip_absent_views_and_check_built_ones():
         ViewMatrices(topo_norm=None, feat_norm=np.triu(np.ones((3, 3))), k=2)
     with pytest.raises(DomainError, match="topo_norm has negative entries"):
         ViewMatrices(topo_norm=-np.eye(3), feat_norm=None, k=2)
+
+
+def test_view_matrices_reject_a_nan_entry():
+    with pytest.raises(DomainError, match="topo_norm is not symmetric"):
+        ViewMatrices(topo_norm=np.array([[np.nan, 0.0], [0.0, 1.0]]), feat_norm=None, k=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 12).map(lambda n: (n, n)),
+                  elements=st.sampled_from([0.0, 0.5, 1.0, -2.0, np.nan, np.inf])),
+       st.sampled_from([1, 2, 5, 256]))
+def test_max_asymmetry_matches_the_dense_difference(m, block):
+    # small blocks leave a ragged last block; any NaN must survive the running max
+    with np.errstate(invalid="ignore"):
+        dense = np.abs(m - m.T).max()
+    with mock.patch.object(featgraph, "SYMMETRY_BLOCK", block):
+        got = max_asymmetry(m)
+    assert got == dense or (np.isnan(got) and np.isnan(dense))

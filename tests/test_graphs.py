@@ -1,7 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaa.exceptions import DomainError, ParseError
+from gaa.featgraph import SYMMETRY_BLOCK
 from gaa.graphs import (
     DomainPair,
     EpochLosses,
@@ -93,6 +99,65 @@ class TestLoadGraph:
         np.testing.assert_array_equal(back.labels, g.labels)
 
 
+# Pieces of the three text formats, a few near misses, and bytes that are not
+# UTF-8; joined at random they make files that rarely parse.
+_TOKENS = st.sampled_from(["0", "1", "2", "7", "-1", "0.5", "-2.5e3", "1e999", "nan", "inf",
+                           "99999999999999999999", "x", "", " ", "  ", "\t", ",", ",,",
+                           "#", "# c", "\n", "\n", "\n", "\r\n", "\r", "\x0c", "é"])
+_TEXT = st.lists(_TOKENS, max_size=30).map(lambda parts: "".join(parts).encode("utf-8"))
+_NOISE = st.one_of(_TEXT, st.tuples(_TEXT, st.integers(0, 30),
+                                    st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"]))
+                   .map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:]))
+
+
+@st.composite
+def _graph_files(draw):
+    """Edge, feature and label file contents for one node count, well formed
+    except for a few node ids and weights; noise replaces any of the three,
+    and the label file may be absent (None)."""
+    n, width = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    node = st.integers(0, n - 1) | st.integers(-1, n + 1)
+    weight = st.sampled_from(["", "", "", "", "", " 0.25", " -3", " nan", " 1e999"])
+    cell = st.floats(-1e3, 1e3) | st.integers(-3, 3)
+    files = [
+        "".join(f"{i} {j}{w}\n" for i, j, w in
+                draw(st.lists(st.tuples(node, node, weight), max_size=6))),
+        "".join(",".join(map(str, draw(st.lists(cell, min_size=width, max_size=width)))) + "\n"
+                for _ in range(n)),
+        "".join(f"{y}\n" for y in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))),
+    ]
+    files = [text.encode() for text in files]
+    for idx in draw(st.sets(st.integers(0, 2), max_size=2)):
+        files[idx] = draw(_NOISE)
+    if draw(st.booleans()):
+        files[2] = None
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_files(), st.none() | st.integers(1, 4))
+def test_parsers_load_or_name_the_line(files, num_classes):
+    """Any edge, feature and label file either loads or raises ParseError at
+    ``path:line``; no other exception escapes load_graph."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, name) for name in ("g.edges", "g.csv", "g.labels")]
+        contents = {}
+        for path, raw in zip(paths, files):
+            if raw is not None:
+                path.write_bytes(raw)
+                contents[str(path)] = raw
+        try:
+            g = load_graph(paths[0], paths[1], paths[2] if files[2] is not None else None,
+                           num_classes)
+        except ParseError as exc:
+            raw = contents[exc.path]
+            assert str(exc).startswith(f"{exc.path}:{exc.line_no}: ")
+            # a line of the file, or the one after its end (a missing label)
+            assert 1 <= exc.line_no <= len(raw.splitlines()) + 1
+        else:
+            assert g.adjacency.shape == (g.n, g.n) and g.n >= 1
+
+
 class TestGraphInvariants:
     def test_asymmetric_adjacency_rejected(self):
         with pytest.raises(DomainError):
@@ -113,6 +178,22 @@ class TestGraphInvariants:
             adjacency[cell] = value
         with pytest.raises(DomainError, match="adjacency holds non-finite"):
             Graph(adjacency=adjacency, features=np.ones((2, 1)))
+
+    # 2 * 256 + 3 nodes: three row blocks of the symmetry check, the last ragged
+    @pytest.mark.parametrize("cell", [(300, 500), (500, 300), (0, 514), (513, 514), (514, 2)])
+    def test_asymmetry_in_any_block_rejected(self, cell):
+        n = 2 * SYMMETRY_BLOCK + 3
+        adjacency = np.zeros((n, n))
+        adjacency[cell] = 1.0
+        with pytest.raises(DomainError, match="adjacency is not symmetric"):
+            Graph(adjacency=adjacency, features=np.ones((n, 1)))
+
+    def test_nan_far_from_the_diagonal_is_non_finite(self):
+        n = 2 * SYMMETRY_BLOCK + 3
+        adjacency = np.zeros((n, n))
+        adjacency[0, n - 1] = np.nan
+        with pytest.raises(DomainError, match="adjacency holds non-finite"):
+            Graph(adjacency=adjacency, features=np.ones((n, 1)))
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(DomainError):

@@ -20,6 +20,7 @@ from gaa.model import (
     gcn_encode,
     init_model,
     load_model,
+    propagate,
     refine,
     save_model,
 )
@@ -57,12 +58,25 @@ class TestGcnEncode:
         expected = np.maximum(x_data @ w1_data, 0.0) @ w2_data
         np.testing.assert_allclose(z.data, expected, atol=1e-12)
 
+    def test_values_match_propagating_before_each_weight(self):
+        # relu(ÂX W1), then (ÂH) W2: the order layer 2 used to compute
+        rng = np.random.default_rng(3)
+        g = gen_attribute_shift(0.5, seed=4, n=40, d=6, edge_prob=0.2)
+        views = build_views(g.adjacency, g.features, k=3)
+        w1, w2 = rng.normal(size=(6, 32)), rng.normal(size=(32, 8))
+        for norm, ax in zip((views.topo_norm, views.feat_norm), propagate(views, g.features)):
+            hidden = np.maximum((norm @ g.features) @ w1, 0.0)
+            want = (norm @ hidden) @ w2
+            got = gcn_encode(ad.constant(norm), ax, ad.parameter(w1), ad.parameter(w2),
+                             0.0, rng, training=False).data
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         g = gen_attribute_shift(0.5, seed=3, n=6, d=3, edge_prob=0.5)
         views = build_views(g.adjacency, g.features, k=2)
         norm = ad.constant(views.topo_norm)
-        x = ad.constant(g.features / 10.0)
+        x = propagate(views, g.features / 10.0)[0]
         w1 = ad.parameter(rng.uniform(-1, 1, size=(3, 4)))
         w2 = ad.parameter(rng.uniform(-1, 1, size=(4, 2)))
 
@@ -294,13 +308,14 @@ class TestForwardAll:
             adj = np.triu(adj, 1)
             adj = adj + adj.T
             x = rng.normal(size=(n, d))
-            out.append((build_views(adj, x, k=2), x))
+            views = build_views(adj, x, k=2)
+            out.append((views, propagate(views, x)))
         return out
 
     def test_output_shapes_full_variant(self):
-        (views_s, x_s), (views_t, x_t) = self.pair_inputs()
+        (views_s, ax_s), (views_t, ax_t) = self.pair_inputs()
         model = make_model("GAA")
-        out = forward_all(model, views_s, views_t, ad.constant(x_s), ad.constant(x_t),
+        out = forward_all(model, views_s, views_t, ax_s, ax_t,
                           False, np.random.default_rng(0))
         e, c = model.hyper.embed, model.num_classes
         assert out.att_s.shape == (6, e) and out.att_s_f.shape == (6, e)
@@ -313,31 +328,31 @@ class TestForwardAll:
         assert model.W1_topo is model.W1_topo  # identity, not value
         # the same tensors appear in source and target paths by construction;
         # check gradients from both domains accumulate into one buffer
-        (views_s, x_s), (views_t, x_t) = self.pair_inputs()
+        (views_s, ax_s), (views_t, ax_t) = self.pair_inputs()
         with ad.Tape() as tape:
-            out = forward_all(model, views_s, views_t, ad.constant(x_s), ad.constant(x_t),
+            out = forward_all(model, views_s, views_t, ax_s, ax_t,
                               False, np.random.default_rng(0))
             loss = ad.add(ad.sq_l2(out.z_s), ad.sq_l2(out.z_t))
             ad.backward(loss, tape)
         assert np.abs(model.W1_topo.grad).sum() > 0
 
     def test_gaa1_attention_unrefined(self):
-        (views_s, x_s), (views_t, x_t) = self.pair_inputs()
+        (views_s, ax_s), (views_t, ax_t) = self.pair_inputs()
         m_full = make_model("GAA", seed=3)
         m_nore = make_model("GAA1", seed=3)
         kw = dict(training=False, rng=np.random.default_rng(0))
-        out_full = forward_all(m_full, views_s, views_t, ad.constant(x_s), ad.constant(x_t), **kw)
-        out_nore = forward_all(m_nore, views_s, views_t, ad.constant(x_s), ad.constant(x_t), **kw)
+        out_full = forward_all(m_full, views_s, views_t, ax_s, ax_t, **kw)
+        out_nore = forward_all(m_nore, views_s, views_t, ax_s, ax_t, **kw)
         raw = attention_embed(out_nore.z_s, m_nore.Wq, m_nore.Wk, m_nore.Wv)
         np.testing.assert_array_equal(out_nore.att_s.data, raw.data)
         assert np.abs(out_full.att_s.data - out_nore.att_s.data).max() > 0
 
     def test_deterministic_under_fixed_seed(self):
-        (views_s, x_s), (views_t, x_t) = self.pair_inputs()
+        (views_s, ax_s), (views_t, ax_t) = self.pair_inputs()
         model = make_model("GAA", hyper=Hyper(hidden=5, embed=4, dropout=0.4))
         runs = []
         for _ in range(2):
-            out = forward_all(model, views_s, views_t, ad.constant(x_s), ad.constant(x_t),
+            out = forward_all(model, views_s, views_t, ax_s, ax_t,
                               True, np.random.default_rng(99))
             runs.append(out.probs_s.data.copy())
         np.testing.assert_array_equal(runs[0], runs[1])

@@ -111,7 +111,7 @@ class TestTrainLoop:
         cfg = quick_cfg(epochs=1, dropout=0.0,
                         weights=LossWeights(alpha=1.0, beta=1.0, tau=1.0))
         from gaa.featgraph import build_views
-        from gaa.model import forward_all, init_model
+        from gaa.model import forward_all, init_model, propagate
         from gaa.train import _epoch_losses
 
         model = init_model(pair.source.dim, pair.num_classes, "GAA", cfg.k,
@@ -120,8 +120,8 @@ class TestTrainLoop:
         views_t = build_views(pair.target.adjacency, pair.target.features, cfg.k)
         with ad.Tape() as tape:
             out = forward_all(model, views_s, views_t,
-                              ad.constant(pair.source.features),
-                              ad.constant(pair.target.features),
+                              propagate(views_s, pair.source.features),
+                              propagate(views_t, pair.target.features),
                               False, np.random.default_rng(0))
             total, *_ = _epoch_losses(model, out, pair.source.labels, cfg.weights)
             ad.backward(total, tape)
@@ -273,6 +273,26 @@ class TestViewBuilding:
         monkeypatch.setattr(featgraph, "sym_normalize", recording)
         train_gaa(pair, quick_cfg(variant="KNN_GCN", epochs=1))
         assert normalized == [False, False]  # the two domains' kNN graphs
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_epoch_multiplies_by_each_view_once_per_encode(self, variant, monkeypatch):
+        """Inside an epoch's tape, an n x n view enters one matmul per encode,
+        and its right operand has embed columns: ÂX is built before training
+        and layer 2 is Â(HW2), not (ÂH)W2."""
+        pair, cfg = small_pair(), quick_cfg(variant=variant, epochs=1)
+        n, spec = pair.source.n, VARIANT_SPECS[variant]
+        right_cols = []
+        original = ad.matmul
+
+        def recording(a, b):
+            if ad.active_tape() is not None and a.shape == (n, n):
+                right_cols.append(b.cols)
+            return original(a, b)
+
+        monkeypatch.setattr(ad, "matmul", recording)
+        train_gaa(pair, cfg)
+        encodes = (spec.topo + spec.feat) * (2 if spec.adapts else 1)
+        assert right_cols == [cfg.embed] * encodes  # GAA: 4
 
     @pytest.mark.parametrize("variant", ["GAA", "GAA1", "GAA2", "GAA3", "GCN", "KNN_GCN"])
     def test_training_accuracy_equals_rebuilt_evaluation(self, variant):

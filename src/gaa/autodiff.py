@@ -61,25 +61,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # small amount of sugar so model code reads like the math
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return hadamard(self, other)
-
-    def __truediv__(self, other):
-        return divide(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
 
 class TapeRecord:
     __slots__ = ("kind", "parents", "out", "backward_fn")
@@ -104,9 +85,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb):
         _TAPE_STACK.pop()
         return False
-
-    def __len__(self):
-        return len(self.records)
 
     def clear(self):
         self.records.clear()
@@ -235,13 +213,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _emit("scale", a.data * c, (a,), backward_fn)
 
 
-def neg(a: Tensor) -> Tensor:
-    def backward_fn(g):
-        return (-g,)
-
-    return _emit("neg", -a.data, (a,), backward_fn)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
@@ -249,15 +220,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * mask,)
 
     return _emit("relu", np.maximum(a.data, 0.0), (a,), backward_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward_fn(g):
-        return (g * out_data,)
-
-    return _emit("exp", out_data, (a,), backward_fn)
 
 
 def log(a: Tensor) -> Tensor:
@@ -454,45 +416,6 @@ def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
         return dz, dq.T @ z_data, dk.T @ z_data, dm.T @ z_data
 
     return _emit("attention", out, (z, wq, wk, wv), backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# dispatcher surface, matching the engine's documented operation names
-
-_UNARY = {
-    "relu": relu,
-    "exp": exp,
-    "log": log,
-    "neg": neg,
-    "sigmoid": sigmoid,
-    "sqrt": sqrt,
-}
-_BINARY = {"add": add, "sub": sub, "hadamard": hadamard, "divide": divide}
-_REDUCTIONS = {"sum": sum_all, "mean_rows": mean_rows, "sq_l2": sq_l2, "row_sum": row_sum}
-
-
-def elementwise(kind: str, a: Tensor, b: Tensor | None = None, c: float | None = None) -> Tensor:
-    if kind in _BINARY:
-        if b is None:
-            raise ShapeError(f"elementwise {kind} needs two operands")
-        return _BINARY[kind](a, b)
-    if kind in _UNARY:
-        return _UNARY[kind](a)
-    if kind == "scale":
-        if c is None:
-            raise DomainError("elementwise scale needs constant c")
-        return scale(a, c)
-    if kind == "clip_min":
-        if c is None:
-            raise DomainError("elementwise clip_min needs constant c")
-        return clip_min(a, c)
-    raise DomainError(f"unknown elementwise kind {kind!r}")
-
-
-def reductions(kind: str, a: Tensor) -> Tensor:
-    if kind not in _REDUCTIONS:
-        raise DomainError(f"unknown reduction kind {kind!r}")
-    return _REDUCTIONS[kind](a)
 
 
 def backward(loss: Tensor, tape: Tape):

@@ -1,8 +1,8 @@
 """Attribute-view graph construction and propagation-matrix normalization.
 
 The attribute view connects each node to its k most cosine-similar peers;
-both the original topology and this kNN graph are symmetrically normalized
-(with self-loops by default) before message passing.
+both the original topology and this kNN graph are symmetrically normalized,
+with self-loops always added, before message passing.
 """
 
 from __future__ import annotations
@@ -85,22 +85,18 @@ def knn_graph(sim: np.ndarray, k: int) -> np.ndarray:
     return adj
 
 
-def sym_normalize(adj: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
-    """D^{-1/2} (A [+ I]) D^{-1/2} with degrees taken after the optional loops.
+def sym_normalize(adj: np.ndarray) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2}, degrees taken after the self-loops.
 
-    Without self-loops, zero-degree rows are left all-zero rather than
-    divided.
+    The loops (Kipf & Welling, arXiv:1609.02907, eq. 2) make every degree
+    at least 1, so no row is divided by zero.
     """
     adj = np.asarray(adj, dtype=np.float64)
     if np.any(adj < 0.0):
         raise DomainError("sym_normalize needs a non-negative adjacency")
-    a = adj
-    if add_self_loops:
-        a = adj.copy()
-        a[np.diag_indices_from(a)] += 1.0
-    deg = a.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        dinv = np.where(deg > 0.0, 1.0 / np.sqrt(deg), 0.0)
+    a = adj.copy()
+    a[np.diag_indices_from(a)] += 1.0
+    dinv = 1.0 / np.sqrt(a.sum(axis=1))
     out = np.multiply.outer(dinv, dinv)
     out *= a
     return out
@@ -115,7 +111,6 @@ class ViewMatrices:
 
     topo_norm: Optional[np.ndarray]
     feat_norm: Optional[np.ndarray]
-    k: int
 
     def __post_init__(self):
         for name, m in (("topo_norm", self.topo_norm), ("feat_norm", self.feat_norm)):
@@ -127,16 +122,15 @@ class ViewMatrices:
                 raise DomainError(f"{name} has negative entries")
 
 
-def build_views(adjacency: Optional[np.ndarray], features: Optional[np.ndarray], k: int,
-                add_self_loops: bool = True) -> ViewMatrices:
+def build_views(adjacency: Optional[np.ndarray], features: Optional[np.ndarray],
+                k: int) -> ViewMatrices:
     """The normalized topology and kNN views; a view whose input is None is
     not built and stays None."""
     topo_norm = feat_norm = None
     # the kNN view first, so that its n x n temporaries are freed before the
     # topology view exists (the other order measured a higher peak RSS)
     if features is not None:
-        feat_norm = sym_normalize(knn_graph(cosine_similarity_matrix(features), k),
-                                  add_self_loops)
+        feat_norm = sym_normalize(knn_graph(cosine_similarity_matrix(features), k))
     if adjacency is not None:
-        topo_norm = sym_normalize(adjacency, add_self_loops)
-    return ViewMatrices(topo_norm=topo_norm, feat_norm=feat_norm, k=k)
+        topo_norm = sym_normalize(adjacency)
+    return ViewMatrices(topo_norm=topo_norm, feat_norm=feat_norm)

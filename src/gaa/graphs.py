@@ -3,7 +3,7 @@
 File formats:
   * edge list: whitespace-separated 0-based integer pairs, ``#`` comments
   * features: CSV of reals, one row per node, no header
-  * labels: one integer per line
+  * labels: one integer per non-blank line, one per feature row
   * metrics: JSON, schema under ``RunMetrics``
 """
 
@@ -168,10 +168,17 @@ def _parse_features(path) -> np.ndarray:
     return features
 
 
-def _parse_labels(path, num_classes=None) -> np.ndarray:
-    labels = []
-    # without a class count, a label must still fit the int64 label array
-    bound = np.iinfo(np.int64).max if num_classes is None else num_classes
+def _parse_labels(path, n, num_classes=None) -> np.ndarray:
+    """The labels of an n-node graph, one per non-blank line.
+
+    A label lies in [0, num_classes), or in [0, n) without a class count:
+    n nodes cannot show more than n classes. A count other than n is a
+    ParseError at the first extra label, or at the last line of a file that
+    runs out.
+    """
+    labels, line_nos = [], []
+    bound = n if num_classes is None else num_classes
+    line_no = 1  # an empty file's error names line 1
     for line_no, raw in _lines(path):
         line = raw.strip()
         if not line:
@@ -182,13 +189,18 @@ def _parse_labels(path, num_classes=None) -> np.ndarray:
             raise ParseError(path, line_no, f"non-integer label {raw.strip()!r}")
         if not 0 <= labels[-1] < bound:
             raise ParseError(path, line_no, f"label {labels[-1]} outside [0, {bound})")
+        line_nos.append(line_no)
+    if len(labels) != n:
+        raise ParseError(path, line_nos[n] if len(labels) > n else line_no,
+                         f"{len(labels)} labels for {n} feature rows")
     return np.asarray(labels, dtype=np.int64)
 
 
 def load_graph(edge_path, feature_path, label_path=None, num_classes=None) -> Graph:
     """Read a graph from the text formats; symmetrizes and deduplicates edges.
 
-    A negative label, or one at or above ``num_classes``, is a ParseError.
+    A negative label, or one at or above ``num_classes`` (the node count
+    when no class count is given), is a ParseError.
     """
     features = _parse_features(feature_path)
     n = features.shape[0]
@@ -200,12 +212,7 @@ def load_graph(edge_path, feature_path, label_path=None, num_classes=None) -> Gr
             continue  # diagonal stays zero; loops are added at normalization time
         adjacency[i, j] = weight
         adjacency[j, i] = weight
-    labels = None
-    if label_path is not None:
-        labels = _parse_labels(label_path, num_classes)
-        if len(labels) != n:
-            raise ParseError(label_path, len(labels) + 1,
-                             f"{len(labels)} labels for {n} feature rows")
+    labels = None if label_path is None else _parse_labels(label_path, n, num_classes)
     return Graph(adjacency=adjacency, features=features, labels=labels, num_classes=num_classes)
 
 

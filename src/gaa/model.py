@@ -7,7 +7,8 @@ which init, forward, loss assembly, view building and evaluation all read:
 
   GAA      full model
   GAA1     no cross-view refinement (raw attention embeddings)
-  GAA2     no alignment loss (attention path unused)
+  GAA2     no alignment loss; no loss then reads the feature channel, so
+           it is GAA3's row
   GAA3     no alignment loss and no feature-graph channel
   GCN      source-only classifier on the topology view
   KNN_GCN  source-only classifier on the feature view
@@ -51,16 +52,19 @@ class VariantSpec:
     adapts: bool = False
 
 
+# Without L_A no loss reads the feature channel or the attention weights
+# (the classifier reads the topology embedding), so dropping L_A (GAA2) also
+# drops the channel, and GAA2 computes exactly what GAA3 does.
+_TOPO_ADAPT = VariantSpec(topo=True, feat=False, adapts=True,
+                          fields=("W1_topo", "W2_topo", "Wc", "bc", "Wd", "bd"))
+
 VARIANT_SPECS = {
     "GAA": VariantSpec(topo=True, feat=True, fields=FIELD_ORDER,
                        attends=True, refines=True, aligns=True, adapts=True),
     "GAA1": VariantSpec(topo=True, feat=True, fields=FIELD_ORDER,
                         attends=True, aligns=True, adapts=True),
-    # encodes the feature channel and owns the attention weights, though no
-    # loss reads either
-    "GAA2": VariantSpec(topo=True, feat=True, fields=FIELD_ORDER, adapts=True),
-    "GAA3": VariantSpec(topo=True, feat=False, adapts=True,
-                        fields=("W1_topo", "W2_topo", "Wc", "bc", "Wd", "bd")),
+    "GAA2": _TOPO_ADAPT,
+    "GAA3": _TOPO_ADAPT,
     "GCN": VariantSpec(topo=True, feat=False, fields=("W1_topo", "W2_topo", "Wc", "bc")),
     "KNN_GCN": VariantSpec(topo=False, feat=True, fields=("W1_feat", "W2_feat", "Wc", "bc")),
 }

@@ -213,6 +213,18 @@ class TestErrors:
         assert err.count("\n") == 1
         assert f"{path}:{line_no}: non-finite weight" in err
 
+    def test_source_label_at_or_above_node_count_exit_1(self, tmp_path, capsys):
+        pair_dir = tmp_path / "pair"
+        assert cli("generate", "--kind", "attribute-shift", "--seed", "7", "--n", "4",
+                   "--d", "2", "--out", str(pair_dir)) == 0
+        path = pair_dir / "source.labels.txt"
+        path.write_text("0\n1\n0\n100000\n")
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--set", "epochs=1", "--set", "variant=GCN")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}:4: label 100000 outside [0, 4)\n"
+        assert not (tmp_path / "x").exists()
+
     def test_non_integer_gaa_threads_exit_1(self, pair_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GAA_THREADS", "abc")
         code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),

@@ -117,22 +117,17 @@ class TestSymNormalize:
         np.testing.assert_allclose(sym_normalize(adj), np.full((2, 2), 0.5))
 
     def test_star_graph_matches_closed_form(self):
-        # star with center 0 and m=4 leaves, no self-loops:
-        # entry (0, leaf) = 1/sqrt(m), so center row sums to sqrt(m)
+        # star with center 0 and m=4 leaves; the loops give the center degree
+        # m + 1 and each leaf degree 2, so entry (0, leaf) = 1/sqrt(2(m + 1))
         m = 4
         adj = np.zeros((m + 1, m + 1))
         adj[0, 1:] = 1.0
         adj[1:, 0] = 1.0
-        norm = sym_normalize(adj, add_self_loops=False)
-        sums = norm.sum(axis=1)
-        assert sums[0] == pytest.approx(np.sqrt(m))
-        np.testing.assert_allclose(sums[1:], np.full(m, 1 / np.sqrt(m)))
-
-    def test_zero_degree_row_stays_zero_without_loops(self):
-        adj = np.zeros((3, 3))
-        adj[0, 1] = adj[1, 0] = 1.0
-        norm = sym_normalize(adj, add_self_loops=False)
-        np.testing.assert_array_equal(norm[2], np.zeros(3))
+        norm = sym_normalize(adj)
+        np.testing.assert_allclose(norm[0, 1:], np.full(m, 1 / np.sqrt(2 * (m + 1))))
+        np.testing.assert_allclose(norm[1:, 0], norm[0, 1:])
+        assert norm[0, 0] == pytest.approx(1 / (m + 1))
+        np.testing.assert_allclose(norm[1:, 1:], np.eye(m) / 2)
 
     def test_leaves_input_unchanged(self):
         adj = np.array([[0.0, 2.0], [2.0, 0.0]])
@@ -170,7 +165,6 @@ def test_build_views_invariants():
     adj = adj + adj.T
     views = build_views(adj, rng.normal(size=(12, 4)), k=3)
     assert isinstance(views, ViewMatrices)
-    assert views.k == 3
     for m in (views.topo_norm, views.feat_norm):
         assert np.abs(m - m.T).max() <= 1e-12
         assert m.min() >= 0.0
@@ -191,17 +185,17 @@ def test_build_views_skips_a_view_whose_input_is_none():
 
 
 def test_view_matrices_skip_absent_views_and_check_built_ones():
-    views = ViewMatrices(topo_norm=None, feat_norm=np.eye(3), k=2)
+    views = ViewMatrices(topo_norm=None, feat_norm=np.eye(3))
     assert views.topo_norm is None
     with pytest.raises(DomainError, match="feat_norm is not symmetric"):
-        ViewMatrices(topo_norm=None, feat_norm=np.triu(np.ones((3, 3))), k=2)
+        ViewMatrices(topo_norm=None, feat_norm=np.triu(np.ones((3, 3))))
     with pytest.raises(DomainError, match="topo_norm has negative entries"):
-        ViewMatrices(topo_norm=-np.eye(3), feat_norm=None, k=2)
+        ViewMatrices(topo_norm=-np.eye(3), feat_norm=None)
 
 
 def test_view_matrices_reject_a_nan_entry():
     with pytest.raises(DomainError, match="topo_norm is not symmetric"):
-        ViewMatrices(topo_norm=np.array([[np.nan, 0.0], [0.0, 1.0]]), feat_norm=None, k=1)
+        ViewMatrices(topo_norm=np.array([[np.nan, 0.0], [0.0, 1.0]]), feat_norm=None)
 
 
 @settings(max_examples=60, deadline=None)

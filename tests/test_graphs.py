@@ -56,6 +56,25 @@ class TestLoadGraph:
         with pytest.raises(ParseError, match="2 labels for 3"):
             load_graph(e, f, lp)
 
+    # too many labels name the first extra one, too few the file's last line
+    @pytest.mark.parametrize("labels, line_no, count", [
+        pytest.param("0\n1\n0\n", 3, 3, id="too-many"),
+        pytest.param("0\n\n1\n\n0\n", 5, 3, id="too-many-blank-lines-between"),
+        pytest.param("0", 1, 1, id="too-few-no-final-newline"),
+        pytest.param("0\n\n\n", 3, 1, id="too-few-blank-lines-after"),
+        pytest.param("", 1, 0, id="empty"),
+    ])
+    def test_label_count_mismatch_names_the_line(self, tmp_path, labels, line_no, count):
+        e, f, lp = self.write(tmp_path, "0 1\n", "1\n2\n", labels)
+        with pytest.raises(ParseError, match=rf"g.labels:{line_no}: {count} labels for 2 feature"):
+            load_graph(e, f, lp)
+
+    def test_source_label_at_or_above_node_count_names_line(self, tmp_path):
+        # without a class count, n nodes cannot show more than n classes
+        e, f, lp = self.write(tmp_path, "0 1\n", "1\n2\n3\n4\n", "0\n1\n0\n100000\n")
+        with pytest.raises(ParseError, match=r"g.labels:4: label 100000 outside \[0, 4\)"):
+            load_graph(e, f, lp)
+
     def test_label_at_or_above_class_count_names_line(self, tmp_path):
         e, f, lp = self.write(tmp_path, "0 1\n", "1\n2\n3\n", "0\n\n1\n2\n")
         g = load_graph(e, f, lp, num_classes=3)
@@ -152,8 +171,8 @@ def test_parsers_load_or_name_the_line(files, num_classes):
         except ParseError as exc:
             raw = contents[exc.path]
             assert str(exc).startswith(f"{exc.path}:{exc.line_no}: ")
-            # a line of the file, or the one after its end (a missing label)
-            assert 1 <= exc.line_no <= len(raw.splitlines()) + 1
+            # a line of the file, or line 1 of an empty one
+            assert 1 <= exc.line_no <= max(1, len(raw.splitlines()))
         else:
             assert g.adjacency.shape == (g.n, g.n) and g.n >= 1
 

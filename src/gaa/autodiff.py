@@ -154,6 +154,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", a_data @ b_data, (a, b), backward_fn)
 
 
+def spmm(a, h: Tensor) -> Tensor:
+    """``a @ h`` for a constant symmetric n x n matrix ``a``, a dense array
+    or a scipy.sparse one (a GCN propagation view). Backward is ``a.T @ g``,
+    which for a dense ``a`` is exactly what ``matmul`` computes."""
+    if a.shape[1] != h.rows:
+        raise ShapeError(f"spmm: inner dims differ, {a.shape} @ {h.shape}")
+    h_data = h.data
+
+    def backward_fn(g):
+        return (a.T @ g,)
+
+    return _emit("spmm", a @ h_data, (h,), backward_fn)
+
+
 def transpose(a: Tensor) -> Tensor:
     def backward_fn(g):
         return (g.T.copy(),)

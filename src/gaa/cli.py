@@ -282,9 +282,17 @@ def _parse_grid(items) -> dict:
     return grid
 
 
+_sweep_pair = None  # the pair every sweep cell of this process trains on
+
+
+def _set_sweep_pair(pair):
+    global _sweep_pair
+    _sweep_pair = pair
+
+
 def _sweep_cell(task):
-    pair, cfg, runs = task
-    result = run_repeated(pair, cfg, n_runs=runs)
+    cfg, runs = task
+    result = run_repeated(_sweep_pair, cfg, n_runs=runs)
     return result.mean_acc, result.std_acc
 
 
@@ -301,13 +309,18 @@ def _cmd_sweep(args) -> int:
     tasks = []
     for alpha, beta, tau, k in cells:
         cell_cfg = replace(cfg, k=k, weights=LossWeights(alpha=alpha, beta=beta, tau=tau))
-        tasks.append((pair, cell_cfg, args.runs))
+        tasks.append((cell_cfg, args.runs))
 
+    # each worker receives the pair once, not once per task
     if workers > 1 and len(tasks) > 1:
-        with Pool(processes=workers) as pool:
+        with Pool(processes=workers, initializer=_set_sweep_pair, initargs=(pair,)) as pool:
             results = pool.map(_sweep_cell, tasks)
     else:
-        results = [_sweep_cell(t) for t in tasks]
+        _set_sweep_pair(pair)
+        try:
+            results = [_sweep_cell(t) for t in tasks]
+        finally:
+            _set_sweep_pair(None)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -136,6 +136,8 @@ def _parse_edges(path) -> list[tuple[int, int, float, int]]:
                 raise ParseError(path, line_no, f"non-numeric weight in {raw.strip()!r}")
             if not math.isfinite(weight):
                 raise ParseError(path, line_no, f"non-finite weight in {raw.strip()!r}")
+            if weight < 0.0:
+                raise ParseError(path, line_no, f"negative weight in {raw.strip()!r}")
         edges.append((i, j, weight, line_no))
     return edges
 

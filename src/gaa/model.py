@@ -176,15 +176,16 @@ def propagate(views: ViewMatrices, x: np.ndarray) -> tuple[Optional[Tensor], Opt
                  for norm in (views.topo_norm, views.feat_norm))
 
 
-def gcn_encode(view_norm: Tensor, ax: Tensor, w1: Tensor, w2: Tensor,
+def gcn_encode(view_norm, ax: Tensor, w1: Tensor, w2: Tensor,
                dropout_rate: float, rng: np.random.Generator, training: bool,
                relu_second: bool = False) -> Tensor:
     """Two propagation layers on ``ax`` = ÂX: relu((ÂX) W1) with dropout,
-    then Â (H W2). W2 comes first (Kipf & Welling, arXiv:1609.02907, eq. 2),
-    so the n x n product and its gradient have embed, not hidden, columns."""
+    then Â (H W2). ``view_norm`` is Â itself, dense or sparse. W2 comes first
+    (Kipf & Welling, arXiv:1609.02907, eq. 2), so the n x n product and its
+    gradient have embed, not hidden, columns."""
     hidden = ad.relu(ad.matmul(ax, w1))
     hidden = ad.dropout(hidden, dropout_rate, rng, training)
-    z = ad.matmul(view_norm, ad.matmul(hidden, w2))
+    z = ad.spmm(view_norm, ad.matmul(hidden, w2))
     return ad.relu(z) if relu_second else z
 
 
@@ -259,7 +260,7 @@ def forward_all(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices,
 
     def encode(views, ax):
         def gcn(norm, ax_view, w1, w2):
-            return gcn_encode(ad.constant(norm), ax_view, w1, w2,
+            return gcn_encode(norm, ax_view, w1, w2,
                               hy.dropout, rng, training, hy.relu_second_layer)
         return (gcn(views.topo_norm, ax[0], model.W1_topo, model.W2_topo) if spec.topo else None,
                 gcn(views.feat_norm, ax[1], model.W1_feat, model.W2_feat) if spec.feat else None)

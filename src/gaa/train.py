@@ -200,7 +200,7 @@ def _predict(model: GaaModel, views: ViewMatrices, ax: tuple) -> np.ndarray:
         norm, ax_view, w1, w2 = views.topo_norm, ax[0], model.W1_topo, model.W2_topo
     else:
         norm, ax_view, w1, w2 = views.feat_norm, ax[1], model.W1_feat, model.W2_feat
-    z = gcn_encode(ad.constant(norm), ax_view, w1, w2,
+    z = gcn_encode(norm, ax_view, w1, w2,
                    model.hyper.dropout, rng, False, model.hyper.relu_second_layer)
     return classify(z, model.Wc, model.bc).data
 

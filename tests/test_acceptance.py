@@ -11,6 +11,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.stats import spearmanr
 
 from gaa import autodiff as ad
@@ -109,6 +110,11 @@ def test_criterion_1_gradient_correctness():
 
         check_op("matmul", i, lambda L: ad.sq_l2(ad.matmul(L[0], L[1])),
                  [(r, k_inner), (k_inner, c)])
+        # a constant symmetric view, CSR on odd instances
+        view = rng.uniform(-1, 1, (r, r)) * (rng.random((r, r)) < 0.5)
+        view = view + view.T
+        view = sparse.csr_array(view) if i % 2 else view
+        check_op("spmm", i, lambda L: ad.sq_l2(ad.spmm(view, L[0])), [(r, c)])
         check_op("transpose", i, lambda L: ad.sq_l2(ad.transpose(L[0])), [(r, c)])
         check_op("add", i, lambda L: ad.sq_l2(ad.add(L[0], L[1])), [(r, c), (1, c)])
         check_op("sub", i, lambda L: ad.sq_l2(ad.sub(L[0], L[1])), [(r, c), (r, 1)])

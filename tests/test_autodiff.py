@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from gaa import autodiff as ad
 from gaa.exceptions import DomainError, NumericError, ShapeError
@@ -175,6 +176,40 @@ def test_broadcast_shape_rules():
         ad.add(a, ad.constant(np.zeros((1, 3))))
     ad.add(a, ad.constant(np.zeros((1, 4))))
     ad.add(a, ad.constant(np.zeros((3, 1))))
+
+
+def _symmetric_view(rng, n):
+    a = rand(rng, n, n) * (rng.random((n, n)) < 0.4)
+    return a + a.T
+
+
+@pytest.mark.parametrize("as_sparse", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_spmm_matches_dense_matmul(seed, as_sparse):
+    """spmm's value and gradient are matmul's with a constant left operand."""
+    rng = np.random.default_rng(seed)
+    a = _symmetric_view(rng, 9)
+    h_data, w = rand(rng, 9, 4), rand(rng, 9, 4)
+    results = []
+    for op, left in ((ad.spmm, sparse.csr_array(a) if as_sparse else a),
+                     (ad.matmul, ad.constant(a))):
+        h = ad.parameter(h_data.copy())
+        with ad.Tape() as tape:
+            out = op(left, h)
+            ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(w))), tape)
+        results.append((out.data, h.grad))
+    (out, grad), (want_out, want_grad) = results
+    assert isinstance(out, np.ndarray) and isinstance(grad, np.ndarray)
+    assert np.abs(out - want_out).max() <= 1e-12 * np.abs(want_out).max()
+    assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+    if not as_sparse:  # a dense view computes exactly what matmul does
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(grad, want_grad)
+
+
+def test_spmm_shape_error_names_shapes():
+    with pytest.raises(ShapeError, match=r"\(3, 3\)"):
+        ad.spmm(np.eye(3), ad.constant(np.zeros((2, 2))))
 
 
 @pytest.mark.parametrize("seed", range(5))

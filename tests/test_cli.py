@@ -2,6 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from gaa import cli as cli_module
 from gaa.cli import load_pair, run_command
 from gaa.exceptions import GaaError
+from gaa.graphs import DomainPair
 from gaa.model import VARIANTS
 
 
@@ -212,6 +217,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"{path}:{line_no}: non-finite weight" in err
+
+    def test_negative_edge_weight_exit_1(self, pair_dir, tmp_path, capsys):
+        path = pair_dir / "source.edges"
+        path.write_text(path.read_text() + "0 1 -2.5\n")
+        line_no = path.read_text().count("\n")
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--set", "epochs=1")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line_no}: negative weight in '0 1 -2.5'\n")
+        assert not (tmp_path / "x").exists()
 
     def test_source_label_at_or_above_node_count_exit_1(self, tmp_path, capsys):
         pair_dir = tmp_path / "pair"
@@ -466,6 +482,34 @@ class TestSweep:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
+    def test_pool_receives_the_pair_once_per_worker(self, pair_dir, tmp_path, monkeypatch):
+        seen = {}
+
+        class SerialPool:
+            def __init__(self, processes, initializer, initargs):
+                seen["initargs"] = initargs
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                seen["tasks"] = tasks
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(cli_module, "Pool", SerialPool)
+        monkeypatch.setattr(cli_module, "_sweep_pair", None)
+        monkeypatch.setenv("GAA_THREADS", "2")
+        assert cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
+                   "--runs", "1", "--set", "epochs=1", "--grid", "alpha=0.5",
+                   "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3") == 0
+        assert [type(arg) for arg in seen["initargs"]] == [DomainPair]
+        assert len(seen["tasks"]) == 2
+        assert not any(isinstance(item, DomainPair) for task in seen["tasks"] for item in task)
+
     def test_parallel_workers_match_serial(self, pair_dir, tmp_path, monkeypatch):
         args = ("sweep", "--pair", str(pair_dir), "--runs", "1", "--seed", "0",
                 "--set", "epochs=2", "--set", "hidden=8", "--set", "embed=4",
@@ -477,3 +521,25 @@ class TestSweep:
         monkeypatch.setenv("GAA_THREADS", "2")
         assert cli(*args, "--out", str(parallel)) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_dense_path_never_imports_scipy():
+    """scipy serves only the sparse views, so importing the CLI and training
+    at the paper's scale (n=100) must not load it."""
+    script = "\n".join([
+        "import sys",
+        "import gaa.cli",
+        "assert 'scipy' not in sys.modules, 'import gaa.cli'",
+        "from gaa.graphs import DomainPair, gen_attribute_shift",
+        "from gaa.train import TrainConfig, train_gaa",
+        "pair = DomainPair(source=gen_attribute_shift(0.4, seed=5),",
+        "                  target=gen_attribute_shift(1.2, seed=5))",
+        "assert pair.source.n == 100",
+        "train_gaa(pair, TrainConfig(variant='GAA', epochs=1, seed=0))",
+        "assert 'scipy' not in sys.modules, 'train_gaa'",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import sparse
 
 from gaa import featgraph
 from gaa.exceptions import DomainError
 from gaa.featgraph import (
+    SPARSE_MIN_NODES,
     ViewMatrices,
     build_views,
     cosine_similarity_matrix,
     knn_graph,
     max_asymmetry,
+    sparse_knn_graph,
     sym_normalize,
 )
 
@@ -41,12 +45,23 @@ class TestCosine:
         np.testing.assert_allclose(cosine_similarity_matrix(x), loop_cosine_matrix(x), atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 10), st.integers(1, 6))
-    def test_symmetric_and_bounded(self, seed, n, d):
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 10), st.integers(1, 6),
+           st.sampled_from([1, 2, 5, 256]))
+    def test_symmetric_and_bounded(self, seed, n, d, block):
+        # small blocks assemble the matrix from several row blocks
         x = np.random.default_rng(seed).normal(size=(n, d))
-        sim = cosine_similarity_matrix(x)
+        with mock.patch.object(featgraph, "KNN_BLOCK", block):
+            sim = cosine_similarity_matrix(x)
         np.testing.assert_array_equal(sim, sim.T)
         assert sim.min() >= -1.0 and sim.max() <= 1.0
+        np.testing.assert_allclose(sim, loop_cosine_matrix(x), atol=1e-12)
+
+    # two row blocks, the second ragged: sizes where letting each row block
+    # compute its own products left the matrix 1 ulp off symmetric
+    @pytest.mark.parametrize("n, d", [(453, 32), (505, 8)])
+    def test_exactly_symmetric_with_a_ragged_last_block(self, n, d):
+        sim = cosine_similarity_matrix(np.random.default_rng(n).normal(size=(n, d)))
+        np.testing.assert_array_equal(sim, sim.T)
 
 
 class TestKnn:
@@ -89,10 +104,13 @@ class TestKnn:
         # few distinct small-integer features make tied scores the common case;
         # small blocks leave a ragged last block
         x[[r for r in zero_rows if r < len(x)]] = 0.0
-        sim = cosine_similarity_matrix(x)
         with mock.patch.object(featgraph, "KNN_BLOCK", block):
+            sim = cosine_similarity_matrix(x)
             for k in range(1, len(x)):
-                np.testing.assert_array_equal(knn_graph(sim, k), loop_knn(sim, k))
+                want = loop_knn(sim, k)
+                np.testing.assert_array_equal(knn_graph(sim, k), want)
+                # the blocked cosine feeds the same selection
+                np.testing.assert_array_equal(sparse_knn_graph(x, k).toarray(), want)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(3, 12), st.integers(1, 4))
@@ -137,6 +155,8 @@ class TestSymNormalize:
     def test_rejects_negative_entries(self):
         with pytest.raises(DomainError):
             sym_normalize(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        with pytest.raises(DomainError):
+            sym_normalize(sparse.csr_array(np.array([[0.0, -1.0], [-1.0, 0.0]])))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(2, 10))
@@ -198,6 +218,63 @@ def test_view_matrices_reject_a_nan_entry():
         ViewMatrices(topo_norm=np.array([[np.nan, 0.0], [0.0, 1.0]]), feat_norm=None)
 
 
+@pytest.mark.parametrize("bad, problem", [
+    ([[1.0, 0.5], [0.0, 1.0]], "is not symmetric"),
+    ([[1.0, -0.5], [-0.5, 1.0]], "has negative entries"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "is not symmetric"),
+    ([[1.0, np.nan], [np.nan, 1.0]], "is not symmetric"),
+])
+def test_view_matrices_check_a_sparse_view(bad, problem):
+    good = sparse.csr_array(np.eye(2))
+    ViewMatrices(topo_norm=good, feat_norm=good)
+    with pytest.raises(DomainError, match=f"feat_norm {problem}"):
+        ViewMatrices(topo_norm=good, feat_norm=sparse.csr_array(np.array(bad)))
+
+
+def _tied_inputs(n, seed):
+    """A sparse weighted topology and features with a zero-norm row and
+    rows that tie: equal, and scaled copies of one another."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.uniform(0.5, 2.0, (n, n)) * (rng.random((n, n)) < 0.01), 1)
+    x = rng.normal(size=(n, 4))
+    x[3] = 0.0
+    x[10] = x[11] = 2.0 * x[12]
+    x[20:40] = np.round(x[20:40])  # few distinct directions: more ties
+    return adj + adj.T, x
+
+
+@pytest.mark.parametrize("n", [SPARSE_MIN_NODES - 1, SPARSE_MIN_NODES])
+def test_sparse_views_match_the_dense_ones(n):
+    """Both sides of the threshold: the CSR views agree with the dense ones
+    entrywise, ties and a zero-norm row included, and build_views returns
+    the ones its side calls for."""
+    adj, x = _tied_inputs(n, seed=n)
+    dense = (sym_normalize(adj), sym_normalize(knn_graph(cosine_similarity_matrix(x), 3)))
+    csr = (sym_normalize(sparse.csr_array(adj)), sym_normalize(sparse_knn_graph(x, 3)))
+    for want, got in zip(dense, csr):
+        got = got.toarray()
+        np.testing.assert_array_equal(got != 0.0, want != 0.0)  # the same kNN picks
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    views = build_views(adj, x, k=3)
+    for built, want in zip((views.topo_norm, views.feat_norm),
+                           csr if n >= SPARSE_MIN_NODES else dense):
+        assert sparse.issparse(built) == (n >= SPARSE_MIN_NODES)
+        assert (built != want).sum() == 0
+
+
+def test_sparse_build_views_peaks_below_one_dense_array():
+    n = 3000
+    assert n >= SPARSE_MIN_NODES
+    adj, x = _tied_inputs(n, seed=1)
+    tracemalloc.start()
+    try:
+        build_views(adj, x, k=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8  # 72 MB, one n x n float64 array
+
+
 @settings(max_examples=60, deadline=None)
 @given(hnp.arrays(np.float64, st.integers(1, 12).map(lambda n: (n, n)),
                   elements=st.sampled_from([0.0, 0.5, 1.0, -2.0, np.nan, np.inf])),
@@ -209,3 +286,6 @@ def test_max_asymmetry_matches_the_dense_difference(m, block):
     with mock.patch.object(featgraph, "SYMMETRY_BLOCK", block):
         got = max_asymmetry(m)
     assert got == dense or (np.isnan(got) and np.isnan(dense))
+    with np.errstate(invalid="ignore"):
+        got_sparse = max_asymmetry(sparse.csr_array(m))
+    assert got_sparse == dense or (np.isnan(got_sparse) and np.isnan(dense))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gaa import autodiff as ad
 from gaa.exceptions import ConfigError
@@ -276,23 +277,45 @@ class TestViewBuilding:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_epoch_multiplies_by_each_view_once_per_encode(self, variant, monkeypatch):
-        """Inside an epoch's tape, an n x n view enters one matmul per encode,
-        and its right operand has embed columns: ÂX is built before training
-        and layer 2 is Â(HW2), not (ÂH)W2."""
+        """Inside an epoch's tape, an n x n view enters one spmm per encode
+        and no matmul, and its right operand has embed columns: ÂX is built
+        before training and layer 2 is Â(HW2), not (ÂH)W2."""
         pair, cfg = small_pair(), quick_cfg(variant=variant, epochs=1)
         n, spec = pair.source.n, VARIANT_SPECS[variant]
-        right_cols = []
-        original = ad.matmul
+        right_cols, matmul_shapes = [], []
+        spmm, matmul = ad.spmm, ad.matmul
 
-        def recording(a, b):
+        def recording_spmm(a, h):
             if ad.active_tape() is not None and a.shape == (n, n):
-                right_cols.append(b.cols)
-            return original(a, b)
+                right_cols.append(h.cols)
+            return spmm(a, h)
 
-        monkeypatch.setattr(ad, "matmul", recording)
+        def recording_matmul(a, b):
+            matmul_shapes.append(a.shape)
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "spmm", recording_spmm)
+        monkeypatch.setattr(ad, "matmul", recording_matmul)
         train_gaa(pair, cfg)
         encodes = (spec.topo + spec.feat) * (2 if spec.adapts else 1)
         assert right_cols == [cfg.embed] * encodes  # GAA: 4
+        assert (n, n) not in matmul_shapes
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_sparse_views_train_as_the_dense_ones(self, variant, monkeypatch):
+        from gaa import featgraph
+
+        pair, cfg = small_pair(n=20), quick_cfg(variant=variant, epochs=3)
+        _, dense = train_gaa(pair, cfg)
+        monkeypatch.setattr(featgraph, "SPARSE_MIN_NODES", 0)
+        views = featgraph.build_views(pair.source.adjacency, pair.source.features, cfg.k)
+        assert sparse.issparse(views.topo_norm) and sparse.issparse(views.feat_norm)
+        model, run = train_gaa(pair, cfg)
+        assert run.target_accuracy == dense.target_accuracy == evaluate(model, pair.target)
+        for a, b in zip(dense.per_epoch, run.per_epoch):
+            for name in ("loss_total", "loss_S", "loss_A", "loss_D", "loss_T"):
+                want, got = getattr(a, name), getattr(b, name)
+                assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("variant", ["GAA", "GAA1", "GAA2", "GAA3", "GCN", "KNN_GCN"])
     def test_training_accuracy_equals_rebuilt_evaluation(self, variant):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import ConfigError, DomainError
 from .featgraph import cosine_similarity_matrix, knn_graph
 from .graphs import Graph
 
@@ -44,7 +44,7 @@ def proposition1_bound(source: Graph, target: Graph, normalize_by: int | None = 
     if normalize_by is None:
         normalize_by = target.n
     if normalize_by < 1:
-        raise DomainError(f"normalize_by must be >= 1, got {normalize_by}")
+        raise ConfigError(f"normalize_by must be >= 1, got {normalize_by}")
     topo = _pairwise_sq_sum(source.adjacency @ source.features,
                             target.adjacency @ target.features) / normalize_by
     attr = _pairwise_sq_sum(source.features, target.features) / normalize_by

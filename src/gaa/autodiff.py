@@ -2,10 +2,9 @@
 
 Everything is float64 and strictly two-dimensional (scalars live in 1x1
 tensors). Operations record themselves on the innermost active ``Tape``;
-``backward`` replays the records in reverse and accumulates gradients
-additively, so a tensor used twice receives the sum of both path
-contributions. Gradient buffers exist exactly on tensors that require
-gradients and are zeroed by the optimizer, not by ``backward``.
+``backward`` replays the records in reverse and sums a tensor's path
+contributions. Op-output gradients live only inside ``backward``; leaves made
+by ``parameter`` own a gradient buffer, zeroed by the optimizer.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ _TAPE_STACK: list["Tape"] = []
 class Tensor:
     """A rows x cols float64 matrix, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "tape_id")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -29,7 +28,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(arr) if requires_grad else None
-        self.tape_id = None
 
     @property
     def rows(self) -> int:
@@ -51,12 +49,6 @@ class Tensor:
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
-
-    def _require_grad(self):
-        # promotes an op output to gradient-tracked; allocates the buffer
-        if not self.requires_grad:
-            self.requires_grad = True
-            self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -86,9 +78,6 @@ class Tape:
         _TAPE_STACK.pop()
         return False
 
-    def clear(self):
-        self.records.clear()
-
 
 def active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
@@ -106,8 +95,7 @@ def _emit(kind, data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
     tape = active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
-        out._require_grad()
-        out.tape_id = len(tape.records)
+        out.requires_grad = True
         tape.records.append(TapeRecord(kind, tuple(parents), out, backward_fn))
     return out
 
@@ -433,17 +421,26 @@ def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape):
-    """Reverse sweep from a scalar loss; accumulates into grad buffers."""
+    """Reverse sweep from a scalar loss that pops each record off ``tape``.
+    Op-output gradients live in ``grads`` until their record is replayed;
+    leaves accumulate into ``.grad``."""
     if loss.shape != (1, 1):
         raise ShapeError(f"backward needs a 1x1 loss, got {loss.shape}")
-    if loss.tape_id is None or loss.tape_id >= len(tape.records) or tape.records[loss.tape_id].out is not loss:
+    if not any(rec.out is loss for rec in tape.records):
         raise ShapeError("loss tensor is not a product of this tape")
-    loss.grad[...] += 1.0
-    for rec in reversed(tape.records):
-        g = rec.out.grad
-        if not g.any():
+    grads = {loss: np.ones((1, 1))}
+    while tape.records:
+        rec = tape.records.pop()
+        g = grads.pop(rec.out, None)
+        if g is None:
             continue
-        parent_grads = rec.backward_fn(g)
-        for parent, pg in zip(rec.parents, parent_grads):
-            if pg is not None and parent.requires_grad:
+        for parent, pg in zip(rec.parents, rec.backward_fn(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            if parent.grad is not None:
                 parent.grad += pg
+            elif parent in grads:
+                # out of place: add hands one array to both of its parents
+                grads[parent] = grads[parent] + pg
+            else:
+                grads[parent] = pg

@@ -190,12 +190,14 @@ def _write_pair(pair: DomainPair, out_dir: Path, meta: dict):
 
 
 def _cmd_train(args) -> int:
+    if args.runs < 1:
+        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
     cfg = _load_config(args)
     pair = load_pair(args.pair)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    if args.runs <= 1:
+    if args.runs == 1:
         model, metrics = train_gaa(pair, cfg)
         metrics.wall_seconds = 0.0  # keep seeded outputs byte-reproducible
         save_metrics(metrics, out / "metrics.json")
@@ -304,6 +306,8 @@ def _cmd_sweep(args) -> int:
         workers = int(raw_workers)
     except ValueError:
         raise ConfigError(f"GAA_THREADS must be an integer, got {raw_workers!r}")
+    if workers < 1:
+        raise ConfigError(f"GAA_THREADS must be >= 1, got {workers}")
     pair = load_pair(args.pair)
     cells = list(itertools.product(grid["alpha"], grid["beta"], grid["tau"], grid["k"]))
     tasks = []
@@ -311,8 +315,9 @@ def _cmd_sweep(args) -> int:
         cell_cfg = replace(cfg, k=k, weights=LossWeights(alpha=alpha, beta=beta, tau=tau))
         tasks.append((cell_cfg, args.runs))
 
-    # each worker receives the pair once, not once per task
-    if workers > 1 and len(tasks) > 1:
+    # each worker receives the pair once, not once per task; no worker sits idle
+    workers = min(workers, len(tasks))
+    if workers > 1:
         with Pool(processes=workers, initializer=_set_sweep_pair, initargs=(pair,)) as pool:
             results = pool.map(_sweep_cell, tasks)
     else:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import ConfigError, DomainError
 
 SYMMETRY_TOL = 1e-12
 KNN_BLOCK = 256  # rows of the similarity matrix computed and selected at a time
@@ -101,8 +101,9 @@ def cosine_similarity_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def _check_k(n: int, k: int):
+    # k comes from the user's config, so a k the graph cannot hold is theirs to fix
     if not 1 <= k <= n - 1:
-        raise DomainError(f"k must be in [1, {n - 1}] for {n} nodes, got {k}")
+        raise ConfigError(f"k must be in [1, {n - 1}] for {n} nodes, got {k}")
 
 
 def _pick_neighbors(sim_rows: np.ndarray, start: int, k: int) -> tuple[np.ndarray, np.ndarray]:

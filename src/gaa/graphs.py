@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import DomainError, ParseError
+from .exceptions import ConfigError, DomainError, ParseError
 from .featgraph import max_asymmetry
 
 ADJ_SYMMETRY_TOL = 1e-12
@@ -247,6 +247,13 @@ def _seed_with_tag(seed: int, tag: float) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed), bits])
 
 
+def _check_sizes(seed: int, n: int, d: int):
+    """The arguments both generators take; a pair needs two nodes."""
+    for name, value, low in (("seed", seed, 0), ("n", n, 2), ("d", d, 1)):
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
 def gen_attribute_shift(cluster_std: float, seed: int, n: int = 100, d: int = 10,
                         edge_prob: float = 0.3) -> Graph:
     """Two Gaussian clusters on a fixed random topology.
@@ -255,8 +262,11 @@ def gen_attribute_shift(cluster_std: float, seed: int, n: int = 100, d: int = 10
     sweeping ``cluster_std`` under one seed varies only the attribute noise.
     Labels are the cluster memberships (balanced halves).
     """
-    if cluster_std < 0:
-        raise DomainError(f"cluster_std must be >= 0, got {cluster_std}")
+    _check_sizes(seed, n, d)
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ConfigError(f"edge_prob must be in [0, 1], got {edge_prob}")
+    if not 0.0 <= cluster_std < math.inf:
+        raise ConfigError(f"cluster_std must be finite and >= 0, got {cluster_std}")
     topo_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA11CE]))
     upper = topo_rng.random((n, n)) < edge_prob
     adjacency = np.triu(upper, 1).astype(np.float64)
@@ -280,8 +290,9 @@ def gen_sbm(seed: int, n: int = 100, p: float = 0.8, d: int = 10) -> Graph:
     bias-free GCN embeds every node as a per-node scalar times one fixed vector,
     so no GCN can tell the two balanced communities apart on this family.
     """
+    _check_sizes(seed, n, d)
     if not 0.0 < p <= 1.0:
-        raise DomainError(f"p must be in (0, 1], got {p}")
+        raise ConfigError(f"p must be in (0, 1], got {p}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5B3]))
     half = n // 2
     labels = np.zeros(n, dtype=np.int64)

@@ -168,7 +168,6 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig) -> tuple[GaaModel, RunMetrics]
             if not all(math.isfinite(v) for v in values):
                 raise NumericError(f"non-finite loss at epoch {epoch}: {values}")
             ad.backward(total, tape)
-            tape.clear()
         adam_step(params, state, cfg.lr, cfg.weight_decay)
         metrics.per_epoch.append(EpochLosses(
             epoch=epoch, loss_total=values[0], loss_S=values[1],

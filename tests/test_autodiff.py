@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,50 @@ def test_diamond_fanout_accumulates_both_paths():
         loss = ad.add(ad.sum_all(ad.hadamard(w, w)), ad.sum_all(ad.scale(w, 2.0)))
         ad.backward(loss, tape)
     np.testing.assert_allclose(w.grad, 2.0 * w.data + 2.0)
+
+
+def test_backward_empties_the_tape_and_only_leaves_hold_grad():
+    w, b = ad.parameter(np.ones((3, 2))), ad.parameter(np.zeros((1, 2)))
+    with ad.Tape() as tape:
+        h = ad.relu(ad.add(w, b))
+        loss = ad.sum_all(h)
+        assert h.grad is None and loss.grad is None  # forward allocates no gradient
+        ad.backward(loss, tape)
+    assert tape.records == []
+    assert h.requires_grad and h.grad is None and loss.grad is None
+    np.testing.assert_array_equal(w.grad, np.ones((3, 2)))
+    np.testing.assert_array_equal(b.grad, [[3.0, 3.0]])
+
+
+def test_backward_peak_memory_is_the_activations():
+    # 40 records on a 1000 x 16 parameter keep 5.12 MB of activations; each
+    # op output's gradient lives only until its record is replayed
+    w = ad.parameter(np.ones((1000, 16)))
+    activations = 40 * w.data.nbytes
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            h = w
+            for _ in range(40):
+                h = ad.scale(h, 1.0)
+            ad.backward(ad.sum_all(h), tape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(w.grad, np.ones((1000, 16)))
+    assert peak < 1.25 * activations
+
+
+def test_shared_upstream_gradient_is_never_summed_in_place():
+    # add hands one array to both parents, so p and q first share one
+    # gradient; adding r's contribution to q's in place would leak it into
+    # p's and give 4 + 24w instead of 1 + 3 + 2 * 3w * 3 = 4 + 18w
+    w = ad.parameter(np.array([[0.5, -1.0], [2.0, 3.0]]))
+    with ad.Tape() as tape:
+        p, q = ad.scale(w, 1.0), ad.scale(w, 3.0)
+        r = ad.hadamard(q, q)
+        ad.backward(ad.sum_all(ad.add(ad.add(p, q), r)), tape)
+    np.testing.assert_allclose(w.grad, 4.0 + 18.0 * w.data, rtol=1e-15)
 
 
 def test_broadcast_column_gradient_is_row_sum():

@@ -60,6 +60,27 @@ class TestGenerate:
         meta = json.loads((out / "pair.json").read_text())
         assert meta["kind"] == "sbm" and meta["target_p"] == 0.5
 
+    @pytest.mark.parametrize("kind, flag, value, message", [
+        ("attribute-shift", "--seed", "-1", "seed must be >= 0, got -1"),
+        ("attribute-shift", "--n", "-5", "n must be >= 2, got -5"),
+        ("attribute-shift", "--n", "0", "n must be >= 2, got 0"),
+        ("sbm", "--n", "1", "n must be >= 2, got 1"),
+        ("attribute-shift", "--d", "0", "d must be >= 1, got 0"),
+        ("attribute-shift", "--edge-prob", "2", "edge_prob must be in [0, 1], got 2.0"),
+        ("attribute-shift", "--std", "-1", "cluster_std must be finite and >= 0, got -1.0"),
+        ("attribute-shift", "--source-std", "nan",
+         "cluster_std must be finite and >= 0, got nan"),
+        ("sbm", "--p", "0", "p must be in (0, 1], got 0.0"),
+        ("sbm", "--source-p", "1.5", "p must be in (0, 1], got 1.5"),
+    ])
+    def test_bad_argument_exit_1(self, tmp_path, capsys, kind, flag, value, message):
+        out = tmp_path / "pair"
+        code = cli("generate", "--kind", kind, "--seed", "3", "--n", "20",
+                   "--out", str(out), flag, value)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestTrainEval:
     def train_args(self, pair_dir, out, *extra):
@@ -240,6 +261,37 @@ class TestErrors:
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}:4: label 100000 outside [0, 4)\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("runs", ["0", "-4"])
+    def test_runs_below_one_exit_1(self, pair_dir, tmp_path, capsys, runs):
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--runs", runs)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --runs must be >= 1, got {runs}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_normalize_by_zero_exit_1(self, pair_dir, capsys):
+        assert cli("bound", "--pair", str(pair_dir), "--normalize-by", "0") == 1
+        assert capsys.readouterr().err == "error: normalize_by must be >= 1, got 0\n"
+
+    def test_diagnose_k_zero_exit_1(self, pair_dir, capsys):
+        assert cli("diagnose", "--pair", str(pair_dir), "--k", "0") == 1
+        assert capsys.readouterr().err == "error: k must be in [1, 23] for 24 nodes, got 0\n"
+
+    def test_k_beyond_node_count_exit_1(self, pair_dir, tmp_path, capsys):
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--set", "k=100")
+        assert code == 1
+        assert capsys.readouterr().err == "error: k must be in [1, 23] for 24 nodes, got 100\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_gaa_threads_below_one_exit_1(self, pair_dir, tmp_path, capsys, monkeypatch,
+                                          workers):
+        monkeypatch.setenv("GAA_THREADS", workers)
+        code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
+                   "--runs", "1", "--grid", "k=2")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: GAA_THREADS must be >= 1, got {workers}\n"
 
     def test_non_integer_gaa_threads_exit_1(self, pair_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GAA_THREADS", "abc")
@@ -482,12 +534,13 @@ class TestSweep:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
-    def test_pool_receives_the_pair_once_per_worker(self, pair_dir, tmp_path, monkeypatch):
-        seen = {}
-
+    @staticmethod
+    def serial_pool(monkeypatch, seen):
+        """Stand in for multiprocessing.Pool: record what it was given and map
+        in this process, so no worker process starts."""
         class SerialPool:
             def __init__(self, processes, initializer, initargs):
-                seen["initargs"] = initargs
+                seen["processes"], seen["initargs"] = processes, initargs
                 initializer(*initargs)
 
             def __enter__(self):
@@ -502,6 +555,10 @@ class TestSweep:
 
         monkeypatch.setattr(cli_module, "Pool", SerialPool)
         monkeypatch.setattr(cli_module, "_sweep_pair", None)
+
+    def test_pool_receives_the_pair_once_per_worker(self, pair_dir, tmp_path, monkeypatch):
+        seen = {}
+        self.serial_pool(monkeypatch, seen)
         monkeypatch.setenv("GAA_THREADS", "2")
         assert cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
                    "--runs", "1", "--set", "epochs=1", "--grid", "alpha=0.5",
@@ -509,6 +566,20 @@ class TestSweep:
         assert [type(arg) for arg in seen["initargs"]] == [DomainPair]
         assert len(seen["tasks"]) == 2
         assert not any(isinstance(item, DomainPair) for task in seen["tasks"] for item in task)
+
+    def test_pool_never_outnumbers_cells(self, pair_dir, tmp_path, monkeypatch):
+        args = ("sweep", "--pair", str(pair_dir), "--runs", "1", "--seed", "0",
+                "--set", "epochs=1", "--grid", "alpha=0.1,0.5", "--grid", "beta=0.1",
+                "--grid", "tau=0.1", "--grid", "k=2,3")
+        serial, capped = tmp_path / "serial.csv", tmp_path / "capped.csv"
+        monkeypatch.setenv("GAA_THREADS", "1")
+        assert cli(*args, "--out", str(serial)) == 0
+        seen = {}
+        self.serial_pool(monkeypatch, seen)
+        monkeypatch.setenv("GAA_THREADS", "100000")
+        assert cli(*args, "--out", str(capped)) == 0
+        assert seen["processes"] == len(seen["tasks"]) == 4
+        assert capped.read_bytes() == serial.read_bytes()
 
     def test_parallel_workers_match_serial(self, pair_dir, tmp_path, monkeypatch):
         args = ("sweep", "--pair", str(pair_dir), "--runs", "1", "--seed", "0",

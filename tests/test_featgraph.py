@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from gaa import featgraph
-from gaa.exceptions import DomainError
+from gaa.exceptions import ConfigError, DomainError
 from gaa.featgraph import (
     SPARSE_MIN_NODES,
     ViewMatrices,
@@ -78,9 +78,9 @@ class TestKnn:
 
     def test_k_out_of_range(self):
         sim = np.eye(3)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             knn_graph(sim, 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             knn_graph(sim, 3)
 
     def test_matches_brute_force_with_tie_rule(self):

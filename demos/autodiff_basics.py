@@ -37,9 +37,10 @@ y_t = ad.constant(targets)
 for step in range(200):
     with ad.Tape() as tape:
         p = ad.sigmoid(ad.add(ad.matmul(x_t, weight), bias))
-        nll_pos = ad.hadamard(y_t, ad.log(ad.clip_min(p, 1e-12)))
-        nll_neg = ad.hadamard(ad.sub(ones, y_t), ad.log(ad.clip_min(ad.sub(ones, p), 1e-12)))
-        loss = ad.scale(ad.sum_all(ad.add(nll_pos, nll_neg)), -1.0 / len(inputs))
+        # sum of y log p + (1 - y) log(1 - p), each log clamped at 1e-12
+        log_lik = ad.add(ad.xlogy_sum(y_t, p, 1e-12),
+                         ad.xlogy_sum(ad.sub(ones, y_t), ad.sub(ones, p), 1e-12))
+        loss = ad.scale(log_lik, -1.0 / len(inputs))
         ad.backward(loss, tape)
     adam_step([weight, bias], state, lr=0.05)
     if step % 50 == 0:

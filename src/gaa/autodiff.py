@@ -14,6 +14,7 @@ import numpy as np
 from .exceptions import DomainError, NumericError, ShapeError
 
 _TAPE_STACK: list["Tape"] = []
+COSINE_CLAMP = 1e-24
 
 
 class Tensor:
@@ -193,19 +194,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return _emit("hadamard", a_data * b_data, (a, b), backward_fn)
 
 
-def divide(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise a / b; b must be nonzero everywhere (callers clamp)."""
-    _binary_shapes(a, b, "divide")
-    if np.any(b.data == 0.0):
-        raise DomainError("divide: zero entry in denominator")
-    a_data, b_data = a.data, b.data
-
-    def backward_fn(g):
-        return g / b_data, _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape)
-
-    return _emit("divide", a_data / b_data, (a, b), backward_fn)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -224,17 +212,6 @@ def relu(a: Tensor) -> Tensor:
     return _emit("relu", np.maximum(a.data, 0.0), (a,), backward_fn)
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log of a non-positive value; clamp inputs first")
-    a_data = a.data
-
-    def backward_fn(g):
-        return (g / a_data,)
-
-    return _emit("log", np.log(a_data), (a,), backward_fn)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     out_data = np.empty_like(x)
@@ -247,28 +224,6 @@ def sigmoid(a: Tensor) -> Tensor:
         return (g * out_data * (1.0 - out_data),)
 
     return _emit("sigmoid", out_data, (a,), backward_fn)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("sqrt needs strictly positive inputs; clamp first")
-    out_data = np.sqrt(a.data)
-
-    def backward_fn(g):
-        return (g * 0.5 / out_data,)
-
-    return _emit("sqrt", out_data, (a,), backward_fn)
-
-
-def clip_min(a: Tensor, c: float) -> Tensor:
-    """max(a, c); gradient passes only where a > c."""
-    c = float(c)
-    mask = a.data > c
-
-    def backward_fn(g):
-        return (g * mask,)
-
-    return _emit("clip_min", np.maximum(a.data, c), (a,), backward_fn)
 
 
 def row_softmax(a: Tensor) -> Tensor:
@@ -306,15 +261,47 @@ def mean_rows(a: Tensor) -> Tensor:
     return _emit("mean_rows", a.data.mean(axis=0, keepdims=True), (a,), backward_fn)
 
 
-def row_sum(a: Tensor) -> Tensor:
-    """Sum along each row; output is rows x 1."""
-    _check_nonempty(a, "row_sum")
-    cols = a.cols
+def row_cosine(a: Tensor, b: Tensor) -> Tensor:
+    """cos(a_i, b_i) for each pair of rows, as a rows x 1 tensor. The norm
+    product is clamped at COSINE_CLAMP, so a zero-norm row scores 0."""
+    if a.shape != b.shape:
+        raise ShapeError(f"row_cosine: shapes {a.shape} and {b.shape} differ")
+    a_data, b_data = a.data, b.data
+    sa = (a_data * a_data).sum(axis=1, keepdims=True)
+    sb = (b_data * b_data).sum(axis=1, keepdims=True)
+    sq = sa * sb
+    denom = np.sqrt(np.maximum(sq, COSINE_CLAMP))
+    cos = (a_data * b_data).sum(axis=1, keepdims=True) / denom
 
     def backward_fn(g):
-        return (np.broadcast_to(g, (g.shape[0], cols)).copy(),)
+        # d cos / d a = (b - cos * sb / denom * a) / denom, the norm term
+        # only where the clamp is inactive; symmetric in b
+        g_d, c = g / denom, cos * (sq > COSINE_CLAMP) / denom
+        return g_d * (b_data - c * sb * a_data), g_d * (a_data - c * sa * b_data)
 
-    return _emit("row_sum", a.data.sum(axis=1, keepdims=True), (a,), backward_fn)
+    return _emit("row_cosine", cos, (a, b), backward_fn)
+
+
+def xlogy_sum(w, p: Tensor, clamp: float) -> Tensor:
+    """sum(w * log(max(p, clamp))) as a 1x1 tensor. ``w`` is a tensor of p's
+    shape (p itself, say) or a number; p gets gradient only where p > clamp."""
+    clamp = float(clamp)
+    if clamp <= 0.0:
+        raise DomainError(f"xlogy_sum clamp must be > 0, got {clamp}")
+    _check_nonempty(p, "xlogy_sum")
+    if not isinstance(w, Tensor):
+        w = constant(np.full(p.shape, w))
+    if w.shape != p.shape:
+        raise ShapeError(f"xlogy_sum: shapes {w.shape} and {p.shape} differ")
+    w_data, clipped = w.data, np.maximum(p.data, clamp)
+    logs, mask = np.log(clipped), p.data > clamp
+
+    def backward_fn(g):
+        # full * w / clipped * mask in this order: seeded outputs' bytes rest on it
+        full = np.full(p.shape, g[0, 0])
+        return full * logs if w.requires_grad else None, full * w_data / clipped * mask
+
+    return _emit("xlogy_sum", np.array([[(logs * w_data).sum()]]), (w, p), backward_fn)
 
 
 def sq_l2(a: Tensor) -> Tensor:

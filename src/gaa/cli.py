@@ -189,16 +189,29 @@ def _write_pair(pair: DomainPair, out_dir: Path, meta: dict):
 # verbs
 
 
+def _check_runs(runs: int):
+    if runs < 1:
+        raise ConfigError(f"--runs must be >= 1, got {runs}")
+
+
+def _check_target_labels(pair: DomainPair, pair_dir, what: str):
+    # repeated runs and sweep cells are scored on target accuracy
+    if pair.target.labels is None:
+        raise ConfigError(f"{what} needs target labels, and "
+                          f"{Path(pair_dir) / 'target.labels.txt'} does not exist")
+
+
 def _cmd_train(args) -> int:
-    if args.runs < 1:
-        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
+    _check_runs(args.runs)
     cfg = _load_config(args)
     pair = load_pair(args.pair)
+    if args.runs > 1:
+        _check_target_labels(pair, args.pair, f"--runs {args.runs}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     if args.runs == 1:
         model, metrics = train_gaa(pair, cfg)
+        out.mkdir(parents=True, exist_ok=True)
         metrics.wall_seconds = 0.0  # keep seeded outputs byte-reproducible
         save_metrics(metrics, out / "metrics.json")
         save_model(model, out / "model.bin")
@@ -206,6 +219,7 @@ def _cmd_train(args) -> int:
               f"elapsed={time.perf_counter() - started:.2f}s -> {out}")
     else:
         result = run_repeated(pair, cfg, n_runs=args.runs)
+        out.mkdir(parents=True, exist_ok=True)
         for i, metrics in enumerate(result.metrics):
             metrics.wall_seconds = 0.0
             save_metrics(metrics, out / f"metrics_run{i}.json")
@@ -299,6 +313,7 @@ def _sweep_cell(task):
 
 
 def _cmd_sweep(args) -> int:
+    _check_runs(args.runs)
     cfg = _load_config(args)
     grid = _parse_grid(args.grid)
     raw_workers = os.environ.get("GAA_THREADS", "1")
@@ -309,6 +324,7 @@ def _cmd_sweep(args) -> int:
     if workers < 1:
         raise ConfigError(f"GAA_THREADS must be >= 1, got {workers}")
     pair = load_pair(args.pair)
+    _check_target_labels(pair, args.pair, "sweep")
     cells = list(itertools.product(grid["alpha"], grid["beta"], grid["tau"], grid["k"]))
     tasks = []
     for alpha, beta, tau, k in cells:

@@ -43,8 +43,7 @@ def source_ce(probs: Tensor, labels: np.ndarray) -> Tensor:
         raise IndexError(f"label outside [0, {c}) in source cross-entropy")
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    picked = ad.hadamard(ad.log(ad.clip_min(probs, PROB_CLAMP)), ad.constant(onehot))
-    return ad.scale(ad.sum_all(picked), -1.0 / n)
+    return ad.scale(ad.xlogy_sum(ad.constant(onehot), probs, PROB_CLAMP), -1.0 / n)
 
 
 def alignment_loss(att_s: Tensor, att_t: Tensor, att_s_f: Tensor, att_t_f: Tensor) -> Tensor:
@@ -60,16 +59,14 @@ def alignment_loss(att_s: Tensor, att_t: Tensor, att_s_f: Tensor, att_t_f: Tenso
 def domain_bce(dom_s: Tensor, dom_t: Tensor) -> Tensor:
     """Binary cross-entropy with source=1, target=0, averaged over all nodes."""
     n = dom_s.rows + dom_t.rows
-    from_s = ad.sum_all(ad.log(ad.clip_min(dom_s, PROB_CLAMP)))
-    ones = ad.constant(np.ones(dom_t.shape))
-    from_t = ad.sum_all(ad.log(ad.clip_min(ad.sub(ones, dom_t), PROB_CLAMP)))
+    from_s = ad.xlogy_sum(1.0, dom_s, PROB_CLAMP)
+    from_t = ad.xlogy_sum(1.0, ad.sub(ad.constant(np.ones(dom_t.shape)), dom_t), PROB_CLAMP)
     return ad.scale(ad.add(from_s, from_t), -1.0 / n)
 
 
 def target_entropy(probs_t: Tensor) -> Tensor:
     """Mean prediction entropy on target nodes (nats)."""
-    plogp = ad.hadamard(probs_t, ad.log(ad.clip_min(probs_t, PROB_CLAMP)))
-    return ad.scale(ad.sum_all(plogp), -1.0 / probs_t.rows)
+    return ad.scale(ad.xlogy_sum(probs_t, probs_t, PROB_CLAMP), -1.0 / probs_t.rows)
 
 
 def total_loss(l_a: Tensor, l_s: Tensor, l_d: Tensor, l_t: Tensor, w: LossWeights) -> Tensor:

@@ -202,14 +202,8 @@ def cross_view_scores(z_f: Tensor, z: Tensor) -> Tensor:
 
     Row i is (1 + cos(z_f[i], z[i])) / 2; rows with zero norm score 0.5.
     """
-    if z_f.shape != z.shape:
-        raise ShapeError(f"cross_view_scores: shapes {z_f.shape} and {z.shape} differ")
-    num = ad.row_sum(ad.hadamard(z_f, z))
-    sq = ad.hadamard(ad.row_sum(ad.hadamard(z_f, z_f)), ad.row_sum(ad.hadamard(z, z)))
-    denom = ad.sqrt(ad.clip_min(sq, 1e-24))
-    cos = ad.divide(num, denom)
     ones = ad.constant(np.ones((z.rows, 1)))
-    return ad.scale(ad.add(cos, ones), 0.5)
+    return ad.scale(ad.add(ad.row_cosine(z_f, z), ones), 0.5)
 
 
 def refine(att: Tensor, s: Tensor) -> Tensor:

@@ -237,12 +237,12 @@ def run_repeated(pair: DomainPair, cfg: TrainConfig, n_runs: int = 5) -> Repeate
     """Train with seeds cfg.seed .. cfg.seed + n_runs - 1; sample std (0 for one run)."""
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
+    if pair.target.labels is None:
+        raise DomainError("run_repeated needs a labeled target graph")
     accs = []
     all_metrics = []
     for offset in range(n_runs):
         model, metrics = train_gaa(pair, replace(cfg, seed=cfg.seed + offset))
-        if metrics.target_accuracy is None:
-            raise DomainError("run_repeated needs a labeled target graph")
         if offset == 0:
             first_model = model
         accs.append(metrics.target_accuracy)

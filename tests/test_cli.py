@@ -283,6 +283,19 @@ class TestErrors:
                    "--set", "k=100")
         assert code == 1
         assert capsys.readouterr().err == "error: k must be in [1, 23] for 24 nodes, got 100\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_runs_without_target_labels_exit_1_before_training(self, pair_dir, tmp_path,
+                                                                capsys, monkeypatch):
+        (pair_dir / "target.labels.txt").unlink()
+        monkeypatch.setattr(cli_module, "run_repeated", None)  # calling it would raise
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--runs", "2")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --runs 2 needs target labels, and "
+            f"{pair_dir / 'target.labels.txt'} does not exist\n")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_gaa_threads_below_one_exit_1(self, pair_dir, tmp_path, capsys, monkeypatch,
@@ -555,6 +568,33 @@ class TestSweep:
 
         monkeypatch.setattr(cli_module, "Pool", SerialPool)
         monkeypatch.setattr(cli_module, "_sweep_pair", None)
+
+    def test_unlabeled_target_exit_1_before_a_pool_starts(self, pair_dir, tmp_path, capsys,
+                                                          monkeypatch):
+        (pair_dir / "target.labels.txt").unlink()
+        seen = {}
+        self.serial_pool(monkeypatch, seen)
+        monkeypatch.setenv("GAA_THREADS", "2")
+        code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
+                   "--runs", "1", "--grid", "k=2,3")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: sweep needs target labels, and "
+            f"{pair_dir / 'target.labels.txt'} does not exist\n")
+        assert seen == {}
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_runs_zero_exit_1_before_a_pool_starts(self, pair_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        seen = {}
+        self.serial_pool(monkeypatch, seen)
+        monkeypatch.setenv("GAA_THREADS", "2")
+        code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
+                   "--runs", "0", "--grid", "k=2,3")
+        assert code == 1
+        assert capsys.readouterr().err == "error: --runs must be >= 1, got 0\n"
+        assert seen == {}
+        assert not (tmp_path / "s.csv").exists()
 
     def test_pool_receives_the_pair_once_per_worker(self, pair_dir, tmp_path, monkeypatch):
         seen = {}

@@ -3,8 +3,9 @@
 The discrepancy bound sums squared distances over all source-target node
 pairs, in a topology term (rows of A X) and an attribute term (rows of X).
 Raw adjacencies are used on purpose: the learner's normalization choices
-must not leak into these quantities. The pairwise double sums expand to
-moment form, so memory stays O(n d).
+must not leak into these quantities. A x is taken from the edge list (see
+``EdgeList.matmul``), and the pairwise double sums expand to moment form,
+so from ``SPARSE_MIN_NODES`` nodes on memory stays O(edges + n d).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DomainError
-from .featgraph import cosine_similarity_matrix, knn_graph
+from .featgraph import knn_edges
 from .graphs import Graph
 
 
@@ -45,8 +46,8 @@ def proposition1_bound(source: Graph, target: Graph, normalize_by: int | None = 
         normalize_by = target.n
     if normalize_by < 1:
         raise ConfigError(f"normalize_by must be >= 1, got {normalize_by}")
-    topo = _pairwise_sq_sum(source.adjacency @ source.features,
-                            target.adjacency @ target.features) / normalize_by
+    topo = _pairwise_sq_sum(source.edges.matmul(source.features),
+                            target.edges.matmul(target.features)) / normalize_by
     attr = _pairwise_sq_sum(source.features, target.features) / normalize_by
     return BoundReport(topo_term=topo, attr_term=attr, total=topo + attr,
                        normalization=int(normalize_by))
@@ -59,12 +60,11 @@ def avg_feature_value(graph: Graph, view: str, k: int | None = None) -> float:
     over the kNN feature-graph adjacency built with ``k`` neighbors.
     """
     if view == "topology":
-        propagated = graph.adjacency @ graph.features
+        propagated = graph.edges.matmul(graph.features)
     elif view == "attribute":
         if k is None:
             raise DomainError("attribute view needs a neighbor count k")
-        feat_adj = knn_graph(cosine_similarity_matrix(graph.features), k)
-        propagated = feat_adj @ graph.features
+        propagated = knn_edges(graph.features, k).matmul(graph.features)
     else:
         raise DomainError(f"view must be 'topology' or 'attribute', got {view!r}")
     return float(np.abs(propagated).mean())

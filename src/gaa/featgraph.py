@@ -4,9 +4,11 @@ The attribute view connects each node to its k most cosine-similar peers;
 both the original topology and this kNN graph are symmetrically normalized,
 with self-loops always added, before message passing.
 
-From ``SPARSE_MIN_NODES`` nodes on, ``build_views`` returns scipy.sparse
-CSR views and picks the kNN edges from cosine rows computed a block at a
-time, so no n x n array is built. scipy is imported only on that path.
+A graph is stored as its undirected edge list (``EdgeList``), and a matrix
+is built from it only where a consumer reads one. From ``SPARSE_MIN_NODES``
+nodes on, ``build_views`` returns scipy.sparse CSR views, built straight
+from the edge lists, and picks the kNN edges from cosine rows computed a
+block at a time, so no n x n array is built. scipy is imported only there.
 """
 
 from __future__ import annotations
@@ -55,6 +57,79 @@ def max_asymmetry(m) -> float:
     return float(worst)
 
 
+@dataclass(frozen=True)
+class EdgeList:
+    """An undirected weighted graph on ``n`` nodes, one entry per linked pair:
+    ``row[e] <= col[e]`` with weight ``weight[e]``, in row-major order. A
+    diagonal entry (``row == col``) exists only where a dense matrix with a
+    diagonal was converted."""
+
+    n: int
+    row: np.ndarray
+    col: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, n: int, i: np.ndarray, j: np.ndarray,
+                   weight: np.ndarray) -> "EdgeList":
+        """The graph of the links ``(i[e], j[e], weight[e])`` taken in order: a
+        self-link is skipped, a later link for a pair, in either direction,
+        replaces an earlier one, and a zero weight is no edge."""
+        keep = i != j
+        pairs = (np.minimum(i, j) * n + np.maximum(i, j))[keep]
+        # np.unique returns each pair's first occurrence: read the links backwards
+        pairs, last = np.unique(pairs[::-1], return_index=True)
+        weight = weight[keep][::-1][last]
+        present = weight != 0.0
+        return cls(n, pairs[present] // n, pairs[present] % n, weight[present])
+
+    @classmethod
+    def from_dense(cls, adj: np.ndarray) -> "EdgeList":
+        """The upper triangle of a symmetric ``adj``, diagonal included."""
+        rows, cols = np.nonzero(adj)  # row-major
+        upper = rows <= cols
+        rows, cols = rows[upper], cols[upper]
+        return cls(adj.shape[0], rows, cols, adj[rows, cols])
+
+    def _both_directions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, weights) of every stored matrix entry: the mirrored
+        off-diagonal entries, then the list itself."""
+        off = self.row != self.col
+        return (np.concatenate([self.col[off], self.row]),
+                np.concatenate([self.row[off], self.col]),
+                np.concatenate([self.weight[off], self.weight]))
+
+    def dense(self) -> np.ndarray:
+        a = np.zeros((self.n, self.n))
+        a[self.row, self.col] = self.weight
+        a[self.col, self.row] = self.weight
+        return a
+
+    def csr(self):
+        """The symmetric matrix as scipy.sparse CSR with sorted indices."""
+        from scipy import sparse
+
+        rows, cols, data = self._both_directions()
+        # Within one matrix row, the mirrored entries have the lower columns
+        # and come first, each part already in column order (the list is
+        # row-major), so a stable sort by row sorts every row's columns.
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        return sparse.csr_array((data[order], cols[order], indptr), shape=(self.n, self.n))
+
+    def matmul(self, x: np.ndarray) -> np.ndarray:
+        """A @ x. Below ``SPARSE_MIN_NODES`` nodes it is the dense product, as
+        ``build_views`` builds dense views there; from it on, one scatter-add
+        over the list, so neither an n x n array nor scipy is needed."""
+        if self.n < SPARSE_MIN_NODES:
+            return self.dense() @ x
+        rows, cols, data = self._both_directions()
+        out = np.zeros((self.n, x.shape[1]))
+        np.add.at(out, rows, data[:, None] * x[cols])
+        return out
+
+
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``x`` scaled to unit length, and which rows had a norm."""
     x = np.asarray(x, dtype=np.float64)
@@ -90,7 +165,7 @@ def _cosine_rows(unit: np.ndarray, nonzero: np.ndarray, start: int) -> np.ndarra
 def cosine_similarity_matrix(x: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity of rows; zero-norm rows score 0 everywhere.
 
-    Assembled from the row blocks ``sparse_knn_graph`` selects from, so the
+    Assembled from the row blocks ``knn_edges`` selects from, so the
     dense and the sparse kNN views see bit-identical scores."""
     unit, nonzero = _unit_rows(x)
     n = unit.shape[0]
@@ -146,16 +221,14 @@ def knn_graph(sim: np.ndarray, k: int) -> np.ndarray:
     return adj
 
 
-def sparse_knn_graph(x: np.ndarray, k: int):
-    """``knn_graph(cosine_similarity_matrix(x), k)`` as a CSR matrix, with
-    no n x n array.
+def knn_edges(x: np.ndarray, k: int) -> EdgeList:
+    """The edges of ``knn_graph(cosine_similarity_matrix(x), k)``, with no
+    n x n array.
 
     The cosine is computed ``KNN_BLOCK`` rows at a time, as
     ``cosine_similarity_matrix`` computes it, and each block goes straight
     to the selection.
     """
-    from scipy import sparse
-
     unit, nonzero = _unit_rows(x)
     n = unit.shape[0]
     _check_k(n, k)
@@ -163,12 +236,8 @@ def sparse_knn_graph(x: np.ndarray, k: int):
              for start in range(0, n, KNN_BLOCK)]
     rows = np.concatenate([r for r, _ in picks])
     cols = np.concatenate([c for _, c in picks])
-    # the union with the other endpoint's selection; a mutual pick sums to 2
-    adj = sparse.csr_array((np.ones(2 * rows.size), (np.concatenate([rows, cols]),
-                                                     np.concatenate([cols, rows]))),
-                           shape=(n, n))
-    adj.data[:] = 1.0
-    return adj
+    # the union with the other endpoint's selection
+    return EdgeList.from_pairs(n, rows, cols, np.ones(rows.size))
 
 
 def sym_normalize(adj):
@@ -226,22 +295,19 @@ class ViewMatrices:
                 raise DomainError(f"{name} has negative entries")
 
 
-def build_views(adjacency: Optional[np.ndarray], features: Optional[np.ndarray],
+def build_views(edges: Optional[EdgeList], features: Optional[np.ndarray],
                 k: int) -> ViewMatrices:
     """The normalized topology and kNN views; a view whose input is None is
     not built and stays None. From ``SPARSE_MIN_NODES`` nodes on both are
     CSR."""
     topo_norm = feat_norm = None
-    n = next((m.shape[0] for m in (adjacency, features) if m is not None), 0)
+    n = features.shape[0] if edges is None else edges.n
     as_csr = n >= SPARSE_MIN_NODES
     # the kNN view first, so that its n x n temporaries are freed before the
     # topology view exists (the other order measured a higher peak RSS)
     if features is not None:
-        feat_norm = sym_normalize(sparse_knn_graph(features, k) if as_csr
+        feat_norm = sym_normalize(knn_edges(features, k).csr() if as_csr
                                   else knn_graph(cosine_similarity_matrix(features), k))
-    if adjacency is not None:
-        if as_csr:
-            from scipy import sparse
-            adjacency = sparse.csr_array(adjacency)
-        topo_norm = sym_normalize(adjacency)
+    if edges is not None:
+        topo_norm = sym_normalize(edges.csr() if as_csr else edges.dense())
     return ViewMatrices(topo_norm=topo_norm, feat_norm=feat_norm)

@@ -12,29 +12,38 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, ParseError
-from .featgraph import max_asymmetry
+from .featgraph import EdgeList, max_asymmetry
 
 ADJ_SYMMETRY_TOL = 1e-12
 
 
 @dataclass
 class Graph:
-    """One domain's data: symmetric adjacency, node features, optional labels."""
+    """One domain's data: its undirected edge list, node features, optional labels.
 
-    adjacency: np.ndarray
+    ``edges`` is the stored form, and a consumer builds a matrix from it only
+    where it reads one. A caller may pass a dense symmetric ``adjacency``
+    instead; it is checked once and converted.
+    """
+
     features: np.ndarray
     labels: np.ndarray | None = None
     num_classes: int | None = None
+    edges: EdgeList | None = None
+    adjacency: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        self.adjacency = np.asarray(self.adjacency, dtype=np.float64)
+    def __post_init__(self, adjacency):
         self.features = np.asarray(self.features, dtype=np.float64)
+        if (adjacency is None) == (self.edges is None):
+            raise DomainError("a graph takes either edges or an adjacency matrix")
+        if adjacency is not None:
+            self.edges = _edges_of_dense(np.asarray(adjacency, dtype=np.float64), self.n)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.num_classes is None:
@@ -50,20 +59,25 @@ class Graph:
         return self.features.shape[1]
 
     def validate(self):
+        """O(edges + nodes) checks of the edge list, features and labels."""
         n = self.features.shape[0]
-        if self.adjacency.shape != (n, n):
-            raise DomainError(
-                f"adjacency {self.adjacency.shape} does not match {n} feature rows"
-            )
+        e = self.edges
+        if e.n != n:
+            raise DomainError(f"edge list on {e.n} nodes does not match {n} feature rows")
         if not np.isfinite(self.features).all():
             raise DomainError("features hold non-finite values")
-        # a non-finite entry makes its difference non-finite, so the symmetry
-        # check's one pass over the matrix also screens for inf and nan
-        asymmetry = max_asymmetry(self.adjacency)
-        if not np.isfinite(asymmetry) and not np.isfinite(self.adjacency).all():
+        if e.row.ndim != 1 or not e.row.shape == e.col.shape == e.weight.shape:
+            raise DomainError("edge row, col and weight arrays differ in shape")
+        if not (np.issubdtype(e.row.dtype, np.integer) and np.issubdtype(e.col.dtype, np.integer)):
+            raise DomainError("edge ids are not integers")
+        if e.row.size and (e.row.min() < 0 or e.col.max() >= n or np.any(e.row > e.col)):
+            raise DomainError(f"edge ids outside 0 <= row <= col < {n}")
+        if not np.isfinite(e.weight).all():
             raise DomainError("adjacency holds non-finite values")
-        if not asymmetry <= ADJ_SYMMETRY_TOL:
-            raise DomainError("adjacency is not symmetric")
+        if np.any(e.weight < 0.0):
+            raise DomainError("negative edge weight")
+        if np.any(np.diff(e.row.astype(np.int64) * n + e.col) <= 0):
+            raise DomainError("edge list repeats a pair or is not in row-major order")
         if self.labels is not None:
             if len(self.labels) != n:
                 raise DomainError(f"{len(self.labels)} labels for {n} nodes")
@@ -71,6 +85,20 @@ class Graph:
                 raise DomainError("negative label")
             if self.num_classes is not None and self.labels.max(initial=-1) >= self.num_classes:
                 raise DomainError("label out of class range")
+
+
+def _edges_of_dense(adjacency: np.ndarray, n: int) -> EdgeList:
+    """The edge list of a dense adjacency, which must be n x n and symmetric."""
+    if adjacency.shape != (n, n):
+        raise DomainError(f"adjacency {adjacency.shape} does not match {n} feature rows")
+    # a non-finite entry makes its difference non-finite, so the symmetry
+    # check's one pass over the matrix also screens for inf and nan
+    asymmetry = max_asymmetry(adjacency)
+    if not np.isfinite(asymmetry) and not np.isfinite(adjacency).all():
+        raise DomainError("adjacency holds non-finite values")
+    if not asymmetry <= ADJ_SYMMETRY_TOL:
+        raise DomainError("adjacency is not symmetric")
+    return EdgeList.from_dense(adjacency)
 
 
 @dataclass
@@ -114,8 +142,15 @@ def _lines(path):
     return enumerate(io.StringIO(text, newline=None), start=1)
 
 
-def _parse_edges(path) -> list[tuple[int, int, float, int]]:
-    edges = []
+def _parse_edges(path, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (i, j, weight) columns of an edge file, in line order.
+
+    A node id outside [0, n) is a ParseError at the first line that holds
+    one, raised once every line has parsed, so a malformed line anywhere in
+    the file is reported first.
+    """
+    ii, jj, ww = [], [], []
+    out_of_range = None
     for line_no, raw in _lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,8 +173,16 @@ def _parse_edges(path) -> list[tuple[int, int, float, int]]:
                 raise ParseError(path, line_no, f"non-finite weight in {raw.strip()!r}")
             if weight < 0.0:
                 raise ParseError(path, line_no, f"negative weight in {raw.strip()!r}")
-        edges.append((i, j, weight, line_no))
-    return edges
+        if out_of_range is None and not (0 <= i < n and 0 <= j < n):
+            out_of_range = ParseError(path, line_no,
+                                      f"node id out of range for {n} nodes: ({i}, {j})")
+        ii.append(i)
+        jj.append(j)
+        ww.append(weight)
+    if out_of_range is not None:
+        raise out_of_range
+    return (np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64),
+            np.array(ww, dtype=np.float64))
 
 
 def _parse_features(path) -> np.ndarray:
@@ -201,30 +244,28 @@ def _parse_labels(path, n, num_classes=None) -> np.ndarray:
 def load_graph(edge_path, feature_path, label_path=None, num_classes=None) -> Graph:
     """Read a graph from the text formats; symmetrizes and deduplicates edges.
 
-    A negative label, or one at or above ``num_classes`` (the node count
-    when no class count is given), is a ParseError.
+    Self-loops are skipped (normalization adds them), a later line for the
+    same pair, in either direction, wins, and a zero weight is no edge. A
+    negative label, or one at or above ``num_classes`` (the node count when
+    no class count is given), is a ParseError.
     """
     features = _parse_features(feature_path)
     n = features.shape[0]
-    adjacency = np.zeros((n, n))
-    for i, j, weight, line_no in _parse_edges(edge_path):
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParseError(edge_path, line_no, f"node id out of range for {n} nodes: ({i}, {j})")
-        if i == j:
-            continue  # diagonal stays zero; loops are added at normalization time
-        adjacency[i, j] = weight
-        adjacency[j, i] = weight
+    edges = EdgeList.from_pairs(n, *_parse_edges(edge_path, n))
     labels = None if label_path is None else _parse_labels(label_path, n, num_classes)
-    return Graph(adjacency=adjacency, features=features, labels=labels, num_classes=num_classes)
+    return Graph(edges=edges, features=features, labels=labels, num_classes=num_classes)
 
 
 def save_graph(graph: Graph, edge_path, feature_path, label_path=None):
+    """Write the text formats: one line per edge in row-major order (i < j),
+    the weight omitted where it is 1."""
     edge_path, feature_path = Path(edge_path), Path(feature_path)
-    rows, cols = np.nonzero(np.triu(graph.adjacency, 1))  # row-major, i < j
-    weights = graph.adjacency[rows, cols]
+    e = graph.edges
+    off = e.row != e.col
     with open(edge_path, "w") as fh:
         fh.writelines(f"{i} {j}\n" if w == 1.0 else f"{i} {j} {w!r}\n"
-                      for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist()))
+                      for i, j, w in zip(e.row[off].tolist(), e.col[off].tolist(),
+                                         e.weight[off].tolist()))
     with open(feature_path, "w") as fh:
         for row in graph.features:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")

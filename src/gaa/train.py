@@ -188,7 +188,7 @@ def _views_for(model: GaaModel, graph: Graph, training: bool) -> ViewMatrices:
     """
     spec = model.spec
     feat = spec.feat and (training or not spec.topo)
-    return build_views(graph.adjacency if spec.topo else None,
+    return build_views(graph.edges if spec.topo else None,
                        graph.features if feat else None, model.k)
 
 

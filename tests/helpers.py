@@ -88,6 +88,32 @@ def loop_knn(sm, k):
     return adj
 
 
+def dense_adjacency(graph):
+    """The n x n adjacency of ``graph``, scattered one stored edge at a time."""
+    e = graph.edges
+    adj = np.zeros((graph.n, graph.n))
+    for i, j, w in zip(e.row.tolist(), e.col.tolist(), e.weight.tolist()):
+        adj[i, j] = w
+        adj[j, i] = w
+    return adj
+
+
+def loop_load_adjacency(edge_path, n):
+    """The dense adjacency of a well-formed edge file, read one line at a
+    time: ``#`` comments dropped, self-loops skipped, and a later line for a
+    pair, in either direction, overwriting an earlier one."""
+    adj = np.zeros((n, n))
+    with open(edge_path, encoding="utf-8") as fh:
+        for raw in fh:
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
+            i, j = int(parts[0]), int(parts[1])
+            if i != j:
+                adj[i, j] = adj[j, i] = float(parts[2]) if len(parts) == 3 else 1.0
+    return adj
+
+
 def loop_edge_lines(adjacency):
     """The edge-file text of ``adjacency``: an upper-triangle walk over all pairs."""
     n = adjacency.shape[0]

@@ -159,8 +159,8 @@ def test_criterion_1_gradient_correctness():
                       grl_lambda=0.5 if i % 2 == 0 else 1.0)
         w = LossWeights(alpha=0.7, beta=0.4, tau=0.2)
         model = init_model(d, 2, "GAA", 2, hyper, np.random.SeedSequence(5000 + i))
-        views_s = build_views(pair.source.adjacency, pair.source.features / 10.0, 2)
-        views_t = build_views(pair.target.adjacency, pair.target.features / 10.0, 2)
+        views_s = build_views(pair.source.edges, pair.source.features / 10.0, 2)
+        views_t = build_views(pair.target.edges, pair.target.features / 10.0, 2)
         ax_s = propagate(views_s, pair.source.features / 10.0)
         ax_t = propagate(views_t, pair.target.features / 10.0)
         labels = pair.source.labels
@@ -241,10 +241,11 @@ def test_criterion_2_oracle_equivalence():
         track("knn", np.abs(knn_graph(sim, k) - loop_knn(sim, k)).max())
 
         m = int(rng.integers(3, 12))
-        gs = Graph(adjacency=_rand_adj(rng, n), features=x)
-        gt = Graph(adjacency=_rand_adj(rng, m), features=rng.normal(size=(m, d)))
+        adj_s, adj_t = _rand_adj(rng, n), _rand_adj(rng, m)
+        gs = Graph(adjacency=adj_s, features=x)
+        gt = Graph(adjacency=adj_t, features=rng.normal(size=(m, d)))
         got = proposition1_bound(gs, gt, normalize_by=m)
-        topo, attr = loop_pair_bound(gs.adjacency, gs.features, gt.adjacency, gt.features, m)
+        topo, attr = loop_pair_bound(adj_s, gs.features, adj_t, gt.features, m)
         denom = max(1.0, abs(topo), abs(attr))
         track("bound", max(abs(got.topo_term - topo), abs(got.attr_term - attr)) / denom)
 
@@ -422,7 +423,7 @@ def test_criterion_8_target_label_firewall():
     shuffled = np.roll(pair.target.labels, 7)
     pair_b = DomainPair(
         source=pair.source,
-        target=Graph(adjacency=pair.target.adjacency, features=pair.target.features,
+        target=Graph(edges=pair.target.edges, features=pair.target.features,
                      labels=shuffled, num_classes=2),
     )
     model_b, run_b = train_gaa(pair_b, cfg)

@@ -3,10 +3,11 @@ import pytest
 
 from gaa.analysis import avg_feature_value, empirical_margin_loss, proposition1_bound
 from gaa.exceptions import DomainError
+from gaa import featgraph
 from gaa.featgraph import cosine_similarity_matrix, knn_graph
 from gaa.graphs import Graph, gen_attribute_shift
 
-from helpers import loop_margin_loss, loop_pair_bound
+from helpers import dense_adjacency, loop_margin_loss, loop_pair_bound
 
 
 def random_graph(rng, n, d, weighted=False):
@@ -29,8 +30,8 @@ class TestBound:
         a = random_graph(rng, 5, 3)
         b = random_graph(rng, 5, 3)
         ones = np.ones((5, 3))
-        ga = Graph(adjacency=a.adjacency, features=ones)
-        gb = Graph(adjacency=b.adjacency, features=ones)
+        ga = Graph(edges=a.edges, features=ones)
+        gb = Graph(edges=b.edges, features=ones)
         report = proposition1_bound(ga, gb, normalize_by=5)
         assert report.attr_term == pytest.approx(0.0, abs=1e-12)
         assert report.topo_term > 0
@@ -40,17 +41,30 @@ class TestBound:
         gs = random_graph(rng, 8, 4, weighted=True)
         gt = random_graph(rng, 6, 4, weighted=True)
         report = proposition1_bound(gs, gt, normalize_by=6)
-        topo, attr = loop_pair_bound(gs.adjacency, gs.features, gt.adjacency, gt.features, 6)
+        topo, attr = loop_pair_bound(dense_adjacency(gs), gs.features,
+                                     dense_adjacency(gt), gt.features, 6)
         assert report.topo_term == pytest.approx(topo, rel=1e-9)
         assert report.attr_term == pytest.approx(attr, rel=1e-9)
         assert report.total == pytest.approx(report.topo_term + report.attr_term)
+
+    def test_scatter_product_matches_the_dense_one(self, monkeypatch):
+        # from SPARSE_MIN_NODES on, A X is a scatter-add over the edge list
+        rng = np.random.default_rng(1)
+        gs = random_graph(rng, 8, 4, weighted=True)
+        gt = random_graph(rng, 6, 4, weighted=True)
+        dense = proposition1_bound(gs, gt, normalize_by=6)
+        monkeypatch.setattr(featgraph, "SPARSE_MIN_NODES", 0)
+        scatter = proposition1_bound(gs, gt, normalize_by=6)
+        assert scatter.topo_term == pytest.approx(dense.topo_term, rel=1e-13)
+        assert scatter.attr_term == dense.attr_term
 
     def test_attr_term_invariant_under_source_permutation(self):
         rng = np.random.default_rng(2)
         gs = random_graph(rng, 7, 3)
         gt = random_graph(rng, 5, 3)
         perm = rng.permutation(7)
-        gs_perm = Graph(adjacency=gs.adjacency[np.ix_(perm, perm)], features=gs.features[perm])
+        gs_perm = Graph(adjacency=dense_adjacency(gs)[np.ix_(perm, perm)],
+                        features=gs.features[perm])
         a = proposition1_bound(gs, gt, 5).attr_term
         b = proposition1_bound(gs_perm, gt, 5).attr_term
         assert a == pytest.approx(b, rel=1e-12)
@@ -89,13 +103,24 @@ class TestAvgFeatureValue:
         rng = np.random.default_rng(4)
         g = random_graph(rng, 10, 4)
         topo = avg_feature_value(g, "topology")
-        want = np.abs(g.adjacency @ g.features).sum() / (10 * 4)
+        want = np.abs(dense_adjacency(g) @ g.features).sum() / (10 * 4)
         assert topo == pytest.approx(want, abs=1e-12)
 
         attr = avg_feature_value(g, "attribute", k=3)
         feat_adj = knn_graph(cosine_similarity_matrix(g.features), 3)
         want = np.abs(feat_adj @ g.features).sum() / (10 * 4)
         assert attr == pytest.approx(want, abs=1e-12)
+
+    def test_scatter_product_matches_the_dense_one(self, monkeypatch):
+        # from SPARSE_MIN_NODES on, both views propagate through an edge list
+        rng = np.random.default_rng(4)
+        g = random_graph(rng, 40, 4, weighted=True)
+        g.features[5] = 0.0  # a zero-norm row scores 0 with every other
+        g.features[7] = g.features[8]  # a tie
+        dense = [avg_feature_value(g, "topology"), avg_feature_value(g, "attribute", k=3)]
+        monkeypatch.setattr(featgraph, "SPARSE_MIN_NODES", 0)
+        scatter = [avg_feature_value(g, "topology"), avg_feature_value(g, "attribute", k=3)]
+        assert scatter == pytest.approx(dense, rel=1e-13)
 
     def test_attribute_view_needs_k(self):
         g = Graph(adjacency=np.zeros((3, 3)), features=np.ones((3, 2)))

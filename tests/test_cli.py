@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaa import cli as cli_module
+from gaa.analysis import avg_feature_value, proposition1_bound
 from gaa.cli import load_pair, run_command
 from gaa.exceptions import GaaError
-from gaa.graphs import DomainPair
+from gaa.featgraph import EdgeList, build_views
+from gaa.graphs import DomainPair, Graph
 from gaa.model import VARIANTS
 
 
@@ -634,9 +637,11 @@ class TestSweep:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_dense_path_never_imports_scipy():
+def test_dense_path_never_imports_scipy(tmp_path):
     """scipy serves only the sparse views, so importing the CLI and training
-    at the paper's scale (n=100) must not load it."""
+    at the paper's scale (n=100) must not load it. Nor may generating,
+    loading, bounding or diagnosing a pair at n=1000, past SPARSE_MIN_NODES:
+    those read the edge lists without a matrix library."""
     script = "\n".join([
         "import sys",
         "import gaa.cli",
@@ -648,9 +653,48 @@ def test_dense_path_never_imports_scipy():
         "assert pair.source.n == 100",
         "train_gaa(pair, TrainConfig(variant='GAA', epochs=1, seed=0))",
         "assert 'scipy' not in sys.modules, 'train_gaa'",
+        "from gaa.cli import load_pair, run_command",
+        f"out = {str(tmp_path / 'pair')!r}",
+        "assert run_command(['generate', '--kind', 'attribute-shift', '--seed', '3',",
+        "                    '--n', '1000', '--edge-prob', '0.02', '--out', out]) == 0",
+        "assert 'scipy' not in sys.modules, 'generate'",
+        "assert load_pair(out).source.n == 1000",
+        "assert 'scipy' not in sys.modules, 'load_pair'",
+        "for verb in ('bound', 'diagnose'):",
+        "    assert run_command([verb, '--pair', out]) == 0",
+        "    assert 'scipy' not in sys.modules, verb",
     ])
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_analysis_at_scale_peaks_below_one_dense_array(tmp_path):
+    """Loading a pair, building its views, the bound and both diagnostics
+    hold no n x n array at n=3000."""
+    n, d = 3000, 10
+    rng = np.random.default_rng(8)
+    graphs = []
+    for labels in (np.arange(n) % 2, None):
+        pairs = np.unique(rng.integers(0, n * n, 10 * n))
+        row, col = pairs // n, pairs % n
+        upper = row < col
+        edges = EdgeList(n, row[upper], col[upper], rng.uniform(0.5, 2.0, upper.sum()))
+        graphs.append(Graph(edges=edges, features=rng.normal(size=(n, d)), labels=labels,
+                            num_classes=2))
+    cli_module._write_pair(DomainPair(source=graphs[0], target=graphs[1]), tmp_path, {})
+    del graphs
+    tracemalloc.start()
+    try:
+        pair = load_pair(tmp_path)
+        for g in (pair.source, pair.target):
+            build_views(g.edges, g.features, k=3)
+            avg_feature_value(g, "topology")
+            avg_feature_value(g, "attribute", k=3)
+        proposition1_bound(pair.source, pair.target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8  # 72 MB, one n x n float64 array

@@ -12,12 +12,13 @@ from gaa import featgraph
 from gaa.exceptions import ConfigError, DomainError
 from gaa.featgraph import (
     SPARSE_MIN_NODES,
+    EdgeList,
     ViewMatrices,
     build_views,
     cosine_similarity_matrix,
+    knn_edges,
     knn_graph,
     max_asymmetry,
-    sparse_knn_graph,
     sym_normalize,
 )
 
@@ -110,7 +111,9 @@ class TestKnn:
                 want = loop_knn(sim, k)
                 np.testing.assert_array_equal(knn_graph(sim, k), want)
                 # the blocked cosine feeds the same selection
-                np.testing.assert_array_equal(sparse_knn_graph(x, k).toarray(), want)
+                edges = knn_edges(x, k)
+                np.testing.assert_array_equal(edges.csr().toarray(), want)
+                np.testing.assert_array_equal(edges.dense(), want)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(3, 12), st.integers(1, 4))
@@ -183,7 +186,7 @@ def test_build_views_invariants():
     adj = (rng.random((12, 12)) < 0.3).astype(float)
     adj = np.triu(adj, 1)
     adj = adj + adj.T
-    views = build_views(adj, rng.normal(size=(12, 4)), k=3)
+    views = build_views(EdgeList.from_dense(adj), rng.normal(size=(12, 4)), k=3)
     assert isinstance(views, ViewMatrices)
     for m in (views.topo_norm, views.feat_norm):
         assert np.abs(m - m.T).max() <= 1e-12
@@ -196,8 +199,9 @@ def test_build_views_skips_a_view_whose_input_is_none():
     adj = np.triu((rng.random((8, 8)) < 0.4).astype(float), 1)
     adj = adj + adj.T
     x = rng.normal(size=(8, 3))
-    both = build_views(adj, x, k=2)
-    topo_only = build_views(adj, None, k=2)
+    edges = EdgeList.from_dense(adj)
+    both = build_views(edges, x, k=2)
+    topo_only = build_views(edges, None, k=2)
     feat_only = build_views(None, x, k=2)
     assert topo_only.feat_norm is None and feat_only.topo_norm is None
     np.testing.assert_array_equal(topo_only.topo_norm, both.topo_norm)
@@ -250,12 +254,12 @@ def test_sparse_views_match_the_dense_ones(n):
     the ones its side calls for."""
     adj, x = _tied_inputs(n, seed=n)
     dense = (sym_normalize(adj), sym_normalize(knn_graph(cosine_similarity_matrix(x), 3)))
-    csr = (sym_normalize(sparse.csr_array(adj)), sym_normalize(sparse_knn_graph(x, 3)))
+    csr = (sym_normalize(sparse.csr_array(adj)), sym_normalize(knn_edges(x, 3).csr()))
     for want, got in zip(dense, csr):
         got = got.toarray()
         np.testing.assert_array_equal(got != 0.0, want != 0.0)  # the same kNN picks
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    views = build_views(adj, x, k=3)
+    views = build_views(EdgeList.from_dense(adj), x, k=3)
     for built, want in zip((views.topo_norm, views.feat_norm),
                            csr if n >= SPARSE_MIN_NODES else dense):
         assert sparse.issparse(built) == (n >= SPARSE_MIN_NODES)
@@ -266,9 +270,11 @@ def test_sparse_build_views_peaks_below_one_dense_array():
     n = 3000
     assert n >= SPARSE_MIN_NODES
     adj, x = _tied_inputs(n, seed=1)
+    edges = EdgeList.from_dense(adj)
+    del adj
     tracemalloc.start()
     try:
-        build_views(adj, x, k=3)
+        build_views(edges, x, k=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

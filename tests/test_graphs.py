@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaa.exceptions import DomainError, ParseError
-from gaa.featgraph import SYMMETRY_BLOCK
+from gaa.featgraph import SPARSE_MIN_NODES, SYMMETRY_BLOCK, EdgeList
 from gaa.graphs import (
     DomainPair,
     EpochLosses,
@@ -21,7 +21,7 @@ from gaa.graphs import (
     save_metrics,
 )
 
-from helpers import loop_edge_lines
+from helpers import dense_adjacency, loop_edge_lines, loop_load_adjacency
 
 
 class TestLoadGraph:
@@ -39,17 +39,17 @@ class TestLoadGraph:
     def test_symmetrization(self, tmp_path):
         e, f, _ = self.write(tmp_path, "0 1\n", "1.0,2.0\n3.0,4.0\n")
         g = load_graph(e, f)
-        np.testing.assert_array_equal(g.adjacency, [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(dense_adjacency(g), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_duplicate_edges_collapse(self, tmp_path):
         e, f, _ = self.write(tmp_path, "0 1\n1 0\n0 1\n", "1.0\n2.0\n")
         g = load_graph(e, f)
-        np.testing.assert_array_equal(g.adjacency, [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(dense_adjacency(g), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         e, f, _ = self.write(tmp_path, "# header\n\n0 1  # trailing\n", "1\n2\n")
         g = load_graph(e, f)
-        assert g.adjacency[0, 1] == 1.0
+        assert dense_adjacency(g)[0, 1] == 1.0
 
     def test_label_count_mismatch(self, tmp_path):
         e, f, lp = self.write(tmp_path, "0 1\n0 2\n", "1\n2\n3\n", "0\n1\n")
@@ -113,7 +113,7 @@ class TestLoadGraph:
         g = gen_attribute_shift(0.7, seed=5, n=12, d=3)
         save_graph(g, tmp_path / "a.edges", tmp_path / "a.csv", tmp_path / "a.labels")
         back = load_graph(tmp_path / "a.edges", tmp_path / "a.csv", tmp_path / "a.labels")
-        np.testing.assert_array_equal(back.adjacency, g.adjacency)
+        np.testing.assert_array_equal(dense_adjacency(back), dense_adjacency(g))
         np.testing.assert_array_equal(back.features, g.features)
         np.testing.assert_array_equal(back.labels, g.labels)
 
@@ -174,7 +174,128 @@ def test_parsers_load_or_name_the_line(files, num_classes):
             # a line of the file, or line 1 of an empty one
             assert 1 <= exc.line_no <= max(1, len(raw.splitlines()))
         else:
-            assert g.adjacency.shape == (g.n, g.n) and g.n >= 1
+            assert g.n >= 1
+            np.testing.assert_array_equal(dense_adjacency(g), loop_load_adjacency(paths[0], g.n))
+
+
+class TestEdgeListLoader:
+    """load_graph against the loop-based dense scatter, and the CSR the list
+    builds against scipy's conversion of the dense matrix."""
+
+    def load(self, tmp_path, edges, n):
+        (tmp_path / "g.edges").write_text(edges)
+        (tmp_path / "g.csv").write_text("1.0\n" * n)
+        g = load_graph(tmp_path / "g.edges", tmp_path / "g.csv")
+        return g, loop_load_adjacency(tmp_path / "g.edges", n)
+
+    def test_duplicate_pairs_in_both_directions_last_line_wins(self, tmp_path):
+        g, want = self.load(tmp_path, "0 1 0.5\n1 0 2.0\n2 1\n1 2 0.25\n0 2 3\n2 0 0\n", 3)
+        np.testing.assert_array_equal(dense_adjacency(g), want)
+        assert want[0, 1] == 2.0 and want[1, 2] == 0.25 and want[0, 2] == 0.0
+        # a pair whose last line weighs 0 is no edge at all
+        assert list(zip(g.edges.row, g.edges.col)) == [(0, 1), (1, 2)]
+
+    def test_self_loops_skipped_and_weights_kept(self, tmp_path):
+        g, want = self.load(tmp_path, "1 1\n0 1 3.5\n2 2 4\n3 0 1e-7\n", 4)
+        np.testing.assert_array_equal(dense_adjacency(g), want)
+        assert np.all(g.edges.row < g.edges.col)
+
+    def test_random_files_match_the_loop_scatter(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 30
+        lines = [f"{i} {j}" + ("" if w == 1.0 else f" {w!r}")
+                 for i, j, w in zip(rng.integers(0, n, 400).tolist(),
+                                    rng.integers(0, n, 400).tolist(),
+                                    rng.choice([1.0, 0.5, 0.0, 2.25, 0.1 + 0.2], 400).tolist())]
+        g, want = self.load(tmp_path, "\n".join(lines) + "\n", n)
+        np.testing.assert_array_equal(dense_adjacency(g), want)
+        keys = g.edges.row * n + g.edges.col
+        assert np.all(np.diff(keys) > 0)  # row-major, each pair once
+
+    @pytest.mark.parametrize("edges, line_no, problem", [
+        pytest.param("0 1\n0 9\n5 0\n", 2, r"out of range for 3 nodes: \(0, 9\)", id="first-bad"),
+        pytest.param("0 1\n-1 2\n", 2, "out of range", id="negative"),
+        pytest.param("0 1\n99999999999999999999 0\n", 2, "out of range", id="beyond-int64"),
+        # a malformed line anywhere is reported before an out-of-range id
+        pytest.param("0 9\n1 x\n", 2, "non-integer node id", id="malformed-first"),
+    ])
+    def test_bad_line_is_named(self, tmp_path, edges, line_no, problem):
+        with pytest.raises(ParseError, match=rf"g.edges:{line_no}: .*{problem}"):
+            self.load(tmp_path, edges, 3)
+
+    @pytest.mark.parametrize("graph", [
+        pytest.param(lambda: gen_sbm(seed=12, n=20, d=3), id="weighted"),
+        pytest.param(lambda: gen_attribute_shift(0.7, seed=5, n=12, d=3), id="unweighted"),
+    ])
+    def test_save_load_round_trip_byte_for_byte(self, tmp_path, graph):
+        names = ("edges", "csv", "labels")
+        save_graph(graph(), *(tmp_path / f"a.{x}" for x in names))
+        back = load_graph(*(tmp_path / f"a.{x}" for x in names))
+        save_graph(back, *(tmp_path / f"b.{x}" for x in names))
+        for x in names:
+            assert (tmp_path / f"a.{x}").read_bytes() == (tmp_path / f"b.{x}").read_bytes()
+
+    def test_save_skips_the_diagonal(self, tmp_path):
+        g = Graph(adjacency=np.array([[2.0, 1.0], [1.0, 0.0]]), features=np.ones((2, 1)))
+        assert list(zip(g.edges.row, g.edges.col)) == [(0, 0), (0, 1)]
+        save_graph(g, tmp_path / "d.edges", tmp_path / "d.csv")
+        assert (tmp_path / "d.edges").read_text() == "0 1\n"
+
+    @pytest.mark.parametrize("n", [SPARSE_MIN_NODES, SPARSE_MIN_NODES + 50])
+    def test_csr_from_the_list_equals_scipy_of_the_dense(self, tmp_path, n):
+        from scipy import sparse
+
+        rng = np.random.default_rng(n)
+        lines = [f"{i} {j} {w!r}" for i, j, w in zip(rng.integers(0, n, 6 * n).tolist(),
+                                                     rng.integers(0, n, 6 * n).tolist(),
+                                                     rng.uniform(0.5, 2.0, 6 * n).tolist())]
+        g, want = self.load(tmp_path, "\n".join(lines) + "\n", n)
+        np.testing.assert_array_equal(dense_adjacency(g), want)
+        with_diagonal = want.copy()
+        with_diagonal[3, 3] = 1.5  # a dense matrix with a diagonal converts too
+        converted = Graph(adjacency=with_diagonal, features=g.features).edges
+        for edges, dense in ((g.edges, want), (converted, with_diagonal)):
+            got, ref = edges.csr(), sparse.csr_array(dense)
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+
+class TestEdgeListInvariants:
+    def graph(self, n=3, row=(0, 1), col=(1, 2), weight=(1.0, 2.0)):
+        return Graph(edges=EdgeList(n, np.array(row), np.array(col), np.array(weight)),
+                     features=np.ones((3, 1)))
+
+    def test_well_formed_list_accepted(self):
+        assert self.graph().n == 3
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"n": 4}, "does not match 3 feature rows"),
+        ({"row": (0, 1, 1)}, "differ in shape"),
+        ({"col": (1.0, 2.0)}, "not integers"),
+        ({"col": (1, 3)}, "outside"),
+        ({"row": (-1, 1)}, "outside"),
+        ({"row": (2, 1)}, "outside"),  # row > col: the lower triangle
+        ({"weight": (1.0, np.nan)}, "non-finite"),
+        ({"weight": (np.inf, 1.0)}, "non-finite"),
+        ({"weight": (1.0, -2.0)}, "negative edge weight"),
+        ({"row": (0, 0), "col": (1, 1)}, "repeats a pair"),
+        ({"row": (1, 0), "col": (2, 1)}, "not in row-major order"),
+    ])
+    def test_malformed_list_rejected(self, fields, problem):
+        with pytest.raises(DomainError, match=problem):
+            self.graph(**fields)
+
+    def test_int32_ids_past_the_int32_pair_key_accepted(self):
+        n = 70000  # 40000 * n overflows int32
+        ids = np.array([30000, 40000], dtype=np.int32)
+        g = Graph(edges=EdgeList(n, ids, ids + 1, np.ones(2)), features=np.ones((n, 1)))
+        assert g.n == n
+
+    def test_exactly_one_of_edges_and_adjacency(self):
+        with pytest.raises(DomainError, match="either edges or an adjacency"):
+            Graph(features=np.ones((2, 1)))
+        with pytest.raises(DomainError, match="either edges or an adjacency"):
+            Graph(adjacency=np.zeros((2, 2)), edges=self.graph().edges, features=np.ones((2, 1)))
 
 
 class TestGraphInvariants:
@@ -252,19 +373,19 @@ class TestAttributeShift:
     def test_determinism(self):
         a = gen_attribute_shift(0.8, seed=11)
         b = gen_attribute_shift(0.8, seed=11)
-        np.testing.assert_array_equal(a.adjacency, b.adjacency)
+        np.testing.assert_array_equal(dense_adjacency(a), dense_adjacency(b))
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_adjacency_fixed_across_stds(self):
         a = gen_attribute_shift(0.1, seed=4)
         b = gen_attribute_shift(1.9, seed=4)
-        np.testing.assert_array_equal(a.adjacency, b.adjacency)
+        np.testing.assert_array_equal(dense_adjacency(a), dense_adjacency(b))
 
     def test_edge_count_near_binomial_expectation(self):
         g = gen_attribute_shift(1.0, seed=9, n=100, edge_prob=0.3)
         expected = 0.3 * 100 * 99 / 2
-        observed = g.adjacency.sum() / 2
+        observed = dense_adjacency(g).sum() / 2
         assert abs(observed - expected) / expected < 0.10
 
     def test_balanced_labels(self):
@@ -278,36 +399,37 @@ class TestSbm:
         np.testing.assert_array_equal(g.features, np.ones((100, 10)))
 
     def test_symmetric_zero_diagonal(self):
-        g = gen_sbm(seed=7)
-        np.testing.assert_array_equal(g.adjacency, g.adjacency.T)
-        np.testing.assert_array_equal(np.diag(g.adjacency), np.zeros(100))
+        adj = dense_adjacency(gen_sbm(seed=7))
+        np.testing.assert_array_equal(adj, adj.T)
+        np.testing.assert_array_equal(np.diag(adj), np.zeros(100))
 
     def test_block_densities(self):
-        g = gen_sbm(seed=8, n=100, p=0.8)
+        adj = dense_adjacency(gen_sbm(seed=8, n=100, p=0.8))
         half = 50
-        intra_top = g.adjacency[:half, :half]
+        intra_top = adj[:half, :half]
         possible = half * (half - 1) / 2
         density = np.count_nonzero(np.triu(intra_top, 1)) / possible
         assert abs(density - 0.8) / 0.8 < 0.10
-        inter = g.adjacency[:half, half:]
+        inter = adj[:half, half:]
         inter_density = np.count_nonzero(inter) / (half * half)
         assert abs(inter_density - 0.08) / 0.08 < 0.25
 
     def test_weights_in_unit_interval(self):
-        g = gen_sbm(seed=9)
-        w = g.adjacency[g.adjacency > 0]
+        adj = dense_adjacency(gen_sbm(seed=9))
+        w = adj[adj > 0]
         assert w.min() > 0.0 and w.max() <= 1.0
 
     def test_lower_p_removes_edges_monotonically(self):
         dense = gen_sbm(seed=10, p=0.8)
         sparse = gen_sbm(seed=10, p=0.4)
-        dense_mask = dense.adjacency > 0
-        sparse_mask = sparse.adjacency > 0
+        dense_mask = dense_adjacency(dense) > 0
+        sparse_mask = dense_adjacency(sparse) > 0
         assert np.all(dense_mask[sparse_mask])  # sparse edge set is nested
         assert sparse_mask.sum() < dense_mask.sum()
 
     def test_determinism(self):
-        np.testing.assert_array_equal(gen_sbm(seed=1).adjacency, gen_sbm(seed=1).adjacency)
+        np.testing.assert_array_equal(dense_adjacency(gen_sbm(seed=1)),
+                                      dense_adjacency(gen_sbm(seed=1)))
 
 
 class TestMetricsIO:
@@ -344,7 +466,7 @@ def test_weighted_edge_roundtrip(tmp_path):
     g = gen_sbm(seed=12, n=20, d=3)
     save_graph(g, tmp_path / "s.edges", tmp_path / "s.csv", tmp_path / "s.labels")
     back = load_graph(tmp_path / "s.edges", tmp_path / "s.csv", tmp_path / "s.labels")
-    np.testing.assert_array_equal(back.adjacency, g.adjacency)
+    np.testing.assert_array_equal(dense_adjacency(back), dense_adjacency(g))
 
 
 def test_save_graph_edges_match_pair_walk(tmp_path):

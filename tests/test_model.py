@@ -5,7 +5,7 @@ import pytest
 
 from gaa import autodiff as ad
 from gaa.exceptions import ShapeError
-from gaa.featgraph import build_views
+from gaa.featgraph import EdgeList, build_views
 from gaa.graphs import gen_attribute_shift
 from gaa.model import (
     FIELD_ORDER,
@@ -62,7 +62,7 @@ class TestGcnEncode:
         # relu(ÂX W1), then (ÂH) W2: the order layer 2 used to compute
         rng = np.random.default_rng(3)
         g = gen_attribute_shift(0.5, seed=4, n=40, d=6, edge_prob=0.2)
-        views = build_views(g.adjacency, g.features, k=3)
+        views = build_views(g.edges, g.features, k=3)
         w1, w2 = rng.normal(size=(6, 32)), rng.normal(size=(32, 8))
         for norm, ax in zip((views.topo_norm, views.feat_norm), propagate(views, g.features)):
             hidden = np.maximum((norm @ g.features) @ w1, 0.0)
@@ -74,7 +74,7 @@ class TestGcnEncode:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         g = gen_attribute_shift(0.5, seed=3, n=6, d=3, edge_prob=0.5)
-        views = build_views(g.adjacency, g.features, k=2)
+        views = build_views(g.edges, g.features, k=2)
         norm = views.topo_norm
         x = propagate(views, g.features / 10.0)[0]
         w1 = ad.parameter(rng.uniform(-1, 1, size=(3, 4)))
@@ -308,7 +308,7 @@ class TestForwardAll:
             adj = np.triu(adj, 1)
             adj = adj + adj.T
             x = rng.normal(size=(n, d))
-            views = build_views(adj, x, k=2)
+            views = build_views(EdgeList.from_dense(adj), x, k=2)
             out.append((views, propagate(views, x)))
         return out
 

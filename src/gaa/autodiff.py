@@ -9,9 +9,13 @@ by ``parameter`` own a gradient buffer, zeroed by the optimizer.
 
 from __future__ import annotations
 
+import collections
+import contextvars
+import os
+
 import numpy as np
 
-from .exceptions import DomainError, NumericError, ShapeError
+from .exceptions import ConfigError, DomainError, NumericError, ShapeError
 
 _TAPE_STACK: list["Tape"] = []
 COSINE_CLAMP = 1e-24
@@ -342,7 +346,64 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     return _emit("dropout", a.data * keep * inv, (a,), backward_fn)
 
 
-ATTENTION_BLOCK = 256
+ATTENTION_BLOCK = 128
+_POOL = None  # (pid, threads, executor) of this process's attention threads
+
+
+def thread_budget() -> int:
+    """``GAA_THREADS`` (default 1), gaa's thread budget: the sweep's worker
+    processes, or the attention row blocks in flight in one process."""
+    raw = os.environ.get("GAA_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"GAA_THREADS must be an integer, got {raw!r}")
+    if threads < 1:
+        raise ConfigError(f"GAA_THREADS must be >= 1, got {threads}")
+    return threads
+
+
+def _attention_threads(n_blocks: int) -> int:
+    return min(thread_budget(), n_blocks, os.cpu_count() or 1)
+
+
+def _thread_pool(threads: int):
+    """This process's pool, made on first use. A forked child inherits the
+    parent's pool object but none of its threads, so the pid is part of the key."""
+    global _POOL
+    if _POOL is None or _POOL[:2] != (os.getpid(), threads):
+        from concurrent.futures import ThreadPoolExecutor
+
+        if _POOL is not None and _POOL[0] == os.getpid():
+            _POOL[2].shutdown(wait=False)
+        _POOL = (os.getpid(), threads, ThreadPoolExecutor(threads, "gaa-attention"))
+    return _POOL[2]
+
+
+def _map_blocks(fn, blocks, threads: int):
+    """Yield ``fn(lo, hi)`` for each block, in block order. Above one thread
+    the blocks run on the pool, at most one more submitted than run at once,
+    so a call holds a few blocks' temporaries whatever n is. Each block runs
+    in a copy of the caller's context, so numpy's errstate carries over."""
+    if threads == 1:
+        for lo, hi in blocks:
+            yield fn(lo, hi)
+        return
+    from concurrent.futures import wait
+
+    pool, pending = _thread_pool(threads), collections.deque()
+    try:
+        for lo, hi in blocks:
+            pending.append(pool.submit(contextvars.copy_context().run, fn, lo, hi))
+            if len(pending) > threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        # after a block raised, no later block outlives the call
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
@@ -354,6 +415,11 @@ def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     array is kept. Forward saves each row's max and softmax sum; backward
     rebuilds each block's softmax from them and, as in FlashAttention-2
     (arXiv:2307.08691), uses D = rowsum(G * out) = rowsum(P * dP).
+
+    The blocks run on up to ``thread_budget()`` threads (one block runs
+    inline). Each block writes only its own rows of the output, K's gradient
+    and the row statistics, and returns its Q and M gradient terms, which are
+    summed in block order: the result is the same bytes for any thread count.
     """
     e = z.cols
     for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
@@ -366,11 +432,12 @@ def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     # the 1/sqrt(e) scale rides on Q, an n x e array, not on the scores
     q, k, m = (z_data @ wq_data.T) * c, z_data @ wk_data.T, z_data @ wv_data.T
     blocks = [(lo, min(lo + ATTENTION_BLOCK, n)) for lo in range(0, n, ATTENTION_BLOCK)]
+    threads = _attention_threads(len(blocks))
     row_max, row_sum = np.empty((n, 1)), np.empty((n, 1))
 
     def softmax_block(lo, hi, forward=False):
-        # the scores live only inside this call, so one block exists at a
-        # time; keeping two alive raised the peak RSS at n=2000 by 30 MB
+        # the scores live only inside this call, so each thread holds one
+        # block at a time
         p = k[lo:hi] @ q.T
         if forward:
             # only forward checks: backward replays this arithmetic on the
@@ -386,20 +453,30 @@ def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
         return p
 
     out = np.empty((n, e))
-    for lo, hi in blocks:
+
+    def forward_block(lo, hi):
         out[lo:hi] = softmax_block(lo, hi, forward=True) @ m
 
+    for _ in _map_blocks(forward_block, blocks, threads):
+        pass
+
     def backward_fn(g):
-        dq, dk, dm = np.zeros_like(q), np.empty_like(k), np.zeros_like(m)
+        dk = np.empty_like(k)
         d = (g * out).sum(axis=1, keepdims=True)
-        for lo, hi in blocks:
+
+        def block_grads(lo, hi):
             p = softmax_block(lo, hi)
-            dm += p.T @ g[lo:hi]
+            dm_block = p.T @ g[lo:hi]
             ds = g[lo:hi] @ m.T
             ds -= d[lo:hi]
             ds *= p
             dk[lo:hi] = ds @ q
-            dq += ds.T @ k[lo:hi]
+            return ds.T @ k[lo:hi], dm_block
+
+        dq, dm = np.zeros_like(q), np.zeros_like(m)
+        for dq_block, dm_block in _map_blocks(block_grads, blocks, threads):
+            dq += dq_block
+            dm += dm_block
         dq *= c
         dz = dq @ wq_data + dk @ wk_data + dm @ wv_data
         return dz, dq.T @ z_data, dk.T @ z_data, dm.T @ z_data

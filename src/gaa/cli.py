@@ -24,6 +24,7 @@ from dataclasses import asdict, replace
 from multiprocessing import Pool
 from pathlib import Path
 
+from .autodiff import thread_budget
 from .exceptions import CheckpointError, ConfigError, GaaError, ParseError, field_types
 from .analysis import avg_feature_value, proposition1_bound
 from .graphs import (
@@ -203,6 +204,7 @@ def _check_target_labels(pair: DomainPair, pair_dir, what: str):
 
 def _cmd_train(args) -> int:
     _check_runs(args.runs)
+    thread_budget()
     cfg = _load_config(args)
     pair = load_pair(args.pair)
     if args.runs > 1:
@@ -306,6 +308,12 @@ def _set_sweep_pair(pair):
     _sweep_pair = pair
 
 
+def _init_sweep_worker(pair):
+    # the thread budget is spent on the worker processes: each attends on one
+    os.environ["GAA_THREADS"] = "1"
+    _set_sweep_pair(pair)
+
+
 def _sweep_cell(task):
     cfg, runs = task
     result = run_repeated(_sweep_pair, cfg, n_runs=runs)
@@ -316,13 +324,7 @@ def _cmd_sweep(args) -> int:
     _check_runs(args.runs)
     cfg = _load_config(args)
     grid = _parse_grid(args.grid)
-    raw_workers = os.environ.get("GAA_THREADS", "1")
-    try:
-        workers = int(raw_workers)
-    except ValueError:
-        raise ConfigError(f"GAA_THREADS must be an integer, got {raw_workers!r}")
-    if workers < 1:
-        raise ConfigError(f"GAA_THREADS must be >= 1, got {workers}")
+    workers = thread_budget()
     pair = load_pair(args.pair)
     _check_target_labels(pair, args.pair, "sweep")
     cells = list(itertools.product(grid["alpha"], grid["beta"], grid["tau"], grid["k"]))
@@ -334,7 +336,7 @@ def _cmd_sweep(args) -> int:
     # each worker receives the pair once, not once per task; no worker sits idle
     workers = min(workers, len(tasks))
     if workers > 1:
-        with Pool(processes=workers, initializer=_set_sweep_pair, initargs=(pair,)) as pool:
+        with Pool(processes=workers, initializer=_init_sweep_worker, initargs=(pair,)) as pool:
             results = pool.map(_sweep_cell, tasks)
     else:
         _set_sweep_pair(pair)

@@ -21,6 +21,7 @@ from .exceptions import ConfigError, DomainError, ParseError
 from .featgraph import EdgeList, max_asymmetry
 
 ADJ_SYMMETRY_TOL = 1e-12
+GEN_BLOCK = 256  # rows of gen_attribute_shift's uniform draw held at once
 
 
 @dataclass
@@ -299,7 +300,7 @@ def gen_attribute_shift(cluster_std: float, seed: int, n: int = 100, d: int = 10
                         edge_prob: float = 0.3) -> Graph:
     """Two Gaussian clusters on a fixed random topology.
 
-    The adjacency and the two cluster centers depend on ``seed`` alone, so
+    The edges and the two cluster centers depend on ``seed`` alone, so
     sweeping ``cluster_std`` under one seed varies only the attribute noise.
     Labels are the cluster memberships (balanced halves).
     """
@@ -309,16 +310,23 @@ def gen_attribute_shift(cluster_std: float, seed: int, n: int = 100, d: int = 10
     if not 0.0 <= cluster_std < math.inf:
         raise ConfigError(f"cluster_std must be finite and >= 0, got {cluster_std}")
     topo_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA11CE]))
-    upper = topo_rng.random((n, n)) < edge_prob
-    adjacency = np.triu(upper, 1).astype(np.float64)
-    adjacency = adjacency + adjacency.T
+    # the strict upper triangle of one n x n uniform draw below edge_prob, drawn
+    # GEN_BLOCK rows at a time: successive row blocks are the same stream
+    rows, cols = [], []
+    for lo in range(0, n, GEN_BLOCK):
+        u = topo_rng.random((min(lo + GEN_BLOCK, n) - lo, n))
+        r, c = np.nonzero(np.triu(u < edge_prob, lo + 1))
+        rows.append(r + lo)
+        cols.append(c)
+    row, col = np.concatenate(rows), np.concatenate(cols)
+    edges = EdgeList(n, row, col, np.ones(row.size))
     centers = topo_rng.uniform(-10.0, 10.0, size=(2, d))
 
     labels = np.zeros(n, dtype=np.int64)
     labels[n // 2:] = 1
     noise_rng = np.random.default_rng(_seed_with_tag(seed, cluster_std))
     features = centers[labels] + cluster_std * noise_rng.standard_normal((n, d))
-    return Graph(adjacency=adjacency, features=features, labels=labels, num_classes=2)
+    return Graph(edges=edges, features=features, labels=labels, num_classes=2)
 
 
 def gen_sbm(seed: int, n: int = 100, p: float = 0.8, d: int = 10) -> Graph:

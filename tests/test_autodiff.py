@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from gaa import autodiff as ad
-from gaa.exceptions import DomainError, NumericError, ShapeError
+from gaa.exceptions import ConfigError, DomainError, NumericError, ShapeError
 
 from helpers import dense_attention, fd_check
 
@@ -437,3 +441,107 @@ def test_attention_shape_error():
     z, wq, wk, _ = _attention_leaves(6, 4, 3)
     with pytest.raises(ShapeError, match="wv"):
         ad.attention(z, wq, wk, ad.constant(np.zeros((3, 2))))
+
+
+def _attention_bytes(seed=31, n=2 * ad.ATTENTION_BLOCK + 3):
+    """Output and gradients of one multi-block attention call, as bytes."""
+    e = 5
+    leaves = _attention_leaves(seed, n, e)
+    w = ad.constant(np.random.default_rng(seed + 1).normal(size=(n, e)))
+    out, grads = _attention_value_and_grads(ad.attention, leaves, w)
+    return b"".join(a.tobytes() for a in [out] + grads)
+
+
+@pytest.fixture()
+def cores(monkeypatch):
+    """Eight cores as far as the attention thread cap can tell, so up to
+    eight threads run even on a smaller machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+
+@pytest.mark.parametrize("threads, n_blocks", [("2", 3), ("3", 3), ("8", 9)])
+def test_attention_is_the_same_bytes_on_any_thread_count(threads, n_blocks, monkeypatch,
+                                                         cores):
+    # a short switch interval interleaves the threads' writes as finely as it can
+    n = (n_blocks - 1) * ad.ATTENTION_BLOCK + 3
+    monkeypatch.setenv("GAA_THREADS", "1")
+    serial = _attention_bytes(n=n)
+    monkeypatch.setenv("GAA_THREADS", threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _attention_bytes(n=n) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert ad._POOL[:2] == (os.getpid(), int(threads))
+
+
+def test_attention_thread_count_is_capped_by_budget_blocks_and_cores(monkeypatch):
+    monkeypatch.setattr(ad, "_POOL", None)
+    monkeypatch.setenv("GAA_THREADS", "100000")
+    assert ad._attention_threads(1) == 1
+    assert ad._attention_threads(3) == min(3, os.cpu_count())
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert ad._attention_threads(3) == 3
+    assert ad._attention_threads(1000) == 64
+    monkeypatch.setenv("GAA_THREADS", "2")
+    assert ad._attention_threads(1000) == 2
+    assert ad._POOL is None  # counting starts no thread
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("0", "GAA_THREADS must be >= 1, got 0"),
+    ("two", "GAA_THREADS must be an integer, got 'two'"),
+])
+def test_attention_rejects_a_bad_thread_budget(raw, message, monkeypatch):
+    monkeypatch.setenv("GAA_THREADS", raw)
+    z, wq, wk, wv = _attention_leaves(7, 2 * ad.ATTENTION_BLOCK + 3, 3)
+    with pytest.raises(ConfigError, match=message):
+        ad.attention(z, wq, wk, wv)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
+def test_attention_rejects_non_finite_on_two_threads(value, monkeypatch, cores):
+    # the bad row sits in the last block, which a pool thread computes
+    monkeypatch.setenv("GAA_THREADS", "2")
+    z, wq, wk, wv = _attention_leaves(5, 2 * ad.ATTENTION_BLOCK + 3, 3)
+    z.data[-1] = value
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        ad.attention(z, wq, wk, wv)
+    monkeypatch.setenv("GAA_THREADS", "1")
+    serial = _attention_bytes()
+    monkeypatch.setenv("GAA_THREADS", "2")
+    assert _attention_bytes() == serial  # the pool still serves the next call
+
+
+def _attention_bytes_in_child():
+    return _attention_bytes(), ad._POOL[0] == os.getpid()
+
+
+def test_forked_child_attends_on_a_pool_of_its_own(monkeypatch, cores):
+    # the child inherits the parent's pool object but not its threads; were
+    # the pool reused, the child's blocks would never run
+    monkeypatch.setenv("GAA_THREADS", "2")
+    parent = _attention_bytes()
+    assert ad._POOL[0] == os.getpid()
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        child, own_pool = pool.apply_async(_attention_bytes_in_child).get(timeout=60)
+    assert own_pool
+    assert child == parent
+
+
+def test_one_attention_block_runs_without_a_pool(tmp_path):
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from gaa import autodiff as ad",
+        "z = ad.parameter(np.ones((ad.ATTENTION_BLOCK, 4)))",
+        "ws = [ad.parameter(np.eye(4)) for _ in range(3)]",
+        "with ad.Tape() as tape:",
+        "    ad.backward(ad.sum_all(ad.attention(z, *ws)), tape)",
+        "assert ad._POOL is None and 'concurrent.futures' not in sys.modules",
+    ])
+    env = dict(os.environ, GAA_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaa import cli as cli_module
+from gaa.autodiff import thread_budget
 from gaa.analysis import avg_feature_value, proposition1_bound
 from gaa.cli import load_pair, run_command
 from gaa.exceptions import GaaError
 from gaa.featgraph import EdgeList, build_views
 from gaa.graphs import DomainPair, Graph
 from gaa.model import VARIANTS
+from gaa.train import run_repeated
 
 
 def cli(*argv):
@@ -308,6 +310,19 @@ class TestErrors:
                    "--runs", "1", "--grid", "k=2")
         assert code == 1
         assert capsys.readouterr().err == f"error: GAA_THREADS must be >= 1, got {workers}\n"
+
+    @pytest.mark.parametrize("workers, message", [
+        ("0", "GAA_THREADS must be >= 1, got 0"),
+        ("abc", "GAA_THREADS must be an integer, got 'abc'"),
+    ])
+    def test_bad_gaa_threads_train_exit_1(self, pair_dir, tmp_path, capsys, monkeypatch,
+                                         workers, message):
+        # checked where train starts, even on a graph that attention runs in one block
+        monkeypatch.setenv("GAA_THREADS", workers)
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_non_integer_gaa_threads_exit_1(self, pair_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GAA_THREADS", "abc")
@@ -623,6 +638,23 @@ class TestSweep:
         assert cli(*args, "--out", str(capped)) == 0
         assert seen["processes"] == len(seen["tasks"]) == 4
         assert capped.read_bytes() == serial.read_bytes()
+
+    def test_pool_workers_attend_on_one_thread(self, pair_dir, tmp_path, monkeypatch):
+        # the budget goes to the worker processes, not to threads within them
+        seen, budgets = {}, []
+        self.serial_pool(monkeypatch, seen)
+
+        def recording_run_repeated(pair, cfg, n_runs):
+            budgets.append(thread_budget())
+            return run_repeated(pair, cfg, n_runs=n_runs)
+
+        monkeypatch.setattr(cli_module, "run_repeated", recording_run_repeated)
+        monkeypatch.setenv("GAA_THREADS", "2")
+        assert cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
+                   "--runs", "1", "--set", "epochs=1", "--grid", "alpha=0.5",
+                   "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3") == 0
+        assert seen["processes"] == 2
+        assert budgets == [1, 1]
 
     def test_parallel_workers_match_serial(self, pair_dir, tmp_path, monkeypatch):
         args = ("sweep", "--pair", str(pair_dir), "--runs", "1", "--seed", "0",

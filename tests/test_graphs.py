@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from gaa.exceptions import DomainError, ParseError
 from gaa.featgraph import SPARSE_MIN_NODES, SYMMETRY_BLOCK, EdgeList
 from gaa.graphs import (
+    GEN_BLOCK,
     DomainPair,
     EpochLosses,
     Graph,
     RunMetrics,
+    _seed_with_tag,
     gen_attribute_shift,
     gen_sbm,
     load_graph,
@@ -391,6 +394,33 @@ class TestAttributeShift:
     def test_balanced_labels(self):
         g = gen_attribute_shift(0.5, seed=2, n=100)
         assert (g.labels == 0).sum() == 50
+
+    @pytest.mark.parametrize("n", [2, 100, GEN_BLOCK, GEN_BLOCK + 1, 2 * GEN_BLOCK + 7])
+    def test_edges_equal_the_dense_draw(self, n):
+        """The blocked draw against the dense one it replaces: the strict upper
+        triangle of one n x n uniform matrix, then the centers."""
+        g = gen_attribute_shift(0.6, seed=n, n=n, d=3, edge_prob=0.1)
+        rng = np.random.default_rng(np.random.SeedSequence([n, 0xA11CE]))
+        upper = np.triu(rng.random((n, n)) < 0.1, 1).astype(np.float64)
+        want = EdgeList.from_dense(upper + upper.T)
+        centers = rng.uniform(-10.0, 10.0, size=(2, 3))
+        for name in ("row", "col", "weight"):
+            got, expected = getattr(g.edges, name), getattr(want, name)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        noise = np.random.default_rng(_seed_with_tag(n, 0.6)).standard_normal((n, 3))
+        assert g.features.tobytes() == (centers[g.labels] + 0.6 * noise).tobytes()
+
+    def test_holds_no_dense_draw_at_scale(self):
+        n = 3000
+        tracemalloc.start()
+        try:
+            g = gen_attribute_shift(1.0, seed=1, n=n, edge_prob=0.005)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edges.row.size > 0
+        assert peak < n * n * 8  # 72 MB, one n x n float64 array
 
 
 class TestSbm:

@@ -1,4 +1,5 @@
 import functools
+import os
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from scipy import sparse
 
 from gaa import autodiff as ad
 from gaa.exceptions import ConfigError
-from gaa.graphs import DomainPair, Graph, gen_attribute_shift
+from gaa.graphs import DomainPair, Graph, gen_attribute_shift, save_metrics
 from gaa.losses import LossWeights
-from gaa.model import VARIANT_SPECS, VARIANTS
+from gaa.model import VARIANT_SPECS, VARIANTS, save_model
 from gaa.train import (
     AdamState,
     TrainConfig,
@@ -329,10 +330,31 @@ class TestViewBuilding:
         assert metrics.target_accuracy == evaluate(model, pair.target)
 
 
-# Node counts on both sides of ATTENTION_BLOCK and KNN_BLOCK (256) and of
+@pytest.mark.parametrize("variant", ["GAA", "GAA1"])
+def test_attention_threads_leave_training_bytes_unchanged(variant, tmp_path, monkeypatch):
+    """Three attention blocks on one, two or three threads: the same metrics
+    and parameters, byte for byte."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # so three threads run here too
+    n = 2 * ad.ATTENTION_BLOCK + 3
+    pair = small_pair(n=n, d=6)
+    cfg = quick_cfg(variant=variant, epochs=2, hidden=16, embed=8)
+    outputs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("GAA_THREADS", threads)
+        model, metrics = train_gaa(pair, cfg)
+        metrics.wall_seconds = 0.0
+        out = tmp_path / threads
+        out.mkdir()
+        save_metrics(metrics, out / "metrics.json")
+        save_model(model, out / "model.bin")
+        outputs.append([(out / name).read_bytes() for name in ("metrics.json", "model.bin")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+# Node counts on both sides of ATTENTION_BLOCK (128), KNN_BLOCK (256) and
 # SPARSE_MIN_NODES (850), so a block-boundary or CSR-assembly bug that the
 # fixed-order oracles miss breaks the invariance.
-PERMUTED_NODE_COUNTS = [255, 257, 849, 850]
+PERMUTED_NODE_COUNTS = [127, 129, 255, 257, 849, 850]
 # Relabeling the nodes only reorders sums over nodes; the largest relative
 # per-epoch loss difference measured was 6e-15.
 PERMUTATION_REL_TOL = 1e-12

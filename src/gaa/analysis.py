@@ -3,9 +3,9 @@
 The discrepancy bound sums squared distances over all source-target node
 pairs, in a topology term (rows of A X) and an attribute term (rows of X).
 Raw adjacencies are used on purpose: the learner's normalization choices
-must not leak into these quantities. A x is taken from the edge list (see
-``EdgeList.matmul``), and the pairwise double sums expand to moment form,
-so from ``SPARSE_MIN_NODES`` nodes on memory stays O(edges + n d).
+must not leak into these quantities. A x is one scatter-add over the edge
+list (see ``EdgeList.matmul``), and the pairwise double sums expand to
+moment form, so memory stays O(edges + n d) at any node count.
 """
 
 from __future__ import annotations

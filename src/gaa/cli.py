@@ -138,13 +138,14 @@ def _load_config(args) -> TrainConfig:
     doc = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: {exc}")
+        try:
+            raw = path.read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+        try:
+            doc = json.loads(raw)
+        except ValueError as exc:  # invalid JSON or undecodable bytes
+            raise ConfigError(f"{path}: {exc}")
     cfg = TrainConfig.from_dict(doc)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -172,6 +173,9 @@ def load_pair(pair_dir) -> DomainPair:
     target = load_graph(pair_dir / "target.edges", pair_dir / "target.features.csv",
                         target_labels if target_labels.exists() else None,
                         num_classes=source.num_classes)
+    if target.dim != source.dim:
+        raise ConfigError(f"{pair_dir / 'target.features.csv'}: {target.dim} feature columns, "
+                          f"but {pair_dir / 'source.features.csv'} has {source.dim}")
     return DomainPair(source=source, target=target)
 
 
@@ -238,6 +242,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.checkpoint)
     graph = load_graph(args.edges, args.features, args.labels, num_classes=model.num_classes)
+    if graph.dim != model.in_dim:
+        raise ConfigError(f"{args.features}: {graph.dim} feature columns, but the checkpoint "
+                          f"{args.checkpoint} takes {model.in_dim}")
     acc = evaluate(model, graph)
     print(json.dumps({"accuracy": acc}))
     return 0

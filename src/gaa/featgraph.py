@@ -4,11 +4,13 @@ The attribute view connects each node to its k most cosine-similar peers;
 both the original topology and this kNN graph are symmetrically normalized,
 with self-loops always added, before message passing.
 
-A graph is stored as its undirected edge list (``EdgeList``), and a matrix
-is built from it only where a consumer reads one. From ``SPARSE_MIN_NODES``
-nodes on, ``build_views`` returns scipy.sparse CSR views, built straight
-from the edge lists, and picks the kNN edges from cosine rows computed a
-block at a time, so no n x n array is built. scipy is imported only there.
+Every graph is an undirected edge list (``EdgeList``), and every view comes
+from one on a single path: ``knn_edges`` picks the kNN edges from cosine
+rows computed a block at a time, ``sym_normalize`` turns an edge list into
+its normalized edge list, and ``build_views`` makes the one format choice,
+a dense view below ``SPARSE_MIN_NODES`` nodes and a scipy.sparse CSR view
+from it on. No step builds an n x n array other than a dense view itself,
+and scipy is imported only for a CSR view.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DomainError
 
+# the largest |m[i, j] - m[j, i]| accepted in a dense adjacency or a view
 SYMMETRY_TOL = 1e-12
 KNN_BLOCK = 256  # rows of the similarity matrix computed and selected at a time
 SYMMETRY_BLOCK = 256  # rows of the upper triangle compared at a time
@@ -61,8 +64,8 @@ def max_asymmetry(m) -> float:
 class EdgeList:
     """An undirected weighted graph on ``n`` nodes, one entry per linked pair:
     ``row[e] <= col[e]`` with weight ``weight[e]``, in row-major order. A
-    diagonal entry (``row == col``) exists only where a dense matrix with a
-    diagonal was converted."""
+    diagonal entry (``row == col``) exists where a dense matrix with a
+    diagonal was converted, and for every node of a normalized list."""
 
     n: int
     row: np.ndarray
@@ -105,10 +108,8 @@ class EdgeList:
         a[self.col, self.row] = self.weight
         return a
 
-    def csr(self):
-        """The symmetric matrix as scipy.sparse CSR with sorted indices."""
-        from scipy import sparse
-
+    def _csr_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cols, weights, indptr) of the symmetric matrix in CSR order."""
         rows, cols, data = self._both_directions()
         # Within one matrix row, the mirrored entries have the lower columns
         # and come first, each part already in column order (the list is
@@ -116,14 +117,18 @@ class EdgeList:
         order = np.argsort(rows, kind="stable")
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        return sparse.csr_array((data[order], cols[order], indptr), shape=(self.n, self.n))
+        return cols[order], data[order], indptr
+
+    def csr(self):
+        """The symmetric matrix as scipy.sparse CSR with sorted indices."""
+        from scipy import sparse
+
+        cols, data, indptr = self._csr_entries()
+        return sparse.csr_array((data, cols, indptr), shape=(self.n, self.n))
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
-        """A @ x. Below ``SPARSE_MIN_NODES`` nodes it is the dense product, as
-        ``build_views`` builds dense views there; from it on, one scatter-add
-        over the list, so neither an n x n array nor scipy is needed."""
-        if self.n < SPARSE_MIN_NODES:
-            return self.dense() @ x
+        """A @ x as one scatter-add over the list, so neither an n x n array
+        nor scipy is needed."""
         rows, cols, data = self._both_directions()
         out = np.zeros((self.n, x.shape[1]))
         np.add.at(out, rows, data[:, None] * x[cols])
@@ -139,9 +144,10 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / safe[:, None], nonzero
 
 
-def _cosine_rows(unit: np.ndarray, nonzero: np.ndarray, start: int) -> np.ndarray:
-    """Rows ``start`` to ``start + KNN_BLOCK`` of the cosine matrix of the
-    unit rows ``unit``; zero-norm rows score 0, even with themselves.
+def cosine_similarity_matrix(unit: np.ndarray, nonzero: np.ndarray, start: int) -> np.ndarray:
+    """Rows ``start`` to ``start + KNN_BLOCK`` of the pairwise cosine
+    similarity matrix of the rows that ``_unit_rows`` returned as ``unit``
+    and ``nonzero``; zero-norm rows score 0, even with themselves.
 
     Each pair of row blocks is one product with the lower block on the left,
     and the higher block's rows read its transpose. So every score comes
@@ -162,34 +168,23 @@ def _cosine_rows(unit: np.ndarray, nonzero: np.ndarray, start: int) -> np.ndarra
     return sim
 
 
-def cosine_similarity_matrix(x: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity of rows; zero-norm rows score 0 everywhere.
-
-    Assembled from the row blocks ``knn_edges`` selects from, so the
-    dense and the sparse kNN views see bit-identical scores."""
-    unit, nonzero = _unit_rows(x)
-    n = unit.shape[0]
-    sim = np.empty((n, n))
-    for start in range(0, n, KNN_BLOCK):
-        sim[start:start + KNN_BLOCK] = _cosine_rows(unit, nonzero, start)
-    return sim
-
-
 def _check_k(n: int, k: int):
     # k comes from the user's config, so a k the graph cannot hold is theirs to fix
     if not 1 <= k <= n - 1:
         raise ConfigError(f"k must be in [1, {n - 1}] for {n} nodes, got {k}")
 
 
-def _pick_neighbors(sim_rows: np.ndarray, start: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the k picks of each row of ``sim_rows``, which are
+def knn_graph(sim_rows: np.ndarray, start: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the kNN picks of each row of ``sim_rows``, which are
     rows ``start``, ``start + 1``, ... of the similarity matrix.
 
     A row takes every score above its k-th largest and the ones equal to it,
-    never itself. Only a row where that is not exactly k (more ties than
-    slots, or NaN scores) is ordered in full, ties to the lower index.
+    never itself. Only a row where that is not exactly k, because more
+    scores tie than slots remain, is ordered in full, ties to the lower
+    index. The scores are never NaN: they come from validated, finite
+    features.
     """
-    # ascending order of -score is descending score, NaN last
+    # ascending order of -score is descending score
     neg = -sim_rows
     local = np.arange(neg.shape[0])
     neg[local, start + local] = np.inf
@@ -203,36 +198,18 @@ def _pick_neighbors(sim_rows: np.ndarray, start: int, k: int) -> tuple[np.ndarra
     return rows + start, cols
 
 
-def knn_graph(sim: np.ndarray, k: int) -> np.ndarray:
-    """0/1 adjacency linking each node to its k most similar other nodes.
-
-    Self-edges are excluded, ties break toward the lower node index, and the
-    result is the union of both endpoints' selections (so it is symmetric
-    with zero diagonal). Rows are selected ``KNN_BLOCK`` at a time.
-    """
-    sim = np.asarray(sim, dtype=np.float64)
-    n = sim.shape[0]
-    _check_k(n, k)
-    adj = np.zeros((n, n))
-    for start in range(0, n, KNN_BLOCK):
-        rows, cols = _pick_neighbors(sim[start:start + KNN_BLOCK], start, k)
-        adj[rows, cols] = 1.0
-        adj[cols, rows] = 1.0  # the union with the other endpoint's selection
-    return adj
-
-
 def knn_edges(x: np.ndarray, k: int) -> EdgeList:
-    """The edges of ``knn_graph(cosine_similarity_matrix(x), k)``, with no
-    n x n array.
+    """The 0/1 graph linking each row of ``x`` to its k most cosine-similar
+    other rows, ties to the lower index, as the union of both endpoints'
+    picks (so it is symmetric, with no self-edge).
 
-    The cosine is computed ``KNN_BLOCK`` rows at a time, as
-    ``cosine_similarity_matrix`` computes it, and each block goes straight
-    to the selection.
+    The cosine is computed ``KNN_BLOCK`` rows at a time and each block goes
+    straight to the selection, so no n x n array exists.
     """
     unit, nonzero = _unit_rows(x)
     n = unit.shape[0]
     _check_k(n, k)
-    picks = [_pick_neighbors(_cosine_rows(unit, nonzero, start), start, k)
+    picks = [knn_graph(cosine_similarity_matrix(unit, nonzero, start), start, k)
              for start in range(0, n, KNN_BLOCK)]
     rows = np.concatenate([r for r, _ in picks])
     cols = np.concatenate([c for _, c in picks])
@@ -240,38 +217,32 @@ def knn_edges(x: np.ndarray, k: int) -> EdgeList:
     return EdgeList.from_pairs(n, rows, cols, np.ones(rows.size))
 
 
-def sym_normalize(adj):
-    """D^{-1/2} (A + I) D^{-1/2}, degrees taken after the self-loops.
+def sym_normalize(edges: EdgeList) -> EdgeList:
+    """D^{-1/2} (A + I) D^{-1/2} as an edge list, degrees taken after the
+    self-loops.
 
     The loops (Kipf & Welling, arXiv:1609.02907, eq. 2) make every degree
-    at least 1, so no row is divided by zero. A sparse ``adj`` gives a CSR
-    result whose entries are computed as the dense ones are.
+    at least 1, so no row is divided by zero. They are merged into the
+    diagonal, each row's degree sums that row's entries in CSR column order
+    (as scipy's ``csr.sum(axis=1)`` does), and each weight is scaled by
+    ``dinv[row] * dinv[col]``.
     """
-    if _issparse(adj):
-        return _sym_normalize_sparse(adj)
-    adj = np.asarray(adj, dtype=np.float64)
-    if np.any(adj < 0.0):
+    if np.any(edges.weight < 0.0):
         raise DomainError("sym_normalize needs a non-negative adjacency")
-    a = adj.copy()
-    a[np.diag_indices_from(a)] += 1.0
-    dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    out = np.multiply.outer(dinv, dinv)
-    out *= a
-    return out
-
-
-def _sym_normalize_sparse(adj):
-    from scipy import sparse
-
-    adj = sparse.csr_array(adj, dtype=np.float64)
-    if np.any(adj.data < 0.0):
-        raise DomainError("sym_normalize needs a non-negative adjacency")
-    n = adj.shape[0]
-    a = adj + sparse.eye_array(n, format="csr")
-    dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
-    a.data *= dinv[rows] * dinv[a.indices]  # (d_i d_j) a_ij, the dense order
-    return a
+    n = edges.n
+    loops = edges.row == edges.col
+    diag = np.ones(n)
+    diag[edges.row[loops]] += edges.weight[loops]
+    row, col, weight = edges.row[~loops], edges.col[~loops], edges.weight[~loops]
+    # a row's diagonal entry goes first: its other entries have higher columns
+    nodes = np.arange(n)
+    at = np.searchsorted(row, nodes)
+    looped = EdgeList(n, np.insert(row, at, nodes), np.insert(col, at, nodes),
+                      np.insert(weight, at, diag))
+    _, data, indptr = looped._csr_entries()
+    dinv = 1.0 / np.sqrt(np.add.reduceat(data, indptr[:-1]))
+    return EdgeList(n, looped.row, looped.col,
+                    looped.weight * (dinv[looped.row] * dinv[looped.col]))
 
 
 @dataclass(frozen=True)
@@ -298,16 +269,13 @@ class ViewMatrices:
 def build_views(edges: Optional[EdgeList], features: Optional[np.ndarray],
                 k: int) -> ViewMatrices:
     """The normalized topology and kNN views; a view whose input is None is
-    not built and stays None. From ``SPARSE_MIN_NODES`` nodes on both are
-    CSR."""
-    topo_norm = feat_norm = None
+    not built and stays None. Both are dense below ``SPARSE_MIN_NODES``
+    nodes and CSR from it on."""
     n = features.shape[0] if edges is None else edges.n
-    as_csr = n >= SPARSE_MIN_NODES
-    # the kNN view first, so that its n x n temporaries are freed before the
-    # topology view exists (the other order measured a higher peak RSS)
-    if features is not None:
-        feat_norm = sym_normalize(knn_edges(features, k).csr() if as_csr
-                                  else knn_graph(cosine_similarity_matrix(features), k))
-    if edges is not None:
-        topo_norm = sym_normalize(edges.csr() if as_csr else edges.dense())
-    return ViewMatrices(topo_norm=topo_norm, feat_norm=feat_norm)
+    as_matrix = EdgeList.dense if n < SPARSE_MIN_NODES else EdgeList.csr
+
+    def view(graph: Optional[EdgeList]):
+        return None if graph is None else as_matrix(sym_normalize(graph))
+
+    feat_norm = view(None if features is None else knn_edges(features, k))
+    return ViewMatrices(topo_norm=view(edges), feat_norm=feat_norm)

@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, ParseError
-from .featgraph import EdgeList, max_asymmetry
+from .featgraph import SYMMETRY_TOL, EdgeList, max_asymmetry
 
-ADJ_SYMMETRY_TOL = 1e-12
 GEN_BLOCK = 256  # rows of gen_attribute_shift's uniform draw held at once
 
 
@@ -97,7 +96,7 @@ def _edges_of_dense(adjacency: np.ndarray, n: int) -> EdgeList:
     asymmetry = max_asymmetry(adjacency)
     if not np.isfinite(asymmetry) and not np.isfinite(adjacency).all():
         raise DomainError("adjacency holds non-finite values")
-    if not asymmetry <= ADJ_SYMMETRY_TOL:
+    if not asymmetry <= SYMMETRY_TOL:
         raise DomainError("adjacency is not symmetric")
     return EdgeList.from_dense(adjacency)
 
@@ -133,8 +132,11 @@ class DomainPair:
 def _lines(path):
     """(line number, text) for each line of a UTF-8 text file, split as
     text-mode ``open`` splits them; an undecodable byte is a ParseError at
-    its line."""
-    raw = Path(path).read_bytes()
+    its line. A missing or unreadable file is a ConfigError."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -333,10 +333,14 @@ def _header_problem(header) -> Optional[str]:
 
 
 def load_model(path) -> GaaModel:
-    """Read a checkpoint; a malformed one raises CheckpointError."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
+    """Read a checkpoint; a missing, unreadable or malformed one raises
+    CheckpointError."""
+    try:
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+            payload = fh.read()
+    except OSError as exc:
+        raise CheckpointError(path, f"cannot read: {exc.strerror}")
     try:
         header = json.loads(header_line.decode("utf-8"))
     except ValueError:  # undecodable bytes or invalid JSON

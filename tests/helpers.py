@@ -88,6 +88,28 @@ def loop_knn(sm, k):
     return adj
 
 
+def loop_sym_normalize(adj):
+    """D^{-1/2} (A + I) D^{-1/2} of a dense ``adj``, one entry at a time."""
+    n = adj.shape[0]
+    a = [[float(adj[i, j]) + (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+    deg = [sum(row) for row in a]
+    return np.array([[a[i][j] / np.sqrt(deg[i] * deg[j]) for j in range(n)] for i in range(n)])
+
+
+def csr_sym_normalize(adj):
+    """D^{-1/2} (A + I) D^{-1/2} of a scipy CSR ``adj`` in scipy's own
+    arithmetic: ``adj + eye``, its row sums, then each entry times
+    ``dinv[row] * dinv[col]``."""
+    from scipy import sparse
+
+    n = adj.shape[0]
+    a = sparse.csr_array(adj, dtype=np.float64) + sparse.eye_array(n, format="csr")
+    dinv = 1.0 / np.sqrt(a.sum(axis=1))
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    a.data *= dinv[rows] * dinv[a.indices]
+    return a
+
+
 def dense_adjacency(graph):
     """The n x n adjacency of ``graph``, scattered one stored edge at a time."""
     e = graph.edges

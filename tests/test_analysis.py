@@ -3,11 +3,16 @@ import pytest
 
 from gaa.analysis import avg_feature_value, empirical_margin_loss, proposition1_bound
 from gaa.exceptions import DomainError
-from gaa import featgraph
-from gaa.featgraph import cosine_similarity_matrix, knn_graph
+from gaa.featgraph import SPARSE_MIN_NODES
 from gaa.graphs import Graph, gen_attribute_shift
 
-from helpers import dense_adjacency, loop_margin_loss, loop_pair_bound
+from helpers import (
+    dense_adjacency,
+    loop_cosine_matrix,
+    loop_knn,
+    loop_margin_loss,
+    loop_pair_bound,
+)
 
 
 def random_graph(rng, n, d, weighted=False):
@@ -47,16 +52,18 @@ class TestBound:
         assert report.attr_term == pytest.approx(attr, rel=1e-9)
         assert report.total == pytest.approx(report.topo_term + report.attr_term)
 
-    def test_scatter_product_matches_the_dense_one(self, monkeypatch):
-        # from SPARSE_MIN_NODES on, A X is a scatter-add over the edge list
-        rng = np.random.default_rng(1)
-        gs = random_graph(rng, 8, 4, weighted=True)
-        gt = random_graph(rng, 6, 4, weighted=True)
-        dense = proposition1_bound(gs, gt, normalize_by=6)
-        monkeypatch.setattr(featgraph, "SPARSE_MIN_NODES", 0)
-        scatter = proposition1_bound(gs, gt, normalize_by=6)
-        assert scatter.topo_term == pytest.approx(dense.topo_term, rel=1e-13)
-        assert scatter.attr_term == dense.attr_term
+    def test_scatter_product_matches_the_dense_one(self):
+        # A X is a scatter-add over the edge list on both sides of the view threshold
+        for n in (SPARSE_MIN_NODES - 1, SPARSE_MIN_NODES):
+            rng = np.random.default_rng(n)
+            gs = random_graph(rng, n, 4, weighted=True)
+            gt = random_graph(rng, 6, 4, weighted=True)
+            report = proposition1_bound(gs, gt, normalize_by=6)
+            u, v = dense_adjacency(gs) @ gs.features, dense_adjacency(gt) @ gt.features
+            topo = ((u[:, None, :] - v[None, :, :]) ** 2).sum() / 6
+            attr = ((gs.features[:, None, :] - gt.features[None, :, :]) ** 2).sum() / 6
+            assert report.topo_term == pytest.approx(topo, rel=1e-13)
+            assert report.attr_term == pytest.approx(attr, rel=1e-13)
 
     def test_attr_term_invariant_under_source_permutation(self):
         rng = np.random.default_rng(2)
@@ -107,20 +114,24 @@ class TestAvgFeatureValue:
         assert topo == pytest.approx(want, abs=1e-12)
 
         attr = avg_feature_value(g, "attribute", k=3)
-        feat_adj = knn_graph(cosine_similarity_matrix(g.features), 3)
+        feat_adj = loop_knn(loop_cosine_matrix(g.features), 3)
         want = np.abs(feat_adj @ g.features).sum() / (10 * 4)
         assert attr == pytest.approx(want, abs=1e-12)
 
-    def test_scatter_product_matches_the_dense_one(self, monkeypatch):
-        # from SPARSE_MIN_NODES on, both views propagate through an edge list
-        rng = np.random.default_rng(4)
-        g = random_graph(rng, 40, 4, weighted=True)
-        g.features[5] = 0.0  # a zero-norm row scores 0 with every other
-        g.features[7] = g.features[8]  # a tie
-        dense = [avg_feature_value(g, "topology"), avg_feature_value(g, "attribute", k=3)]
-        monkeypatch.setattr(featgraph, "SPARSE_MIN_NODES", 0)
-        scatter = [avg_feature_value(g, "topology"), avg_feature_value(g, "attribute", k=3)]
-        assert scatter == pytest.approx(dense, rel=1e-13)
+    def test_scatter_product_matches_the_dense_one(self):
+        # both views propagate through an edge list on both sides of the view threshold
+        for n in (SPARSE_MIN_NODES - 1, SPARSE_MIN_NODES):
+            rng = np.random.default_rng(n)
+            g = random_graph(rng, n, 4, weighted=True)
+            g.features[5] = 0.0  # a zero-norm row scores 0 with every other
+            g.features[7] = g.features[8]  # a tie
+            topo = np.abs(dense_adjacency(g) @ g.features).mean()
+            assert avg_feature_value(g, "topology") == pytest.approx(topo, rel=1e-13)
+            # the cosine of a zero row is 0, as it is in the kNN view
+            unit = g.features / np.maximum(np.linalg.norm(g.features, axis=1), 1e-300)[:, None]
+            feat_adj = loop_knn(np.clip(unit @ unit.T, -1.0, 1.0), 3)
+            attr = np.abs(feat_adj @ g.features).mean()
+            assert avg_feature_value(g, "attribute", k=3) == pytest.approx(attr, rel=1e-13)
 
     def test_attribute_view_needs_k(self):
         g = Graph(adjacency=np.zeros((3, 3)), features=np.ones((3, 2)))

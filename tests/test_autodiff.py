@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,7 +542,8 @@ def test_one_attention_block_runs_without_a_pool(tmp_path):
         "    ad.backward(ad.sum_all(ad.attention(z, *ws)), tape)",
         "assert ad._POOL is None and 'concurrent.futures' not in sys.modules",
     ])
-    env = dict(os.environ, GAA_THREADS="2")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "GAA_THREADS": "2", "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

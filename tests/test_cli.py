@@ -141,6 +141,31 @@ class TestTrainEval:
         assert code == 1
         assert capsys.readouterr().err == f"error: {labels}:24: label 5 outside [0, 2)\n"
 
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_eval_feature_width_other_than_the_checkpoint_exit_1(self, pair_dir, tmp_path,
+                                                                  capsys, width):
+        out = tmp_path / "run"
+        assert cli(*self.train_args(pair_dir, out)) == 0
+        features = tmp_path / "features.csv"
+        features.write_text("".join(",".join(["0.5"] * width) + "\n" for _ in range(24)))
+        capsys.readouterr()
+        code = cli("eval", "--checkpoint", str(out / "model.bin"),
+                   "--edges", str(pair_dir / "target.edges"), "--features", str(features),
+                   "--labels", str(pair_dir / "target.labels.txt"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {features}: {width} feature columns, but the checkpoint "
+            f"{out / 'model.bin'} takes 4\n")
+
+    def test_eval_missing_checkpoint_exit_1(self, pair_dir, tmp_path, capsys):
+        path = tmp_path / "none.bin"
+        code = cli("eval", "--checkpoint", str(path), "--edges", str(pair_dir / "target.edges"),
+                   "--features", str(pair_dir / "target.features.csv"),
+                   "--labels", str(pair_dir / "target.labels.txt"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: cannot read: No such file or directory\n")
+
     def test_runs_flag_writes_summary(self, pair_dir, tmp_path):
         out = tmp_path / "multi"
         assert cli(*self.train_args(pair_dir, out), "--runs", "2") == 0
@@ -200,6 +225,47 @@ class TestErrors:
 
     def test_missing_pair_dir_exit_1(self, tmp_path):
         assert cli("bound", "--pair", str(tmp_path / "nope")) == 1
+
+    @pytest.mark.parametrize("verb", ["train", "bound", "diagnose"])
+    def test_feature_widths_that_differ_exit_1(self, pair_dir, tmp_path, capsys, verb):
+        path = pair_dir / "target.features.csv"
+        path.write_text("".join(line + ",1.0\n" for line in path.read_text().splitlines()))
+        extra = ["--out", str(tmp_path / "x")] if verb == "train" else []
+        assert cli(verb, "--pair", str(pair_dir), *extra) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: 5 feature columns, but {pair_dir / 'source.features.csv'} has 4\n")
+
+    def test_missing_target_features_exit_1(self, pair_dir, tmp_path, capsys):
+        path = pair_dir / "target.features.csv"
+        path.unlink()
+        assert cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {path}: No such file or directory\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_config_that_is_a_directory_exit_1(self, pair_dir, tmp_path, capsys):
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--config", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read config file {tmp_path}: Is a directory\n")
+
+    def test_config_that_is_not_utf8_exit_1(self, pair_dir, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"epochs": 1, "variant": "\xff"}')
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--config", str(path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    def test_unwritable_output_stays_exit_2(self, pair_dir, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli("train", "--pair", str(pair_dir), "--out", str(blocker / "x"),
+                   "--set", "epochs=1", "--set", "hidden=8")
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_bad_flag_exit_1(self):
         assert cli("train", "--nonsense") == 1

@@ -17,33 +17,49 @@ from gaa.featgraph import (
     build_views,
     cosine_similarity_matrix,
     knn_edges,
-    knn_graph,
     max_asymmetry,
     sym_normalize,
 )
 
-from helpers import loop_cosine_matrix, loop_knn, loop_knn_selection
+from helpers import (
+    csr_sym_normalize,
+    loop_cosine_matrix,
+    loop_knn,
+    loop_knn_selection,
+    loop_sym_normalize,
+)
+
+
+def cosine(x):
+    """The cosine matrix that ``knn_edges`` selects from, assembled from its
+    row blocks."""
+    unit, nonzero = featgraph._unit_rows(x)
+    return np.vstack([cosine_similarity_matrix(unit, nonzero, start)
+                      for start in range(0, len(x), featgraph.KNN_BLOCK)])
+
+
+def edges_of(adj):
+    return EdgeList.from_dense(np.asarray(adj, dtype=np.float64))
 
 
 class TestCosine:
     def test_identical_rows(self):
-        x = np.array([[1.0, 2.0], [2.0, 4.0]])
-        sim = cosine_similarity_matrix(x)
+        sim = cosine(np.array([[1.0, 2.0], [2.0, 4.0]]))
         assert sim[0, 1] == pytest.approx(1.0)
 
     def test_orthogonal_rows(self):
-        sim = cosine_similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        sim = cosine(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert sim[0, 1] == pytest.approx(0.0)
 
     def test_zero_norm_row_scores_zero_including_itself(self):
-        sim = cosine_similarity_matrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        sim = cosine(np.array([[0.0, 0.0], [1.0, 1.0]]))
         assert sim[0, 0] == 0.0 and sim[0, 1] == 0.0 and sim[1, 0] == 0.0
         assert sim[1, 1] == 1.0
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(20, 6))
-        np.testing.assert_allclose(cosine_similarity_matrix(x), loop_cosine_matrix(x), atol=1e-12)
+        np.testing.assert_allclose(cosine(x), loop_cosine_matrix(x), atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(2, 10), st.integers(1, 6),
@@ -52,7 +68,7 @@ class TestCosine:
         # small blocks assemble the matrix from several row blocks
         x = np.random.default_rng(seed).normal(size=(n, d))
         with mock.patch.object(featgraph, "KNN_BLOCK", block):
-            sim = cosine_similarity_matrix(x)
+            sim = cosine(x)
         np.testing.assert_array_equal(sim, sim.T)
         assert sim.min() >= -1.0 and sim.max() <= 1.0
         np.testing.assert_allclose(sim, loop_cosine_matrix(x), atol=1e-12)
@@ -61,41 +77,41 @@ class TestCosine:
     # compute its own products left the matrix 1 ulp off symmetric
     @pytest.mark.parametrize("n, d", [(453, 32), (505, 8)])
     def test_exactly_symmetric_with_a_ragged_last_block(self, n, d):
-        sim = cosine_similarity_matrix(np.random.default_rng(n).normal(size=(n, d)))
+        sim = cosine(np.random.default_rng(n).normal(size=(n, d)))
         np.testing.assert_array_equal(sim, sim.T)
 
 
 class TestKnn:
     def test_top1_forced_edge(self):
-        sim = np.array([[1.0, 0.9, 0.1], [0.9, 1.0, 0.2], [0.1, 0.2, 1.0]])
-        adj = knn_graph(sim, 1)
-        assert adj[0, 1] == 1.0 and adj[1, 0] == 1.0
+        # row 1 is the closest direction to both 0 and 2
+        x = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        adj = knn_edges(x, 1).dense()
+        np.testing.assert_array_equal(adj, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_k_max_gives_complete_graph(self):
         rng = np.random.default_rng(1)
-        sim = cosine_similarity_matrix(rng.normal(size=(5, 3)))
-        adj = knn_graph(sim, 4)
+        adj = knn_edges(rng.normal(size=(5, 3)), 4).dense()
         np.testing.assert_array_equal(adj, 1.0 - np.eye(5))
 
     def test_k_out_of_range(self):
-        sim = np.eye(3)
+        x = np.eye(3)
         with pytest.raises(ConfigError):
-            knn_graph(sim, 0)
+            knn_edges(x, 0)
         with pytest.raises(ConfigError):
-            knn_graph(sim, 3)
+            knn_edges(x, 3)
 
     def test_matches_brute_force_with_tie_rule(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(30, 5))
-        sim = cosine_similarity_matrix(x)
-        np.testing.assert_array_equal(knn_graph(sim, 3), loop_knn(sim, 3))
+        np.testing.assert_array_equal(knn_edges(x, 3).dense(), loop_knn(cosine(x), 3))
 
     def test_tie_break_prefers_lower_index(self):
-        sim = np.ones((4, 4))  # all similarities equal
-        adj = knn_graph(sim, 2)
+        x = np.ones((4, 3))  # all similarities equal
+        sim = cosine(x)
+        assert np.all(sim == sim[0, 0])
         picks = loop_knn_selection(sim, 2)
         assert picks[3] == [0, 1]
-        np.testing.assert_array_equal(adj, loop_knn(sim, 2))
+        np.testing.assert_array_equal(knn_edges(x, 2).dense(), loop_knn(sim, 2))
 
     @settings(max_examples=60, deadline=None)
     @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 14), st.integers(1, 3)),
@@ -106,11 +122,9 @@ class TestKnn:
         # small blocks leave a ragged last block
         x[[r for r in zero_rows if r < len(x)]] = 0.0
         with mock.patch.object(featgraph, "KNN_BLOCK", block):
-            sim = cosine_similarity_matrix(x)
+            sim = cosine(x)
             for k in range(1, len(x)):
                 want = loop_knn(sim, k)
-                np.testing.assert_array_equal(knn_graph(sim, k), want)
-                # the blocked cosine feeds the same selection
                 edges = knn_edges(x, k)
                 np.testing.assert_array_equal(edges.csr().toarray(), want)
                 np.testing.assert_array_equal(edges.dense(), want)
@@ -119,23 +133,32 @@ class TestKnn:
     @given(st.integers(0, 2**31 - 1), st.integers(3, 12), st.integers(1, 4))
     def test_structural_invariants(self, seed, n, k):
         k = min(k, n - 1)
-        sim = cosine_similarity_matrix(np.random.default_rng(seed).normal(size=(n, 4)))
-        adj = knn_graph(sim, k)
+        x = np.random.default_rng(seed).normal(size=(n, 4))
+        edges = knn_edges(x, k)
+        assert np.all(edges.row < edges.col)  # no self-edge
+        adj = edges.dense()
         np.testing.assert_array_equal(adj, adj.T)
-        assert np.all(np.diag(adj) == 0)
         assert set(np.unique(adj)) <= {0.0, 1.0}
         # each node selects exactly k neighbors before symmetrization
-        for picks in loop_knn_selection(sim, k):
+        for picks in loop_knn_selection(cosine(x), k):
             assert len(picks) == k
 
 
 class TestSymNormalize:
     def test_isolated_nodes_with_loops_give_identity(self):
-        np.testing.assert_array_equal(sym_normalize(np.zeros((2, 2))), np.eye(2))
+        norm = sym_normalize(edges_of(np.zeros((2, 2))))
+        np.testing.assert_array_equal(norm.dense(), np.eye(2))
+
+    def test_a_stored_diagonal_entry_joins_the_loop(self):
+        # a_00 = 2 and the loop give row 0 degree 3 + the edge to node 1
+        adj = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        norm = sym_normalize(edges_of(adj))
+        np.testing.assert_allclose(norm.dense(), loop_sym_normalize(adj), rtol=1e-15)
+        assert norm.dense()[0, 0] == pytest.approx(3.0 / 4.0)
 
     def test_two_node_edge(self):
-        adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(sym_normalize(adj), np.full((2, 2), 0.5))
+        norm = sym_normalize(edges_of([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(norm.dense(), np.full((2, 2), 0.5))
 
     def test_star_graph_matches_closed_form(self):
         # star with center 0 and m=4 leaves; the loops give the center degree
@@ -144,22 +167,31 @@ class TestSymNormalize:
         adj = np.zeros((m + 1, m + 1))
         adj[0, 1:] = 1.0
         adj[1:, 0] = 1.0
-        norm = sym_normalize(adj)
+        norm = sym_normalize(edges_of(adj)).dense()
         np.testing.assert_allclose(norm[0, 1:], np.full(m, 1 / np.sqrt(2 * (m + 1))))
         np.testing.assert_allclose(norm[1:, 0], norm[0, 1:])
         assert norm[0, 0] == pytest.approx(1 / (m + 1))
         np.testing.assert_allclose(norm[1:, 1:], np.eye(m) / 2)
 
     def test_leaves_input_unchanged(self):
-        adj = np.array([[0.0, 2.0], [2.0, 0.0]])
-        sym_normalize(adj)
-        np.testing.assert_array_equal(adj, [[0.0, 2.0], [2.0, 0.0]])
+        edges = edges_of([[0.0, 2.0], [2.0, 0.0]])
+        sym_normalize(edges)
+        np.testing.assert_array_equal(edges.dense(), [[0.0, 2.0], [2.0, 0.0]])
 
     def test_rejects_negative_entries(self):
         with pytest.raises(DomainError):
-            sym_normalize(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-        with pytest.raises(DomainError):
-            sym_normalize(sparse.csr_array(np.array([[0.0, -1.0], [-1.0, 0.0]])))
+            sym_normalize(EdgeList(2, np.array([0]), np.array([1]), np.array([-1.0])))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.booleans())
+    def test_matches_loop_oracle(self, seed, n, weighted):
+        rng = np.random.default_rng(seed)
+        adj = np.triu(rng.uniform(0.1, 3.0, (n, n)) * (rng.random((n, n)) < 0.4))
+        if not weighted:
+            adj = (adj > 0.0).astype(float)
+        adj = adj + np.triu(adj, 1).T  # the diagonal, where drawn, once
+        norm = sym_normalize(edges_of(adj))
+        np.testing.assert_allclose(norm.dense(), loop_sym_normalize(adj), rtol=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(2, 10))
@@ -168,7 +200,7 @@ class TestSymNormalize:
         adj = (rng.random((n, n)) < 0.4).astype(float)
         adj = np.triu(adj, 1)
         adj = adj + adj.T
-        norm = sym_normalize(adj)
+        norm = sym_normalize(edges_of(adj)).dense()
         # power iteration
         v = np.ones(n) / np.sqrt(n)
         for _ in range(200):
@@ -249,21 +281,36 @@ def _tied_inputs(n, seed):
 
 @pytest.mark.parametrize("n", [SPARSE_MIN_NODES - 1, SPARSE_MIN_NODES])
 def test_sparse_views_match_the_dense_ones(n):
-    """Both sides of the threshold: the CSR views agree with the dense ones
-    entrywise, ties and a zero-norm row included, and build_views returns
-    the ones its side calls for."""
+    """Both sides of the threshold: the dense view of a normalized edge list
+    is its CSR view's array exactly, ties and a zero-norm row included, and
+    build_views returns the one its side calls for."""
     adj, x = _tied_inputs(n, seed=n)
-    dense = (sym_normalize(adj), sym_normalize(knn_graph(cosine_similarity_matrix(x), 3)))
-    csr = (sym_normalize(sparse.csr_array(adj)), sym_normalize(knn_edges(x, 3).csr()))
-    for want, got in zip(dense, csr):
-        got = got.toarray()
-        np.testing.assert_array_equal(got != 0.0, want != 0.0)  # the same kNN picks
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    views = build_views(EdgeList.from_dense(adj), x, k=3)
-    for built, want in zip((views.topo_norm, views.feat_norm),
-                           csr if n >= SPARSE_MIN_NODES else dense):
+    edges = EdgeList.from_dense(adj)
+    norms = (sym_normalize(edges), sym_normalize(knn_edges(x, 3)))
+    for norm in norms:
+        np.testing.assert_array_equal(norm.dense(), norm.csr().toarray())
+    views = build_views(edges, x, k=3)
+    for built, norm in zip((views.topo_norm, views.feat_norm), norms):
         assert sparse.issparse(built) == (n >= SPARSE_MIN_NODES)
+        want = norm.csr() if n >= SPARSE_MIN_NODES else norm.dense()
         assert (built != want).sum() == 0
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_csr_views_are_scipys_normalization_bit_for_bit(weighted):
+    """The CSR views hold the bits of normalizing in scipy: ``A + I``, its
+    row sums, then the scaling, entry for entry in the same order."""
+    n = SPARSE_MIN_NODES
+    adj, x = _tied_inputs(n, seed=5)
+    if not weighted:
+        adj = (adj > 0.0).astype(float)
+    edges = EdgeList.from_dense(adj)
+    views = build_views(edges, x, k=3)
+    for got, graph in ((views.topo_norm, edges), (views.feat_norm, knn_edges(x, 3))):
+        want = csr_sym_normalize(graph.csr())
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_sparse_build_views_peaks_below_one_dense_array():

@@ -260,9 +260,9 @@ class TestViewBuilding:
         from gaa import featgraph
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("knn_graph called")
+            raise AssertionError("knn_edges called")
 
-        monkeypatch.setattr(featgraph, "knn_graph", forbidden)
+        monkeypatch.setattr(featgraph, "knn_edges", forbidden)
         train_gaa(small_pair(), quick_cfg(variant=variant, epochs=1))
 
     def test_knn_gcn_never_normalizes_topology(self, monkeypatch):
@@ -273,9 +273,9 @@ class TestViewBuilding:
         normalized = []
         original = featgraph.sym_normalize
 
-        def recording(adj, *args, **kwargs):
-            normalized.append(any(np.array_equal(adj, a) for a in topologies))
-            return original(adj, *args, **kwargs)
+        def recording(edges, *args, **kwargs):
+            normalized.append(any(np.array_equal(edges.dense(), a) for a in topologies))
+            return original(edges, *args, **kwargs)
 
         monkeypatch.setattr(featgraph, "sym_normalize", recording)
         train_gaa(pair, quick_cfg(variant="KNN_GCN", epochs=1))

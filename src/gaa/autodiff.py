@@ -363,8 +363,10 @@ def thread_budget() -> int:
     return threads
 
 
-def _attention_threads(n_blocks: int) -> int:
-    return min(thread_budget(), n_blocks, os.cpu_count() or 1)
+def worker_count(items: int) -> int:
+    """The threads or processes to run ``items`` independent pieces of work
+    on: the thread budget, capped by ``items`` and by ``os.cpu_count()``."""
+    return min(thread_budget(), items, os.cpu_count() or 1)
 
 
 def _thread_pool(threads: int):
@@ -432,7 +434,7 @@ def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     # the 1/sqrt(e) scale rides on Q, an n x e array, not on the scores
     q, k, m = (z_data @ wq_data.T) * c, z_data @ wk_data.T, z_data @ wv_data.T
     blocks = [(lo, min(lo + ATTENTION_BLOCK, n)) for lo in range(0, n, ATTENTION_BLOCK)]
-    threads = _attention_threads(len(blocks))
+    threads = worker_count(len(blocks))
     row_max, row_sum = np.empty((n, 1)), np.empty((n, 1))
 
     def softmax_block(lo, hi, forward=False):

@@ -24,7 +24,7 @@ from dataclasses import asdict, replace
 from multiprocessing import Pool
 from pathlib import Path
 
-from .autodiff import thread_budget
+from .autodiff import thread_budget, worker_count
 from .exceptions import CheckpointError, ConfigError, GaaError, ParseError, field_types
 from .analysis import avg_feature_value, proposition1_bound
 from .graphs import (
@@ -331,17 +331,17 @@ def _cmd_sweep(args) -> int:
     _check_runs(args.runs)
     cfg = _load_config(args)
     grid = _parse_grid(args.grid)
-    workers = thread_budget()
+    cells = list(itertools.product(grid["alpha"], grid["beta"], grid["tau"], grid["k"]))
+    # each worker receives the pair once, not once per task; no worker sits
+    # idle, and none waits for a core
+    workers = worker_count(len(cells))
     pair = load_pair(args.pair)
     _check_target_labels(pair, args.pair, "sweep")
-    cells = list(itertools.product(grid["alpha"], grid["beta"], grid["tau"], grid["k"]))
     tasks = []
     for alpha, beta, tau, k in cells:
         cell_cfg = replace(cfg, k=k, weights=LossWeights(alpha=alpha, beta=beta, tau=tau))
         tasks.append((cell_cfg, args.runs))
 
-    # each worker receives the pair once, not once per task; no worker sits idle
-    workers = min(workers, len(tasks))
     if workers > 1:
         with Pool(processes=workers, initializer=_init_sweep_worker, initargs=(pair,)) as pool:
             results = pool.map(_sweep_cell, tasks)
@@ -392,6 +392,10 @@ def run_command(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the request; a bare MemoryError says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

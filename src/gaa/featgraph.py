@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DomainError
 
-# the largest |m[i, j] - m[j, i]| accepted in a dense adjacency or a view
+# the largest |m[i, j] - m[j, i]| accepted in a view
 SYMMETRY_TOL = 1e-12
 KNN_BLOCK = 256  # rows of the similarity matrix computed and selected at a time
 SYMMETRY_BLOCK = 256  # rows of the upper triangle compared at a time
@@ -63,9 +63,9 @@ def max_asymmetry(m) -> float:
 @dataclass(frozen=True)
 class EdgeList:
     """An undirected weighted graph on ``n`` nodes, one entry per linked pair:
-    ``row[e] <= col[e]`` with weight ``weight[e]``, in row-major order. A
-    diagonal entry (``row == col``) exists where a dense matrix with a
-    diagonal was converted, and for every node of a normalized list."""
+    ``row[e] < col[e]`` with weight ``weight[e]``, in row-major order. Only
+    a normalized list (``sym_normalize``) also holds a diagonal entry
+    (``row == col``), one for every node."""
 
     n: int
     row: np.ndarray
@@ -85,14 +85,6 @@ class EdgeList:
         weight = weight[keep][::-1][last]
         present = weight != 0.0
         return cls(n, pairs[present] // n, pairs[present] % n, weight[present])
-
-    @classmethod
-    def from_dense(cls, adj: np.ndarray) -> "EdgeList":
-        """The upper triangle of a symmetric ``adj``, diagonal included."""
-        rows, cols = np.nonzero(adj)  # row-major
-        upper = rows <= cols
-        rows, cols = rows[upper], cols[upper]
-        return cls(adj.shape[0], rows, cols, adj[rows, cols])
 
     def _both_directions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, weights) of every stored matrix entry: the mirrored
@@ -222,23 +214,19 @@ def sym_normalize(edges: EdgeList) -> EdgeList:
     self-loops.
 
     The loops (Kipf & Welling, arXiv:1609.02907, eq. 2) make every degree
-    at least 1, so no row is divided by zero. They are merged into the
-    diagonal, each row's degree sums that row's entries in CSR column order
+    at least 1, so no row is divided by zero. Each node gets a loop of
+    weight 1, each row's degree sums that row's entries in CSR column order
     (as scipy's ``csr.sum(axis=1)`` does), and each weight is scaled by
     ``dinv[row] * dinv[col]``.
     """
-    if np.any(edges.weight < 0.0):
-        raise DomainError("sym_normalize needs a non-negative adjacency")
+    if np.any(edges.weight < 0.0) or np.any(edges.row >= edges.col):
+        raise DomainError("sym_normalize needs a strictly upper, non-negative edge list")
     n = edges.n
-    loops = edges.row == edges.col
-    diag = np.ones(n)
-    diag[edges.row[loops]] += edges.weight[loops]
-    row, col, weight = edges.row[~loops], edges.col[~loops], edges.weight[~loops]
-    # a row's diagonal entry goes first: its other entries have higher columns
+    # a row's loop goes first: its other entries have higher columns
     nodes = np.arange(n)
-    at = np.searchsorted(row, nodes)
-    looped = EdgeList(n, np.insert(row, at, nodes), np.insert(col, at, nodes),
-                      np.insert(weight, at, diag))
+    at = np.searchsorted(edges.row, nodes)
+    looped = EdgeList(n, np.insert(edges.row, at, nodes), np.insert(edges.col, at, nodes),
+                      np.insert(edges.weight, at, 1.0))
     _, data, indptr = looped._csr_entries()
     dinv = 1.0 / np.sqrt(np.add.reduceat(data, indptr[:-1]))
     return EdgeList(n, looped.row, looped.col,

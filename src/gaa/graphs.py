@@ -12,38 +12,32 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, ParseError
-from .featgraph import SYMMETRY_TOL, EdgeList, max_asymmetry
+from .featgraph import EdgeList
 
-GEN_BLOCK = 256  # rows of gen_attribute_shift's uniform draw held at once
+GEN_BLOCK = 256  # rows of a generator's n x n uniform draw held at once
 
 
 @dataclass
 class Graph:
     """One domain's data: its undirected edge list, node features, optional labels.
 
-    ``edges`` is the stored form, and a consumer builds a matrix from it only
-    where it reads one. A caller may pass a dense symmetric ``adjacency``
-    instead; it is checked once and converted.
+    ``edges`` holds each linked pair once, ``row < col``, and is the only
+    stored form: a consumer builds a matrix from it only where it reads one.
     """
 
+    edges: EdgeList
     features: np.ndarray
     labels: np.ndarray | None = None
     num_classes: int | None = None
-    edges: EdgeList | None = None
-    adjacency: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, adjacency):
+    def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        if (adjacency is None) == (self.edges is None):
-            raise DomainError("a graph takes either edges or an adjacency matrix")
-        if adjacency is not None:
-            self.edges = _edges_of_dense(np.asarray(adjacency, dtype=np.float64), self.n)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.num_classes is None:
@@ -70,10 +64,10 @@ class Graph:
             raise DomainError("edge row, col and weight arrays differ in shape")
         if not (np.issubdtype(e.row.dtype, np.integer) and np.issubdtype(e.col.dtype, np.integer)):
             raise DomainError("edge ids are not integers")
-        if e.row.size and (e.row.min() < 0 or e.col.max() >= n or np.any(e.row > e.col)):
-            raise DomainError(f"edge ids outside 0 <= row <= col < {n}")
+        if e.row.size and (e.row.min() < 0 or e.col.max() >= n or np.any(e.row >= e.col)):
+            raise DomainError(f"edge ids outside 0 <= row < col < {n}")
         if not np.isfinite(e.weight).all():
-            raise DomainError("adjacency holds non-finite values")
+            raise DomainError("edge weights hold non-finite values")
         if np.any(e.weight < 0.0):
             raise DomainError("negative edge weight")
         if np.any(np.diff(e.row.astype(np.int64) * n + e.col) <= 0):
@@ -85,20 +79,6 @@ class Graph:
                 raise DomainError("negative label")
             if self.num_classes is not None and self.labels.max(initial=-1) >= self.num_classes:
                 raise DomainError("label out of class range")
-
-
-def _edges_of_dense(adjacency: np.ndarray, n: int) -> EdgeList:
-    """The edge list of a dense adjacency, which must be n x n and symmetric."""
-    if adjacency.shape != (n, n):
-        raise DomainError(f"adjacency {adjacency.shape} does not match {n} feature rows")
-    # a non-finite entry makes its difference non-finite, so the symmetry
-    # check's one pass over the matrix also screens for inf and nan
-    asymmetry = max_asymmetry(adjacency)
-    if not np.isfinite(asymmetry) and not np.isfinite(adjacency).all():
-        raise DomainError("adjacency holds non-finite values")
-    if not asymmetry <= SYMMETRY_TOL:
-        raise DomainError("adjacency is not symmetric")
-    return EdgeList.from_dense(adjacency)
 
 
 @dataclass
@@ -264,11 +244,9 @@ def save_graph(graph: Graph, edge_path, feature_path, label_path=None):
     the weight omitted where it is 1."""
     edge_path, feature_path = Path(edge_path), Path(feature_path)
     e = graph.edges
-    off = e.row != e.col
     with open(edge_path, "w") as fh:
         fh.writelines(f"{i} {j}\n" if w == 1.0 else f"{i} {j} {w!r}\n"
-                      for i, j, w in zip(e.row[off].tolist(), e.col[off].tolist(),
-                                         e.weight[off].tolist()))
+                      for i, j, w in zip(e.row.tolist(), e.col.tolist(), e.weight.tolist()))
     with open(feature_path, "w") as fh:
         for row in graph.features:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -298,6 +276,20 @@ def _check_sizes(seed: int, n: int, d: int):
             raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
+def _strict_upper_draw(rng, n: int, threshold) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col), row-major, of the strict upper triangle where one n x n
+    uniform draw of ``rng`` falls below ``threshold(lo, hi)``, the threshold
+    of rows lo to hi. The draw is made GEN_BLOCK rows at a time: successive
+    row blocks are the same stream, and no n x n array exists."""
+    rows, cols = [], []
+    for lo in range(0, n, GEN_BLOCK):
+        hi = min(lo + GEN_BLOCK, n)
+        r, c = np.nonzero(np.triu(rng.random((hi - lo, n)) < threshold(lo, hi), lo + 1))
+        rows.append(r + lo)
+        cols.append(c)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def gen_attribute_shift(cluster_std: float, seed: int, n: int = 100, d: int = 10,
                         edge_prob: float = 0.3) -> Graph:
     """Two Gaussian clusters on a fixed random topology.
@@ -312,15 +304,7 @@ def gen_attribute_shift(cluster_std: float, seed: int, n: int = 100, d: int = 10
     if not 0.0 <= cluster_std < math.inf:
         raise ConfigError(f"cluster_std must be finite and >= 0, got {cluster_std}")
     topo_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA11CE]))
-    # the strict upper triangle of one n x n uniform draw below edge_prob, drawn
-    # GEN_BLOCK rows at a time: successive row blocks are the same stream
-    rows, cols = [], []
-    for lo in range(0, n, GEN_BLOCK):
-        u = topo_rng.random((min(lo + GEN_BLOCK, n) - lo, n))
-        r, c = np.nonzero(np.triu(u < edge_prob, lo + 1))
-        rows.append(r + lo)
-        cols.append(c)
-    row, col = np.concatenate(rows), np.concatenate(cols)
+    row, col = _strict_upper_draw(topo_rng, n, lambda lo, hi: edge_prob)
     edges = EdgeList(n, row, col, np.ones(row.size))
     centers = topo_rng.uniform(-10.0, 10.0, size=(2, d))
 
@@ -335,9 +319,10 @@ def gen_sbm(seed: int, n: int = 100, p: float = 0.8, d: int = 10) -> Graph:
     """Two-community stochastic block model with Uniform(0,1] edge weights.
 
     Intra-community edge probability is ``p``, inter-community ``p / 10``.
-    Features are all ones; labels are the communities. The underlying uniform
-    draws depend on ``seed`` only, so lowering ``p`` under a fixed seed
-    removes edges monotonically (nested edge sets). With constant features a
+    Features are all ones; labels are the communities. Two n x n uniform
+    draws, made GEN_BLOCK rows at a time, pick the edges and weigh them; they
+    depend on ``seed`` only, so lowering ``p`` under a fixed seed removes
+    edges monotonically (nested edge sets). With constant features a
     bias-free GCN embeds every node as a per-node scalar times one fixed vector,
     so no GCN can tell the two balanced communities apart on this family.
     """
@@ -348,15 +333,17 @@ def gen_sbm(seed: int, n: int = 100, p: float = 0.8, d: int = 10) -> Graph:
     half = n // 2
     labels = np.zeros(n, dtype=np.int64)
     labels[half:] = 1
-    prob = np.where(np.equal.outer(labels, labels), p, p / 10.0)
-    u = rng.random((n, n))
-    weights = 1.0 - rng.random((n, n))  # Uniform(0, 1]
-    present = np.triu(u < prob, 1)
-    adjacency = np.where(present, weights, 0.0)
-    adjacency = np.triu(adjacency, 1)
-    adjacency = adjacency + adjacency.T
+    row, col = _strict_upper_draw(
+        rng, n, lambda lo, hi: np.where(labels[lo:hi, None] == labels, p, p / 10.0))
+    # the second draw, the weights, is read at the picks one row block at a time
+    weight = np.empty(row.size)
+    for lo in range(0, n, GEN_BLOCK):
+        hi = min(lo + GEN_BLOCK, n)
+        a, b = np.searchsorted(row, (lo, hi))
+        weight[a:b] = 1.0 - rng.random((hi - lo, n))[row[a:b] - lo, col[a:b]]  # Uniform(0, 1]
     features = np.ones((n, d))
-    return Graph(adjacency=adjacency, features=features, labels=labels, num_classes=2)
+    return Graph(edges=EdgeList(n, row, col, weight), features=features, labels=labels,
+                 num_classes=2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 
 from gaa import autodiff as ad
+from gaa.featgraph import EdgeList
 
 FD_H = 1e-5
 FD_REL_TOL = 1e-4
@@ -108,6 +109,17 @@ def csr_sym_normalize(adj):
     rows = np.repeat(np.arange(n), np.diff(a.indptr))
     a.data *= dinv[rows] * dinv[a.indices]
     return a
+
+
+def edges_of_dense(adj):
+    """The edge list of a dense ``adj``, which must be exactly symmetric with
+    a zero diagonal: its strict upper triangle's nonzero entries, built
+    through ``EdgeList.from_pairs``."""
+    adj = np.asarray(adj, dtype=np.float64)
+    assert np.array_equal(adj, adj.T), "adjacency is not exactly symmetric"
+    assert not np.diagonal(adj).any(), "adjacency has a diagonal entry"
+    i, j = np.nonzero(np.triu(adj, 1))
+    return EdgeList.from_pairs(adj.shape[0], i, j, adj[i, j])
 
 
 def dense_adjacency(graph):

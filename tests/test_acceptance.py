@@ -26,6 +26,7 @@ from gaa.model import forward_all, init_model, propagate, Hyper
 from gaa.train import TrainConfig, run_repeated, train_gaa, _epoch_losses
 
 from helpers import (
+    edges_of_dense,
     loop_cosine_matrix,
     loop_domain_bce,
     loop_knn,
@@ -243,8 +244,8 @@ def test_criterion_2_oracle_equivalence():
 
         m = int(rng.integers(3, 12))
         adj_s, adj_t = _rand_adj(rng, n), _rand_adj(rng, m)
-        gs = Graph(adjacency=adj_s, features=x)
-        gt = Graph(adjacency=adj_t, features=rng.normal(size=(m, d)))
+        gs = Graph(edges=edges_of_dense(adj_s), features=x)
+        gt = Graph(edges=edges_of_dense(adj_t), features=rng.normal(size=(m, d)))
         got = proposition1_bound(gs, gt, normalize_by=m)
         topo, attr = loop_pair_bound(adj_s, gs.features, adj_t, gt.features, m)
         denom = max(1.0, abs(topo), abs(attr))
@@ -321,7 +322,7 @@ def _csbm_inter_shift(seed, inter_ps):
     graphs = []
     for inter_p in inter_ps:
         adjacency = np.where(np.triu(u < np.where(same, 0.8, inter_p), 1), weights, 0.0)
-        graphs.append(Graph(adjacency=adjacency + adjacency.T, features=features,
+        graphs.append(Graph(edges=edges_of_dense(adjacency + adjacency.T), features=features,
                             labels=labels, num_classes=2))
     return graphs
 

@@ -480,13 +480,13 @@ def test_attention_is_the_same_bytes_on_any_thread_count(threads, n_blocks, monk
 def test_attention_thread_count_is_capped_by_budget_blocks_and_cores(monkeypatch):
     monkeypatch.setattr(ad, "_POOL", None)
     monkeypatch.setenv("GAA_THREADS", "100000")
-    assert ad._attention_threads(1) == 1
-    assert ad._attention_threads(3) == min(3, os.cpu_count())
+    assert ad.worker_count(1) == 1
+    assert ad.worker_count(3) == min(3, os.cpu_count())
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert ad._attention_threads(3) == 3
-    assert ad._attention_threads(1000) == 64
+    assert ad.worker_count(3) == 3
+    assert ad.worker_count(1000) == 64
     monkeypatch.setenv("GAA_THREADS", "2")
-    assert ad._attention_threads(1000) == 2
+    assert ad.worker_count(1000) == 2
     assert ad._POOL is None  # counting starts no thread
 
 

@@ -86,6 +86,17 @@ class TestGenerate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_out_of_memory_exit_2(self, tmp_path, capsys):
+        # the 1.4 EiB center draw is past any address space, so numpy's request
+        # fails before anything is allocated, whatever the overcommit policy
+        out = tmp_path / "pair"
+        code = cli("generate", "--kind", "attribute-shift", "--seed", "1", "--n", "10",
+                   "--d", str(10**17), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTrainEval:
     def train_args(self, pair_dir, out, *extra):
@@ -632,9 +643,10 @@ class TestSweep:
         assert "gamma" in capsys.readouterr().err
 
     @staticmethod
-    def serial_pool(monkeypatch, seen):
+    def serial_pool(monkeypatch, seen, cores=8):
         """Stand in for multiprocessing.Pool: record what it was given and map
-        in this process, so no worker process starts."""
+        in this process, so no worker process starts. The worker cap sees
+        ``cores`` CPUs, whatever this machine has."""
         class SerialPool:
             def __init__(self, processes, initializer, initargs):
                 seen["processes"], seen["initargs"] = processes, initargs
@@ -652,6 +664,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli_module, "Pool", SerialPool)
         monkeypatch.setattr(cli_module, "_sweep_pair", None)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
 
     def test_unlabeled_target_exit_1_before_a_pool_starts(self, pair_dir, tmp_path, capsys,
                                                           monkeypatch):
@@ -704,6 +717,18 @@ class TestSweep:
         assert cli(*args, "--out", str(capped)) == 0
         assert seen["processes"] == len(seen["tasks"]) == 4
         assert capped.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("cores, processes", [(2, 2), (3, 3), (None, None)])
+    def test_pool_never_outnumbers_the_cpus(self, pair_dir, tmp_path, monkeypatch, cores,
+                                            processes):
+        # cpu_count() may be None; the sweep then runs in this process
+        seen = {}
+        self.serial_pool(monkeypatch, seen, cores)
+        monkeypatch.setenv("GAA_THREADS", "64")
+        assert cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
+                   "--runs", "1", "--set", "epochs=1", "--grid", "alpha=0.1,0.5",
+                   "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3") == 0
+        assert seen.get("processes") == processes
 
     def test_pool_workers_attend_on_one_thread(self, pair_dir, tmp_path, monkeypatch):
         # the budget goes to the worker processes, not to threads within them

@@ -23,6 +23,7 @@ from gaa.featgraph import (
 
 from helpers import (
     csr_sym_normalize,
+    edges_of_dense,
     loop_cosine_matrix,
     loop_knn,
     loop_knn_selection,
@@ -36,10 +37,6 @@ def cosine(x):
     unit, nonzero = featgraph._unit_rows(x)
     return np.vstack([cosine_similarity_matrix(unit, nonzero, start)
                       for start in range(0, len(x), featgraph.KNN_BLOCK)])
-
-
-def edges_of(adj):
-    return EdgeList.from_dense(np.asarray(adj, dtype=np.float64))
 
 
 class TestCosine:
@@ -146,18 +143,19 @@ class TestKnn:
 
 class TestSymNormalize:
     def test_isolated_nodes_with_loops_give_identity(self):
-        norm = sym_normalize(edges_of(np.zeros((2, 2))))
+        norm = sym_normalize(edges_of_dense(np.zeros((2, 2))))
         np.testing.assert_array_equal(norm.dense(), np.eye(2))
 
-    def test_a_stored_diagonal_entry_joins_the_loop(self):
-        # a_00 = 2 and the loop give row 0 degree 3 + the edge to node 1
-        adj = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        norm = sym_normalize(edges_of(adj))
-        np.testing.assert_allclose(norm.dense(), loop_sym_normalize(adj), rtol=1e-15)
-        assert norm.dense()[0, 0] == pytest.approx(3.0 / 4.0)
+    def test_a_stored_diagonal_entry_is_rejected(self):
+        # normalization adds each node's loop itself, so a list that already
+        # holds one, or holds a pair the wrong way round, is not its input
+        for row, col in (((0, 0), (0, 1)), ((0, 1), (1, 0))):
+            edges = EdgeList(2, np.array(row), np.array(col), np.ones(2))
+            with pytest.raises(DomainError, match="strictly upper"):
+                sym_normalize(edges)
 
     def test_two_node_edge(self):
-        norm = sym_normalize(edges_of([[0.0, 1.0], [1.0, 0.0]]))
+        norm = sym_normalize(edges_of_dense([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(norm.dense(), np.full((2, 2), 0.5))
 
     def test_star_graph_matches_closed_form(self):
@@ -167,14 +165,14 @@ class TestSymNormalize:
         adj = np.zeros((m + 1, m + 1))
         adj[0, 1:] = 1.0
         adj[1:, 0] = 1.0
-        norm = sym_normalize(edges_of(adj)).dense()
+        norm = sym_normalize(edges_of_dense(adj)).dense()
         np.testing.assert_allclose(norm[0, 1:], np.full(m, 1 / np.sqrt(2 * (m + 1))))
         np.testing.assert_allclose(norm[1:, 0], norm[0, 1:])
         assert norm[0, 0] == pytest.approx(1 / (m + 1))
         np.testing.assert_allclose(norm[1:, 1:], np.eye(m) / 2)
 
     def test_leaves_input_unchanged(self):
-        edges = edges_of([[0.0, 2.0], [2.0, 0.0]])
+        edges = edges_of_dense([[0.0, 2.0], [2.0, 0.0]])
         sym_normalize(edges)
         np.testing.assert_array_equal(edges.dense(), [[0.0, 2.0], [2.0, 0.0]])
 
@@ -186,11 +184,11 @@ class TestSymNormalize:
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.booleans())
     def test_matches_loop_oracle(self, seed, n, weighted):
         rng = np.random.default_rng(seed)
-        adj = np.triu(rng.uniform(0.1, 3.0, (n, n)) * (rng.random((n, n)) < 0.4))
+        adj = np.triu(rng.uniform(0.1, 3.0, (n, n)) * (rng.random((n, n)) < 0.4), 1)
         if not weighted:
             adj = (adj > 0.0).astype(float)
-        adj = adj + np.triu(adj, 1).T  # the diagonal, where drawn, once
-        norm = sym_normalize(edges_of(adj))
+        adj = adj + adj.T
+        norm = sym_normalize(edges_of_dense(adj))
         np.testing.assert_allclose(norm.dense(), loop_sym_normalize(adj), rtol=1e-14)
 
     @settings(max_examples=25, deadline=None)
@@ -200,7 +198,7 @@ class TestSymNormalize:
         adj = (rng.random((n, n)) < 0.4).astype(float)
         adj = np.triu(adj, 1)
         adj = adj + adj.T
-        norm = sym_normalize(edges_of(adj)).dense()
+        norm = sym_normalize(edges_of_dense(adj)).dense()
         # power iteration
         v = np.ones(n) / np.sqrt(n)
         for _ in range(200):
@@ -218,7 +216,7 @@ def test_build_views_invariants():
     adj = (rng.random((12, 12)) < 0.3).astype(float)
     adj = np.triu(adj, 1)
     adj = adj + adj.T
-    views = build_views(EdgeList.from_dense(adj), rng.normal(size=(12, 4)), k=3)
+    views = build_views(edges_of_dense(adj), rng.normal(size=(12, 4)), k=3)
     assert isinstance(views, ViewMatrices)
     for m in (views.topo_norm, views.feat_norm):
         assert np.abs(m - m.T).max() <= 1e-12
@@ -231,7 +229,7 @@ def test_build_views_skips_a_view_whose_input_is_none():
     adj = np.triu((rng.random((8, 8)) < 0.4).astype(float), 1)
     adj = adj + adj.T
     x = rng.normal(size=(8, 3))
-    edges = EdgeList.from_dense(adj)
+    edges = edges_of_dense(adj)
     both = build_views(edges, x, k=2)
     topo_only = build_views(edges, None, k=2)
     feat_only = build_views(None, x, k=2)
@@ -285,7 +283,7 @@ def test_sparse_views_match_the_dense_ones(n):
     is its CSR view's array exactly, ties and a zero-norm row included, and
     build_views returns the one its side calls for."""
     adj, x = _tied_inputs(n, seed=n)
-    edges = EdgeList.from_dense(adj)
+    edges = edges_of_dense(adj)
     norms = (sym_normalize(edges), sym_normalize(knn_edges(x, 3)))
     for norm in norms:
         np.testing.assert_array_equal(norm.dense(), norm.csr().toarray())
@@ -304,7 +302,7 @@ def test_csr_views_are_scipys_normalization_bit_for_bit(weighted):
     adj, x = _tied_inputs(n, seed=5)
     if not weighted:
         adj = (adj > 0.0).astype(float)
-    edges = EdgeList.from_dense(adj)
+    edges = edges_of_dense(adj)
     views = build_views(edges, x, k=3)
     for got, graph in ((views.topo_norm, edges), (views.feat_norm, knn_edges(x, 3))):
         want = csr_sym_normalize(graph.csr())
@@ -317,7 +315,7 @@ def test_sparse_build_views_peaks_below_one_dense_array():
     n = 3000
     assert n >= SPARSE_MIN_NODES
     adj, x = _tied_inputs(n, seed=1)
-    edges = EdgeList.from_dense(adj)
+    edges = edges_of_dense(adj)
     del adj
     tracemalloc.start()
     try:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaa.exceptions import DomainError, ParseError
-from gaa.featgraph import SPARSE_MIN_NODES, SYMMETRY_BLOCK, EdgeList
+from gaa.featgraph import SPARSE_MIN_NODES, EdgeList
 from gaa.graphs import (
     GEN_BLOCK,
     DomainPair,
@@ -24,7 +24,7 @@ from gaa.graphs import (
     save_metrics,
 )
 
-from helpers import dense_adjacency, loop_edge_lines, loop_load_adjacency
+from helpers import dense_adjacency, edges_of_dense, loop_edge_lines, loop_load_adjacency
 
 
 class TestLoadGraph:
@@ -238,12 +238,6 @@ class TestEdgeListLoader:
         for x in names:
             assert (tmp_path / f"a.{x}").read_bytes() == (tmp_path / f"b.{x}").read_bytes()
 
-    def test_save_skips_the_diagonal(self, tmp_path):
-        g = Graph(adjacency=np.array([[2.0, 1.0], [1.0, 0.0]]), features=np.ones((2, 1)))
-        assert list(zip(g.edges.row, g.edges.col)) == [(0, 0), (0, 1)]
-        save_graph(g, tmp_path / "d.edges", tmp_path / "d.csv")
-        assert (tmp_path / "d.edges").read_text() == "0 1\n"
-
     @pytest.mark.parametrize("n", [SPARSE_MIN_NODES, SPARSE_MIN_NODES + 50])
     def test_csr_from_the_list_equals_scipy_of_the_dense(self, tmp_path, n):
         from scipy import sparse
@@ -254,13 +248,9 @@ class TestEdgeListLoader:
                                                      rng.uniform(0.5, 2.0, 6 * n).tolist())]
         g, want = self.load(tmp_path, "\n".join(lines) + "\n", n)
         np.testing.assert_array_equal(dense_adjacency(g), want)
-        with_diagonal = want.copy()
-        with_diagonal[3, 3] = 1.5  # a dense matrix with a diagonal converts too
-        converted = Graph(adjacency=with_diagonal, features=g.features).edges
-        for edges, dense in ((g.edges, want), (converted, with_diagonal)):
-            got, ref = edges.csr(), sparse.csr_array(dense)
-            for name in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        got, ref = g.edges.csr(), sparse.csr_array(want)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
 
 class TestEdgeListInvariants:
@@ -294,73 +284,45 @@ class TestEdgeListInvariants:
         g = Graph(edges=EdgeList(n, ids, ids + 1, np.ones(2)), features=np.ones((n, 1)))
         assert g.n == n
 
-    def test_exactly_one_of_edges_and_adjacency(self):
-        with pytest.raises(DomainError, match="either edges or an adjacency"):
-            Graph(features=np.ones((2, 1)))
-        with pytest.raises(DomainError, match="either edges or an adjacency"):
-            Graph(adjacency=np.zeros((2, 2)), edges=self.graph().edges, features=np.ones((2, 1)))
+    @pytest.mark.parametrize("row, col", [((0, 2), (1, 2)), ((0, 0), (0, 1))])
+    def test_diagonal_entry_rejected(self, row, col):
+        # only a normalized list holds a diagonal; a graph's loops come from
+        # normalization, never from the list
+        with pytest.raises(DomainError, match=r"outside 0 <= row < col < 3"):
+            self.graph(row=row, col=col)
 
 
 class TestGraphInvariants:
-    def test_asymmetric_adjacency_rejected(self):
-        with pytest.raises(DomainError):
-            Graph(adjacency=np.array([[0.0, 1.0], [0.0, 0.0]]), features=np.zeros((2, 1)))
-
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, value):
         features = np.ones((2, 2))
         features[1, 0] = value
         with pytest.raises(DomainError, match="features hold non-finite"):
-            Graph(adjacency=np.zeros((2, 2)), features=features)
-
-    @pytest.mark.parametrize("cells", [[(0, 1), (1, 0)], [(1, 1)], [(0, 1)]])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_adjacency_rejected(self, cells, value):
-        adjacency = np.zeros((2, 2))
-        for cell in cells:
-            adjacency[cell] = value
-        with pytest.raises(DomainError, match="adjacency holds non-finite"):
-            Graph(adjacency=adjacency, features=np.ones((2, 1)))
-
-    # 2 * 256 + 3 nodes: three row blocks of the symmetry check, the last ragged
-    @pytest.mark.parametrize("cell", [(300, 500), (500, 300), (0, 514), (513, 514), (514, 2)])
-    def test_asymmetry_in_any_block_rejected(self, cell):
-        n = 2 * SYMMETRY_BLOCK + 3
-        adjacency = np.zeros((n, n))
-        adjacency[cell] = 1.0
-        with pytest.raises(DomainError, match="adjacency is not symmetric"):
-            Graph(adjacency=adjacency, features=np.ones((n, 1)))
-
-    def test_nan_far_from_the_diagonal_is_non_finite(self):
-        n = 2 * SYMMETRY_BLOCK + 3
-        adjacency = np.zeros((n, n))
-        adjacency[0, n - 1] = np.nan
-        with pytest.raises(DomainError, match="adjacency holds non-finite"):
-            Graph(adjacency=adjacency, features=np.ones((n, 1)))
+            Graph(edges=edges_of_dense(np.zeros((2, 2))), features=features)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(DomainError):
-            Graph(adjacency=np.zeros((2, 2)), features=np.zeros((2, 1)),
+            Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 1)),
                   labels=np.array([0, 3]), num_classes=2)
 
     def test_pair_requires_source_labels(self):
-        g = Graph(adjacency=np.zeros((2, 2)), features=np.zeros((2, 1)))
-        labeled = Graph(adjacency=np.zeros((2, 2)), features=np.zeros((2, 1)),
+        g = Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 1)))
+        labeled = Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 1)),
                         labels=np.array([0, 1]))
         with pytest.raises(DomainError):
             DomainPair(source=g, target=labeled)
 
     def test_pair_dim_mismatch(self):
-        a = Graph(adjacency=np.zeros((2, 2)), features=np.zeros((2, 2)),
+        a = Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 2)),
                   labels=np.array([0, 1]))
-        b = Graph(adjacency=np.zeros((2, 2)), features=np.zeros((2, 3)))
+        b = Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 3)))
         with pytest.raises(DomainError):
             DomainPair(source=a, target=b)
 
     def test_pair_propagates_num_classes_to_target(self):
-        a = Graph(adjacency=np.zeros((2, 2)), features=np.zeros((2, 2)),
+        a = Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 2)),
                   labels=np.array([0, 1]))
-        b = Graph(adjacency=np.zeros((2, 2)), features=np.zeros((2, 2)))
+        b = Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 2)))
         pair = DomainPair(source=a, target=b)
         assert pair.target.num_classes == 2
 
@@ -402,7 +364,7 @@ class TestAttributeShift:
         g = gen_attribute_shift(0.6, seed=n, n=n, d=3, edge_prob=0.1)
         rng = np.random.default_rng(np.random.SeedSequence([n, 0xA11CE]))
         upper = np.triu(rng.random((n, n)) < 0.1, 1).astype(np.float64)
-        want = EdgeList.from_dense(upper + upper.T)
+        want = edges_of_dense(upper + upper.T)
         centers = rng.uniform(-10.0, 10.0, size=(2, 3))
         for name in ("row", "col", "weight"):
             got, expected = getattr(g.edges, name), getattr(want, name)
@@ -461,6 +423,35 @@ class TestSbm:
         np.testing.assert_array_equal(dense_adjacency(gen_sbm(seed=1)),
                                       dense_adjacency(gen_sbm(seed=1)))
 
+    @pytest.mark.parametrize("p", [0.3, 0.8, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 100, GEN_BLOCK, GEN_BLOCK + 1, 2 * GEN_BLOCK + 7])
+    def test_edges_equal_the_dense_draw(self, n, p):
+        """The blocked draws against the dense ones they replace: the strict
+        upper triangle of one n x n uniform matrix below each pair's
+        probability, weighed by a second n x n draw."""
+        g = gen_sbm(seed=n, n=n, p=p, d=2)
+        rng = np.random.default_rng(np.random.SeedSequence([n, 0x5B3]))
+        community = np.arange(n) >= n // 2
+        same = np.equal.outer(community, community)
+        u = rng.random((n, n))
+        weights = 1.0 - rng.random((n, n))
+        row, col = np.nonzero(np.triu(u < np.where(same, p, p / 10.0), 1))
+        for got, want in ((g.edges.row, row), (g.edges.col, col),
+                          (g.edges.weight, weights[row, col])):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_holds_no_dense_draw_at_scale(self):
+        n = 3000
+        tracemalloc.start()
+        try:
+            g = gen_sbm(seed=1, n=n, p=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edges.row.size > 0
+        assert peak < n * n * 8  # 72 MB, one n x n float64 array
+
 
 class TestMetricsIO:
     def metrics(self):
@@ -505,6 +496,6 @@ def test_save_graph_edges_match_pair_walk(tmp_path):
     adj = np.triu(rng.random((n, n)) < 0.3, 1) * rng.choice([1.0, 0.1 + 0.2, 2.5, 1e-7], (n, n))
     adj = adj + adj.T
     assert {1.0, 0.1 + 0.2}.issubset(set(adj.reshape(-1)))
-    g = Graph(adjacency=adj, features=rng.normal(size=(n, 2)))
+    g = Graph(edges=edges_of_dense(adj), features=rng.normal(size=(n, 2)))
     save_graph(g, tmp_path / "w.edges", tmp_path / "w.csv")
     assert (tmp_path / "w.edges").read_text() == loop_edge_lines(adj)

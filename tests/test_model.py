@@ -5,7 +5,7 @@ import pytest
 
 from gaa import autodiff as ad
 from gaa.exceptions import ShapeError
-from gaa.featgraph import EdgeList, build_views
+from gaa.featgraph import build_views
 from gaa.graphs import gen_attribute_shift
 from gaa.model import (
     FIELD_ORDER,
@@ -25,7 +25,7 @@ from gaa.model import (
     save_model,
 )
 
-from helpers import fd_check
+from helpers import edges_of_dense, fd_check
 
 
 def tiny_hyper():
@@ -308,7 +308,7 @@ class TestForwardAll:
             adj = np.triu(adj, 1)
             adj = adj + adj.T
             x = rng.normal(size=(n, d))
-            views = build_views(EdgeList.from_dense(adj), x, k=2)
+            views = build_views(edges_of_dense(adj), x, k=2)
             out.append((views, propagate(views, x)))
         return out
 

@@ -20,7 +20,7 @@ from gaa.train import (
     train_gaa,
 )
 
-from helpers import dense_adjacency
+from helpers import dense_adjacency, edges_of_dense
 
 
 def small_pair(n=14, d=4, seed=3):
@@ -371,7 +371,7 @@ def _pair_and_permuted(n):
     for g in (pair.source, pair.target):
         perm = rng.permutation(n)
         adjacency = dense_adjacency(g)[np.ix_(perm, perm)]
-        graphs.append(Graph(adjacency=adjacency, features=g.features[perm],
+        graphs.append(Graph(edges=edges_of_dense(adjacency), features=g.features[perm],
                             labels=g.labels[perm], num_classes=g.num_classes))
         perms.append(perm)
     return pair, DomainPair(source=graphs[0], target=graphs[1]), perms

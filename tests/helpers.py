@@ -94,7 +94,9 @@ def loop_sym_normalize(adj):
     n = adj.shape[0]
     a = [[float(adj[i, j]) + (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
     deg = [sum(row) for row in a]
-    return np.array([[a[i][j] / np.sqrt(deg[i] * deg[j]) for j in range(n)] for i in range(n)])
+    # a root per degree: the product of two degrees near the float64 maximum overflows
+    return np.array([[a[i][j] / (np.sqrt(deg[i]) * np.sqrt(deg[j])) for j in range(n)]
+                     for i in range(n)])
 
 
 def csr_sym_normalize(adj):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
@@ -222,6 +222,52 @@ def test_build_views_invariants():
         assert np.abs(m - m.T).max() <= 1e-12
         assert m.min() >= 0.0
         assert np.all(m.sum(axis=1) > 0.0)  # no zero rows once loops are added
+
+
+FLOAT_MAX = np.finfo(np.float64).max
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 14), st.booleans(), st.booleans())
+@example(seed=1, n=SPARSE_MIN_NODES - 1, huge=True, force_csr=False)
+@example(seed=1, n=SPARSE_MIN_NODES, huge=True, force_csr=False)
+@example(seed=2, n=SPARSE_MIN_NODES - 1, huge=False, force_csr=False)
+@example(seed=2, n=SPARSE_MIN_NODES, huge=False, force_csr=False)
+def test_views_are_exactly_symmetric_non_negative_and_finite(seed, n, huge, force_csr):
+    """Both views of any list that passes the entry checks are exactly
+    symmetric, non-negative and finite, and equal the loop oracle (dense)
+    or scipy's normalization bit for bit (CSR). ``huge`` weights put the
+    largest degree between a quarter of the float64 maximum and the maximum
+    itself."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < min(0.5, 6.0 / n), 1).astype(float)
+    adj = adj + adj.T
+    if huge:
+        adj *= FLOAT_MAX * rng.uniform(0.25, 1.0, (n, n)) / max(adj.sum(axis=1).max(), 1.0)
+    else:
+        adj *= rng.uniform(0.1, 3.0, (n, n))
+    adj = np.triu(adj, 1)
+    adj = adj + adj.T
+    # the entry check: every degree of A + I is finite, summed as scipy sums it
+    degrees = (sparse.csr_array(adj) + sparse.eye_array(n, format="csr")).sum(axis=1)
+    assume(np.isfinite(degrees).all())
+    x = rng.normal(size=(n, 3))
+    k = min(3, n - 1)
+    threshold = 0 if force_csr else SPARSE_MIN_NODES
+    with mock.patch.object(featgraph, "SPARSE_MIN_NODES", threshold):
+        views = build_views(edges_of_dense(adj), x, k)
+    for view, graph in ((views.topo_norm, adj), (views.feat_norm, knn_edges(x, k).dense())):
+        assert sparse.issparse(view) == (n >= threshold)
+        if sparse.issparse(view):
+            want = csr_sym_normalize(sparse.csr_array(graph))
+            np.testing.assert_array_equal(view.indptr, want.indptr)
+            np.testing.assert_array_equal(view.indices, want.indices)
+            assert view.data.tobytes() == want.data.tobytes()
+            view = view.toarray()
+        else:
+            np.testing.assert_allclose(view, loop_sym_normalize(graph), rtol=1e-14)
+        assert np.array_equal(view, view.T)
+        assert np.isfinite(view).all() and view.min() >= 0.0
 
 
 def test_build_views_skips_a_view_whose_input_is_none():

@@ -17,12 +17,15 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import asdict, replace
 from multiprocessing import Pool
 from pathlib import Path
+
+import numpy as np
 
 from .autodiff import thread_budget, worker_count
 from .exceptions import CheckpointError, ConfigError, GaaError, ParseError, field_types
@@ -270,9 +273,18 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _check_finite(pair_dir, what: str, terms: dict):
+    # finite input can still be too large to compute with; the user can rescale it
+    for name, value in terms.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{pair_dir}: the {what} {name!r} overflows float64")
+
+
 def _cmd_bound(args) -> int:
     pair = load_pair(args.pair)
-    report = proposition1_bound(pair.source, pair.target, args.normalize_by)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = proposition1_bound(pair.source, pair.target, args.normalize_by)
+    _check_finite(args.pair, "bound term", asdict(report))
     print(json.dumps(asdict(report)))
     return 0
 
@@ -280,11 +292,13 @@ def _cmd_bound(args) -> int:
 def _cmd_diagnose(args) -> int:
     pair = load_pair(args.pair)
     doc = {}
-    for name, graph in (("source", pair.source), ("target", pair.target)):
-        doc[name] = {
-            "topology": avg_feature_value(graph, "topology"),
-            "attribute": avg_feature_value(graph, "attribute", k=args.k),
-        }
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, graph in (("source", pair.source), ("target", pair.target)):
+            doc[name] = {
+                "topology": avg_feature_value(graph, "topology"),
+                "attribute": avg_feature_value(graph, "attribute", k=args.k),
+            }
+            _check_finite(args.pair, f"{name} view", doc[name])
     print(json.dumps(doc, indent=2))
     return 0
 

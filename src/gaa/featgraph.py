@@ -6,16 +6,16 @@ with self-loops always added, before message passing.
 
 Every graph is an undirected edge list (``EdgeList``), and every view comes
 from one on a single path: ``knn_edges`` picks the kNN edges from cosine
-rows computed a block at a time, ``sym_normalize`` turns an edge list into
-its normalized edge list, and ``build_views`` makes the one format choice,
-a dense view below ``SPARSE_MIN_NODES`` nodes and a scipy.sparse CSR view
-from it on. No step builds an n x n array other than a dense view itself,
+rows computed a block at a time, and ``sym_normalize`` maps an edge list to
+its view in one pass, making the one format choice: a dense view below
+``SPARSE_MIN_NODES`` nodes and a scipy.sparse CSR view from it on. A view
+is symmetric by construction, since every entry is stored in both
+directions. No step builds an n x n array other than a dense view itself,
 and scipy is imported only for a CSR view.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,49 +23,17 @@ import numpy as np
 
 from .exceptions import ConfigError, DomainError
 
-# the largest |m[i, j] - m[j, i]| accepted in a view
-SYMMETRY_TOL = 1e-12
 KNN_BLOCK = 256  # rows of the similarity matrix computed and selected at a time
-SYMMETRY_BLOCK = 256  # rows of the upper triangle compared at a time
 # Node count from which the views are CSR: the measured crossover of the
 # peak RSS of one training run (GAA for 5 epochs, KNN_GCN for 25). Below it,
 # loading scipy costs more memory than the dense views it saves.
 SPARSE_MIN_NODES = 850
 
 
-def _issparse(m) -> bool:
-    """True for a scipy.sparse matrix. scipy is not imported for the answer:
-    if it is not loaded, no sparse matrix can exist."""
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(m)
-
-
-def max_asymmetry(m) -> float:
-    """max |m[i, j] - m[j, i]| over i <= j, NaN if any entry is NaN.
-
-    Each ``SYMMETRY_BLOCK`` rows are compared against the matching columns
-    from the diagonal on, so every pair is read once and no n x n temporary
-    exists. A non-finite entry makes the result non-finite. A sparse ``m``
-    is compared through its stored entries.
-    """
-    if _issparse(m):
-        diff = (m - m.T).tocsr()  # a NaN or inf - inf is stored, not pruned
-        return float(np.abs(diff.data).max(initial=0.0))
-    worst = np.float64(0.0)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        for lo in range(0, m.shape[0], SYMMETRY_BLOCK):
-            hi = lo + SYMMETRY_BLOCK
-            # np.maximum, unlike max(), carries a NaN through
-            worst = np.maximum(worst, np.abs(m[lo:hi, lo:] - m[lo:, lo:hi].T).max())
-    return float(worst)
-
-
 @dataclass(frozen=True)
 class EdgeList:
     """An undirected weighted graph on ``n`` nodes, one entry per linked pair:
-    ``row[e] < col[e]`` with weight ``weight[e]``, in row-major order. Only
-    a normalized list (``sym_normalize``) also holds a diagonal entry
-    (``row == col``), one for every node."""
+    ``row[e] < col[e]`` with weight ``weight[e]``, in row-major order."""
 
     n: int
     row: np.ndarray
@@ -86,44 +54,13 @@ class EdgeList:
         present = weight != 0.0
         return cls(n, pairs[present] // n, pairs[present] % n, weight[present])
 
-    def _both_directions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, weights) of every stored matrix entry: the mirrored
-        off-diagonal entries, then the list itself."""
-        off = self.row != self.col
-        return (np.concatenate([self.col[off], self.row]),
-                np.concatenate([self.row[off], self.col]),
-                np.concatenate([self.weight[off], self.weight]))
-
-    def dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        a[self.row, self.col] = self.weight
-        a[self.col, self.row] = self.weight
-        return a
-
-    def _csr_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(cols, weights, indptr) of the symmetric matrix in CSR order."""
-        rows, cols, data = self._both_directions()
-        # Within one matrix row, the mirrored entries have the lower columns
-        # and come first, each part already in column order (the list is
-        # row-major), so a stable sort by row sorts every row's columns.
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        return cols[order], data[order], indptr
-
-    def csr(self):
-        """The symmetric matrix as scipy.sparse CSR with sorted indices."""
-        from scipy import sparse
-
-        cols, data, indptr = self._csr_entries()
-        return sparse.csr_array((data, cols, indptr), shape=(self.n, self.n))
-
     def matmul(self, x: np.ndarray) -> np.ndarray:
-        """A @ x as one scatter-add over the list, so neither an n x n array
-        nor scipy is needed."""
-        rows, cols, data = self._both_directions()
+        """A @ x as one scatter-add over the list, each entry in both
+        directions, so neither an n x n array nor scipy is needed."""
         out = np.zeros((self.n, x.shape[1]))
-        np.add.at(out, rows, data[:, None] * x[cols])
+        np.add.at(out, np.concatenate([self.col, self.row]),
+                  np.concatenate([self.weight, self.weight])[:, None]
+                  * x[np.concatenate([self.row, self.col])])
         return out
 
 
@@ -209,61 +146,75 @@ def knn_edges(x: np.ndarray, k: int) -> EdgeList:
     return EdgeList.from_pairs(n, rows, cols, np.ones(rows.size))
 
 
-def sym_normalize(edges: EdgeList) -> EdgeList:
-    """D^{-1/2} (A + I) D^{-1/2} as an edge list, degrees taken after the
-    self-loops.
+def _looped_csr(edges: EdgeList) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, data, indptr) of A + I in CSR order: every entry of the
+    list in both directions and a loop of weight 1 per node.
 
-    The loops (Kipf & Welling, arXiv:1609.02907, eq. 2) make every degree
-    at least 1, so no row is divided by zero. Each node gets a loop of
-    weight 1, each row's degree sums that row's entries in CSR column order
-    (as scipy's ``csr.sum(axis=1)`` does), and each weight is scaled by
-    ``dinv[row] * dinv[col]``.
+    Within one row, the mirrored entries have the lower columns, the loop
+    comes next and the list's own entries have the higher columns, each part
+    already in column order (the list is row-major). So they are
+    concatenated in that order, and one stable sort by row sorts every row's
+    columns.
     """
     if np.any(edges.weight < 0.0) or np.any(edges.row >= edges.col):
         raise DomainError("sym_normalize needs a strictly upper, non-negative edge list")
     n = edges.n
-    # a row's loop goes first: its other entries have higher columns
     nodes = np.arange(n)
-    at = np.searchsorted(edges.row, nodes)
-    looped = EdgeList(n, np.insert(edges.row, at, nodes), np.insert(edges.col, at, nodes),
-                      np.insert(edges.weight, at, 1.0))
-    _, data, indptr = looped._csr_entries()
+    rows = np.concatenate([edges.col, nodes, edges.row])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return (rows[order], np.concatenate([edges.row, nodes, edges.col])[order],
+            np.concatenate([edges.weight, np.ones(n), edges.weight])[order], indptr)
+
+
+def view_degrees(edges: EdgeList) -> np.ndarray:
+    """The degree of each node in A + I, summed exactly as ``sym_normalize``
+    sums it; a degree past the float64 range is inf."""
+    _, _, data, indptr = _looped_csr(edges)
+    with np.errstate(over="ignore"):
+        return np.add.reduceat(data, indptr[:-1])
+
+
+def sym_normalize(edges: EdgeList):
+    """The view D^{-1/2} (A + I) D^{-1/2} of an edge list, degrees taken
+    after the self-loops: a dense array below ``SPARSE_MIN_NODES`` nodes and
+    a CSR array with sorted indices from it on.
+
+    The loops (Kipf & Welling, arXiv:1609.02907, eq. 2) make every degree
+    at least 1, so no row is divided by zero. Each row's degree sums that
+    row's entries in CSR column order (as scipy's ``csr.sum(axis=1)`` does),
+    and each entry is scaled by ``dinv[row] * dinv[col]``, so an entry and
+    its mirror get the same bits.
+    """
+    rows, cols, data, indptr = _looped_csr(edges)
     dinv = 1.0 / np.sqrt(np.add.reduceat(data, indptr[:-1]))
-    return EdgeList(n, looped.row, looped.col,
-                    looped.weight * (dinv[looped.row] * dinv[looped.col]))
+    data = data * (dinv[rows] * dinv[cols])
+    n = edges.n
+    if n < SPARSE_MIN_NODES:
+        view = np.zeros((n, n))
+        view[rows, cols] = data
+        return view
+    from scipy import sparse
+
+    return sparse.csr_array((data, cols, indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)
 class ViewMatrices:
-    """Normalized propagation matrices for the two message-passing views.
-
-    A view is a dense array or a scipy.sparse matrix, and a view that its
-    consumer never reads may be None.
+    """Normalized propagation matrices for the two message-passing views,
+    each ``sym_normalize`` of an edge list: a dense array or a scipy.sparse
+    CSR array. A view that its consumer never reads may be None.
     """
 
     topo_norm: Optional[np.ndarray]
     feat_norm: Optional[np.ndarray]
 
-    def __post_init__(self):
-        for name, m in (("topo_norm", self.topo_norm), ("feat_norm", self.feat_norm)):
-            if m is None:
-                continue
-            if not max_asymmetry(m) <= SYMMETRY_TOL:
-                raise DomainError(f"{name} is not symmetric")
-            if np.any((m.data if _issparse(m) else m) < 0.0):
-                raise DomainError(f"{name} has negative entries")
-
 
 def build_views(edges: Optional[EdgeList], features: Optional[np.ndarray],
                 k: int) -> ViewMatrices:
     """The normalized topology and kNN views; a view whose input is None is
-    not built and stays None. Both are dense below ``SPARSE_MIN_NODES``
-    nodes and CSR from it on."""
-    n = features.shape[0] if edges is None else edges.n
-    as_matrix = EdgeList.dense if n < SPARSE_MIN_NODES else EdgeList.csr
-
-    def view(graph: Optional[EdgeList]):
-        return None if graph is None else as_matrix(sym_normalize(graph))
-
-    feat_norm = view(None if features is None else knn_edges(features, k))
-    return ViewMatrices(topo_norm=view(edges), feat_norm=feat_norm)
+    not built and stays None."""
+    feat_norm = None if features is None else sym_normalize(knn_edges(features, k))
+    return ViewMatrices(topo_norm=None if edges is None else sym_normalize(edges),
+                        feat_norm=feat_norm)

@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, ParseError
-from .featgraph import EdgeList
+from .featgraph import EdgeList, view_degrees
 
 GEN_BLOCK = 256  # rows of a generator's n x n uniform draw held at once
+SAVE_BLOCK = 65536  # edges formatted and written at a time
 
 
 @dataclass
@@ -193,6 +194,12 @@ def _parse_features(path) -> np.ndarray:
     if not finite_rows.all():
         bad = int(np.argmin(finite_rows))
         raise ParseError(path, line_nos[bad], "non-finite feature value")
+    # the kNN view scales each row by its norm, so the squared norm must stay finite
+    with np.errstate(over="ignore"):
+        finite_rows = np.isfinite((features * features).sum(axis=1))
+    if not finite_rows.all():
+        bad = int(np.argmin(finite_rows))
+        raise ParseError(path, line_nos[bad], "the feature row's squared norm overflows float64")
     return features
 
 
@@ -230,23 +237,36 @@ def load_graph(edge_path, feature_path, label_path=None, num_classes=None) -> Gr
     Self-loops are skipped (normalization adds them), a later line for the
     same pair, in either direction, wins, and a zero weight is no edge. A
     negative label, or one at or above ``num_classes`` (the node count when
-    no class count is given), is a ParseError.
+    no class count is given), is a ParseError, and so is a feature row whose
+    squared norm overflows float64. A node whose degree in the normalized
+    view overflows float64 is a ConfigError.
     """
     features = _parse_features(feature_path)
     n = features.shape[0]
     edges = EdgeList.from_pairs(n, *_parse_edges(edge_path, n))
+    # a degree is at most 1 + edges x the largest weight, so only near the
+    # float64 maximum does it need summing as the view sums it
+    if float(edges.weight.max(initial=0.0)) * edges.row.size > np.finfo(np.float64).max / 4:
+        heavy = np.flatnonzero(np.isinf(view_degrees(edges)))
+        if heavy.size:
+            raise ConfigError(f"{edge_path}: the weighted degree of node {heavy[0]} "
+                              "overflows float64")
     labels = None if label_path is None else _parse_labels(label_path, n, num_classes)
     return Graph(edges=edges, features=features, labels=labels, num_classes=num_classes)
 
 
 def save_graph(graph: Graph, edge_path, feature_path, label_path=None):
     """Write the text formats: one line per edge in row-major order (i < j),
-    the weight omitted where it is 1."""
+    the weight omitted where it is 1. The edges are formatted ``SAVE_BLOCK``
+    at a time, so no Python list of every edge exists."""
     edge_path, feature_path = Path(edge_path), Path(feature_path)
     e = graph.edges
     with open(edge_path, "w") as fh:
-        fh.writelines(f"{i} {j}\n" if w == 1.0 else f"{i} {j} {w!r}\n"
-                      for i, j, w in zip(e.row.tolist(), e.col.tolist(), e.weight.tolist()))
+        for lo in range(0, e.row.size, SAVE_BLOCK):
+            hi = lo + SAVE_BLOCK
+            fh.writelines(f"{i} {j}\n" if w == 1.0 else f"{i} {j} {w!r}\n"
+                          for i, j, w in zip(e.row[lo:hi].tolist(), e.col[lo:hi].tolist(),
+                                             e.weight[lo:hi].tolist()))
     with open(feature_path, "w") as fh:
         for row in graph.features:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")

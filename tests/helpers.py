@@ -124,11 +124,11 @@ def edges_of_dense(adj):
     return EdgeList.from_pairs(adj.shape[0], i, j, adj[i, j])
 
 
-def dense_adjacency(graph):
-    """The n x n adjacency of ``graph``, scattered one stored edge at a time."""
-    e = graph.edges
-    adj = np.zeros((graph.n, graph.n))
-    for i, j, w in zip(e.row.tolist(), e.col.tolist(), e.weight.tolist()):
+def dense_adjacency(edges):
+    """The n x n adjacency of the edge list ``edges``, scattered one stored
+    edge at a time."""
+    adj = np.zeros((edges.n, edges.n))
+    for i, j, w in zip(edges.row.tolist(), edges.col.tolist(), edges.weight.tolist()):
         adj[i, j] = w
         adj[j, i] = w
     return adj

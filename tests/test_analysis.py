@@ -47,8 +47,8 @@ class TestBound:
         gs = random_graph(rng, 8, 4, weighted=True)
         gt = random_graph(rng, 6, 4, weighted=True)
         report = proposition1_bound(gs, gt, normalize_by=6)
-        topo, attr = loop_pair_bound(dense_adjacency(gs), gs.features,
-                                     dense_adjacency(gt), gt.features, 6)
+        topo, attr = loop_pair_bound(dense_adjacency(gs.edges), gs.features,
+                                     dense_adjacency(gt.edges), gt.features, 6)
         assert report.topo_term == pytest.approx(topo, rel=1e-9)
         assert report.attr_term == pytest.approx(attr, rel=1e-9)
         assert report.total == pytest.approx(report.topo_term + report.attr_term)
@@ -60,7 +60,7 @@ class TestBound:
             gs = random_graph(rng, n, 4, weighted=True)
             gt = random_graph(rng, 6, 4, weighted=True)
             report = proposition1_bound(gs, gt, normalize_by=6)
-            u, v = dense_adjacency(gs) @ gs.features, dense_adjacency(gt) @ gt.features
+            u, v = dense_adjacency(gs.edges) @ gs.features, dense_adjacency(gt.edges) @ gt.features
             topo = ((u[:, None, :] - v[None, :, :]) ** 2).sum() / 6
             attr = ((gs.features[:, None, :] - gt.features[None, :, :]) ** 2).sum() / 6
             assert report.topo_term == pytest.approx(topo, rel=1e-13)
@@ -71,7 +71,7 @@ class TestBound:
         gs = random_graph(rng, 7, 3)
         gt = random_graph(rng, 5, 3)
         perm = rng.permutation(7)
-        gs_perm = Graph(edges=edges_of_dense(dense_adjacency(gs)[np.ix_(perm, perm)]),
+        gs_perm = Graph(edges=edges_of_dense(dense_adjacency(gs.edges)[np.ix_(perm, perm)]),
                         features=gs.features[perm])
         a = proposition1_bound(gs, gt, 5).attr_term
         b = proposition1_bound(gs_perm, gt, 5).attr_term
@@ -107,7 +107,7 @@ class TestAvgFeatureValue:
         rng = np.random.default_rng(4)
         g = random_graph(rng, 10, 4)
         topo = avg_feature_value(g, "topology")
-        want = np.abs(dense_adjacency(g) @ g.features).sum() / (10 * 4)
+        want = np.abs(dense_adjacency(g.edges) @ g.features).sum() / (10 * 4)
         assert topo == pytest.approx(want, abs=1e-12)
 
         attr = avg_feature_value(g, "attribute", k=3)
@@ -122,7 +122,7 @@ class TestAvgFeatureValue:
             g = random_graph(rng, n, 4, weighted=True)
             g.features[5] = 0.0  # a zero-norm row scores 0 with every other
             g.features[7] = g.features[8]  # a tie
-            topo = np.abs(dense_adjacency(g) @ g.features).mean()
+            topo = np.abs(dense_adjacency(g.edges) @ g.features).mean()
             assert avg_feature_value(g, "topology") == pytest.approx(topo, rel=1e-13)
             # the cosine of a zero row is 0, as it is in the kNN view
             unit = g.features / np.maximum(np.linalg.norm(g.features, axis=1), 1e-300)[:, None]

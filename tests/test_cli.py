@@ -618,6 +618,65 @@ class TestBoundDiagnose:
             assert doc[domain]["topology"] > 0
 
 
+class TestHugeInput:
+    """Finite input too large for float64 fails where it enters, with exit 1
+    and one stderr line, and no verb prints a non-finite term. Any numpy
+    warning is an error here, since it would print lines of its own."""
+
+    @staticmethod
+    def set_weights(pair_dir, weight):
+        path = pair_dir / "source.edges"
+        path.write_text("".join(f"{line.split()[0]} {line.split()[1]} {weight}\n"
+                                for line in path.read_text().splitlines()))
+        return path
+
+    @staticmethod
+    def scale_features(pair_dir, factor):
+        path = pair_dir / "source.features.csv"
+        path.write_text("".join(",".join(repr(float(v) * factor) for v in line.split(",")) + "\n"
+                                for line in path.read_text().splitlines()))
+        return path
+
+    def one_error_line(self, capsys):
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb", [("train", "--variant", "GCN"), ("bound",), ("diagnose",)])
+    def test_edge_weights_whose_degree_overflows_exit_1(self, pair_dir, tmp_path, capsys, verb):
+        path = self.set_weights(pair_dir, "1e308")
+        extra = ("--out", str(tmp_path / "x"), "--set", "epochs=1") if verb[0] == "train" else ()
+        assert cli(verb[0], "--pair", str(pair_dir), *verb[1:], *extra) == 1
+        err = self.one_error_line(capsys)
+        assert err.startswith(f"error: {path}: the weighted degree of node ")
+        assert err.endswith(" overflows float64\n")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb", [("train", "--variant", "GAA"), ("bound",), ("diagnose",)])
+    def test_features_whose_squared_norm_overflows_exit_1(self, pair_dir, tmp_path, capsys,
+                                                          verb):
+        path = self.scale_features(pair_dir, 1e200)
+        extra = ("--out", str(tmp_path / "x"), "--set", "epochs=1") if verb[0] == "train" else ()
+        assert cli(verb[0], "--pair", str(pair_dir), *verb[1:], *extra) == 1
+        assert self.one_error_line(capsys) == (
+            f"error: {path}:1: the feature row's squared norm overflows float64\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb, term", [
+        ("bound", "the bound term 'topo_term'"),
+        ("diagnose", "the source view 'topology'"),
+    ])
+    def test_a_term_that_overflows_past_the_entry_checks_exit_1(self, pair_dir, capsys, verb,
+                                                                term):
+        # every degree and squared norm fits, but A X does not
+        self.set_weights(pair_dir, "1e300")
+        self.scale_features(pair_dir, 1e9)
+        assert cli(verb, "--pair", str(pair_dir)) == 1
+        assert self.one_error_line(capsys) == f"error: {pair_dir}: {term} overflows float64\n"
+
+
 class TestSweep:
     def test_grid_cardinality_and_format(self, pair_dir, tmp_path):
         out = tmp_path / "sweep.csv"

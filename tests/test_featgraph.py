@@ -17,12 +17,13 @@ from gaa.featgraph import (
     build_views,
     cosine_similarity_matrix,
     knn_edges,
-    max_asymmetry,
     sym_normalize,
+    view_degrees,
 )
 
 from helpers import (
     csr_sym_normalize,
+    dense_adjacency,
     edges_of_dense,
     loop_cosine_matrix,
     loop_knn,
@@ -82,12 +83,12 @@ class TestKnn:
     def test_top1_forced_edge(self):
         # row 1 is the closest direction to both 0 and 2
         x = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        adj = knn_edges(x, 1).dense()
+        adj = dense_adjacency(knn_edges(x, 1))
         np.testing.assert_array_equal(adj, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_k_max_gives_complete_graph(self):
         rng = np.random.default_rng(1)
-        adj = knn_edges(rng.normal(size=(5, 3)), 4).dense()
+        adj = dense_adjacency(knn_edges(rng.normal(size=(5, 3)), 4))
         np.testing.assert_array_equal(adj, 1.0 - np.eye(5))
 
     def test_k_out_of_range(self):
@@ -100,7 +101,7 @@ class TestKnn:
     def test_matches_brute_force_with_tie_rule(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(30, 5))
-        np.testing.assert_array_equal(knn_edges(x, 3).dense(), loop_knn(cosine(x), 3))
+        np.testing.assert_array_equal(dense_adjacency(knn_edges(x, 3)), loop_knn(cosine(x), 3))
 
     def test_tie_break_prefers_lower_index(self):
         x = np.ones((4, 3))  # all similarities equal
@@ -108,7 +109,7 @@ class TestKnn:
         assert np.all(sim == sim[0, 0])
         picks = loop_knn_selection(sim, 2)
         assert picks[3] == [0, 1]
-        np.testing.assert_array_equal(knn_edges(x, 2).dense(), loop_knn(sim, 2))
+        np.testing.assert_array_equal(dense_adjacency(knn_edges(x, 2)), loop_knn(sim, 2))
 
     @settings(max_examples=60, deadline=None)
     @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 14), st.integers(1, 3)),
@@ -121,10 +122,7 @@ class TestKnn:
         with mock.patch.object(featgraph, "KNN_BLOCK", block):
             sim = cosine(x)
             for k in range(1, len(x)):
-                want = loop_knn(sim, k)
-                edges = knn_edges(x, k)
-                np.testing.assert_array_equal(edges.csr().toarray(), want)
-                np.testing.assert_array_equal(edges.dense(), want)
+                np.testing.assert_array_equal(dense_adjacency(knn_edges(x, k)), loop_knn(sim, k))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(3, 12), st.integers(1, 4))
@@ -133,7 +131,7 @@ class TestKnn:
         x = np.random.default_rng(seed).normal(size=(n, 4))
         edges = knn_edges(x, k)
         assert np.all(edges.row < edges.col)  # no self-edge
-        adj = edges.dense()
+        adj = dense_adjacency(edges)
         np.testing.assert_array_equal(adj, adj.T)
         assert set(np.unique(adj)) <= {0.0, 1.0}
         # each node selects exactly k neighbors before symmetrization
@@ -144,7 +142,7 @@ class TestKnn:
 class TestSymNormalize:
     def test_isolated_nodes_with_loops_give_identity(self):
         norm = sym_normalize(edges_of_dense(np.zeros((2, 2))))
-        np.testing.assert_array_equal(norm.dense(), np.eye(2))
+        np.testing.assert_array_equal(norm, np.eye(2))
 
     def test_a_stored_diagonal_entry_is_rejected(self):
         # normalization adds each node's loop itself, so a list that already
@@ -156,7 +154,7 @@ class TestSymNormalize:
 
     def test_two_node_edge(self):
         norm = sym_normalize(edges_of_dense([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(norm.dense(), np.full((2, 2), 0.5))
+        np.testing.assert_allclose(norm, np.full((2, 2), 0.5))
 
     def test_star_graph_matches_closed_form(self):
         # star with center 0 and m=4 leaves; the loops give the center degree
@@ -165,7 +163,7 @@ class TestSymNormalize:
         adj = np.zeros((m + 1, m + 1))
         adj[0, 1:] = 1.0
         adj[1:, 0] = 1.0
-        norm = sym_normalize(edges_of_dense(adj)).dense()
+        norm = sym_normalize(edges_of_dense(adj))
         np.testing.assert_allclose(norm[0, 1:], np.full(m, 1 / np.sqrt(2 * (m + 1))))
         np.testing.assert_allclose(norm[1:, 0], norm[0, 1:])
         assert norm[0, 0] == pytest.approx(1 / (m + 1))
@@ -174,7 +172,7 @@ class TestSymNormalize:
     def test_leaves_input_unchanged(self):
         edges = edges_of_dense([[0.0, 2.0], [2.0, 0.0]])
         sym_normalize(edges)
-        np.testing.assert_array_equal(edges.dense(), [[0.0, 2.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(dense_adjacency(edges), [[0.0, 2.0], [2.0, 0.0]])
 
     def test_rejects_negative_entries(self):
         with pytest.raises(DomainError):
@@ -189,7 +187,7 @@ class TestSymNormalize:
             adj = (adj > 0.0).astype(float)
         adj = adj + adj.T
         norm = sym_normalize(edges_of_dense(adj))
-        np.testing.assert_allclose(norm.dense(), loop_sym_normalize(adj), rtol=1e-14)
+        np.testing.assert_allclose(norm, loop_sym_normalize(adj), rtol=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(2, 10))
@@ -198,7 +196,7 @@ class TestSymNormalize:
         adj = (rng.random((n, n)) < 0.4).astype(float)
         adj = np.triu(adj, 1)
         adj = adj + adj.T
-        norm = sym_normalize(edges_of_dense(adj)).dense()
+        norm = sym_normalize(edges_of_dense(adj))
         # power iteration
         v = np.ones(n) / np.sqrt(n)
         for _ in range(200):
@@ -248,15 +246,15 @@ def test_views_are_exactly_symmetric_non_negative_and_finite(seed, n, huge, forc
         adj *= rng.uniform(0.1, 3.0, (n, n))
     adj = np.triu(adj, 1)
     adj = adj + adj.T
-    # the entry check: every degree of A + I is finite, summed as scipy sums it
-    degrees = (sparse.csr_array(adj) + sparse.eye_array(n, format="csr")).sum(axis=1)
-    assume(np.isfinite(degrees).all())
+    edges = edges_of_dense(adj)
+    assume(np.isfinite(view_degrees(edges)).all())  # load_graph's degree check
     x = rng.normal(size=(n, 3))
     k = min(3, n - 1)
     threshold = 0 if force_csr else SPARSE_MIN_NODES
     with mock.patch.object(featgraph, "SPARSE_MIN_NODES", threshold):
-        views = build_views(edges_of_dense(adj), x, k)
-    for view, graph in ((views.topo_norm, adj), (views.feat_norm, knn_edges(x, k).dense())):
+        views = build_views(edges, x, k)
+    knn = dense_adjacency(knn_edges(x, k))
+    for view, graph in ((views.topo_norm, adj), (views.feat_norm, knn)):
         assert sparse.issparse(view) == (n >= threshold)
         if sparse.issparse(view):
             want = csr_sym_normalize(sparse.csr_array(graph))
@@ -284,33 +282,6 @@ def test_build_views_skips_a_view_whose_input_is_none():
     np.testing.assert_array_equal(feat_only.feat_norm, both.feat_norm)
 
 
-def test_view_matrices_skip_absent_views_and_check_built_ones():
-    views = ViewMatrices(topo_norm=None, feat_norm=np.eye(3))
-    assert views.topo_norm is None
-    with pytest.raises(DomainError, match="feat_norm is not symmetric"):
-        ViewMatrices(topo_norm=None, feat_norm=np.triu(np.ones((3, 3))))
-    with pytest.raises(DomainError, match="topo_norm has negative entries"):
-        ViewMatrices(topo_norm=-np.eye(3), feat_norm=None)
-
-
-def test_view_matrices_reject_a_nan_entry():
-    with pytest.raises(DomainError, match="topo_norm is not symmetric"):
-        ViewMatrices(topo_norm=np.array([[np.nan, 0.0], [0.0, 1.0]]), feat_norm=None)
-
-
-@pytest.mark.parametrize("bad, problem", [
-    ([[1.0, 0.5], [0.0, 1.0]], "is not symmetric"),
-    ([[1.0, -0.5], [-0.5, 1.0]], "has negative entries"),
-    ([[np.nan, 0.0], [0.0, 1.0]], "is not symmetric"),
-    ([[1.0, np.nan], [np.nan, 1.0]], "is not symmetric"),
-])
-def test_view_matrices_check_a_sparse_view(bad, problem):
-    good = sparse.csr_array(np.eye(2))
-    ViewMatrices(topo_norm=good, feat_norm=good)
-    with pytest.raises(DomainError, match=f"feat_norm {problem}"):
-        ViewMatrices(topo_norm=good, feat_norm=sparse.csr_array(np.array(bad)))
-
-
 def _tied_inputs(n, seed):
     """A sparse weighted topology and features with a zero-norm row and
     rows that tie: equal, and scaled copies of one another."""
@@ -325,19 +296,24 @@ def _tied_inputs(n, seed):
 
 @pytest.mark.parametrize("n", [SPARSE_MIN_NODES - 1, SPARSE_MIN_NODES])
 def test_sparse_views_match_the_dense_ones(n):
-    """Both sides of the threshold: the dense view of a normalized edge list
-    is its CSR view's array exactly, ties and a zero-norm row included, and
+    """Both sides of the threshold: the dense view of an edge list is its
+    CSR view's array exactly, ties and a zero-norm row included, and
     build_views returns the one its side calls for."""
     adj, x = _tied_inputs(n, seed=n)
     edges = edges_of_dense(adj)
-    norms = (sym_normalize(edges), sym_normalize(knn_edges(x, 3)))
-    for norm in norms:
-        np.testing.assert_array_equal(norm.dense(), norm.csr().toarray())
+    lists = (edges, knn_edges(x, 3))
+    forms = {}
+    for threshold in (n + 1, n):  # dense, then CSR
+        with mock.patch.object(featgraph, "SPARSE_MIN_NODES", threshold):
+            forms[threshold] = [sym_normalize(e) for e in lists]
+    for dense, csr in zip(forms[n + 1], forms[n]):
+        assert not sparse.issparse(dense) and sparse.issparse(csr)
+        np.testing.assert_array_equal(dense, csr.toarray())
     views = build_views(edges, x, k=3)
-    for built, norm in zip((views.topo_norm, views.feat_norm), norms):
+    want = forms[n] if n >= SPARSE_MIN_NODES else forms[n + 1]
+    for built, norm in zip((views.topo_norm, views.feat_norm), want):
         assert sparse.issparse(built) == (n >= SPARSE_MIN_NODES)
-        want = norm.csr() if n >= SPARSE_MIN_NODES else norm.dense()
-        assert (built != want).sum() == 0
+        assert (built != norm).sum() == 0
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -351,7 +327,7 @@ def test_csr_views_are_scipys_normalization_bit_for_bit(weighted):
     edges = edges_of_dense(adj)
     views = build_views(edges, x, k=3)
     for got, graph in ((views.topo_norm, edges), (views.feat_norm, knn_edges(x, 3))):
-        want = csr_sym_normalize(graph.csr())
+        want = csr_sym_normalize(sparse.csr_array(dense_adjacency(graph)))
         np.testing.assert_array_equal(got.indptr, want.indptr)
         np.testing.assert_array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
@@ -370,19 +346,3 @@ def test_sparse_build_views_peaks_below_one_dense_array():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8  # 72 MB, one n x n float64 array
-
-
-@settings(max_examples=60, deadline=None)
-@given(hnp.arrays(np.float64, st.integers(1, 12).map(lambda n: (n, n)),
-                  elements=st.sampled_from([0.0, 0.5, 1.0, -2.0, np.nan, np.inf])),
-       st.sampled_from([1, 2, 5, 256]))
-def test_max_asymmetry_matches_the_dense_difference(m, block):
-    # small blocks leave a ragged last block; any NaN must survive the running max
-    with np.errstate(invalid="ignore"):
-        dense = np.abs(m - m.T).max()
-    with mock.patch.object(featgraph, "SYMMETRY_BLOCK", block):
-        got = max_asymmetry(m)
-    assert got == dense or (np.isnan(got) and np.isnan(dense))
-    with np.errstate(invalid="ignore"):
-        got_sparse = max_asymmetry(sparse.csr_array(m))
-    assert got_sparse == dense or (np.isnan(got_sparse) and np.isnan(dense))

@@ -1,14 +1,17 @@
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaa.exceptions import DomainError, ParseError
-from gaa.featgraph import SPARSE_MIN_NODES, EdgeList
+from gaa import graphs
+from gaa.exceptions import ConfigError, DomainError, ParseError
+from gaa.featgraph import SPARSE_MIN_NODES, EdgeList, sym_normalize
 from gaa.graphs import (
     GEN_BLOCK,
     DomainPair,
@@ -24,7 +27,13 @@ from gaa.graphs import (
     save_metrics,
 )
 
-from helpers import dense_adjacency, edges_of_dense, loop_edge_lines, loop_load_adjacency
+from helpers import (
+    csr_sym_normalize,
+    dense_adjacency,
+    edges_of_dense,
+    loop_edge_lines,
+    loop_load_adjacency,
+)
 
 
 class TestLoadGraph:
@@ -42,17 +51,17 @@ class TestLoadGraph:
     def test_symmetrization(self, tmp_path):
         e, f, _ = self.write(tmp_path, "0 1\n", "1.0,2.0\n3.0,4.0\n")
         g = load_graph(e, f)
-        np.testing.assert_array_equal(dense_adjacency(g), [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(dense_adjacency(g.edges), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_duplicate_edges_collapse(self, tmp_path):
         e, f, _ = self.write(tmp_path, "0 1\n1 0\n0 1\n", "1.0\n2.0\n")
         g = load_graph(e, f)
-        np.testing.assert_array_equal(dense_adjacency(g), [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(dense_adjacency(g.edges), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         e, f, _ = self.write(tmp_path, "# header\n\n0 1  # trailing\n", "1\n2\n")
         g = load_graph(e, f)
-        assert dense_adjacency(g)[0, 1] == 1.0
+        assert dense_adjacency(g.edges)[0, 1] == 1.0
 
     def test_label_count_mismatch(self, tmp_path):
         e, f, lp = self.write(tmp_path, "0 1\n0 2\n", "1\n2\n3\n", "0\n1\n")
@@ -112,11 +121,31 @@ class TestLoadGraph:
         with pytest.raises(ParseError, match=r"g.edges:2: non-finite weight"):
             load_graph(e, f)
 
+    def test_degree_that_overflows_is_rejected(self, tmp_path):
+        # node 1's degree in A + I is 1.2 times the float64 maximum, plus loops
+        big = 0.6 * sys.float_info.max
+        e, f, _ = self.write(tmp_path, f"0 1 {big!r}\n1 2 {big!r}\n2 3 1.0\n", "1\n2\n3\n4\n")
+        with pytest.raises(ConfigError, match=r"g.edges: the weighted degree of node 1 overflows"):
+            load_graph(e, f)
+
+    def test_degree_at_the_float64_maximum_loads(self, tmp_path):
+        # node 1's degree is 1 + 2 * (max / 2), which rounds to the maximum
+        half = sys.float_info.max / 2
+        e, f, _ = self.write(tmp_path, f"0 1 {half!r}\n1 2 {half!r}\n", "1\n2\n3\n")
+        g = load_graph(e, f)
+        assert g.edges.weight.tolist() == [half, half]
+
+    def test_feature_row_whose_squared_norm_overflows_names_line(self, tmp_path):
+        # 1e154 squares to 1e308, so one such value fits and two do not
+        e, f, _ = self.write(tmp_path, "0 1\n", "1e154,0\n1e154,1e154\n")
+        with pytest.raises(ParseError, match=r"g.csv:2: the feature row's squared norm overflows"):
+            load_graph(e, f)
+
     def test_roundtrip_through_save(self, tmp_path):
         g = gen_attribute_shift(0.7, seed=5, n=12, d=3)
         save_graph(g, tmp_path / "a.edges", tmp_path / "a.csv", tmp_path / "a.labels")
         back = load_graph(tmp_path / "a.edges", tmp_path / "a.csv", tmp_path / "a.labels")
-        np.testing.assert_array_equal(dense_adjacency(back), dense_adjacency(g))
+        np.testing.assert_array_equal(dense_adjacency(back.edges), dense_adjacency(g.edges))
         np.testing.assert_array_equal(back.features, g.features)
         np.testing.assert_array_equal(back.labels, g.labels)
 
@@ -178,7 +207,8 @@ def test_parsers_load_or_name_the_line(files, num_classes):
             assert 1 <= exc.line_no <= max(1, len(raw.splitlines()))
         else:
             assert g.n >= 1
-            np.testing.assert_array_equal(dense_adjacency(g), loop_load_adjacency(paths[0], g.n))
+            np.testing.assert_array_equal(dense_adjacency(g.edges),
+                                          loop_load_adjacency(paths[0], g.n))
 
 
 class TestEdgeListLoader:
@@ -193,14 +223,14 @@ class TestEdgeListLoader:
 
     def test_duplicate_pairs_in_both_directions_last_line_wins(self, tmp_path):
         g, want = self.load(tmp_path, "0 1 0.5\n1 0 2.0\n2 1\n1 2 0.25\n0 2 3\n2 0 0\n", 3)
-        np.testing.assert_array_equal(dense_adjacency(g), want)
+        np.testing.assert_array_equal(dense_adjacency(g.edges), want)
         assert want[0, 1] == 2.0 and want[1, 2] == 0.25 and want[0, 2] == 0.0
         # a pair whose last line weighs 0 is no edge at all
         assert list(zip(g.edges.row, g.edges.col)) == [(0, 1), (1, 2)]
 
     def test_self_loops_skipped_and_weights_kept(self, tmp_path):
         g, want = self.load(tmp_path, "1 1\n0 1 3.5\n2 2 4\n3 0 1e-7\n", 4)
-        np.testing.assert_array_equal(dense_adjacency(g), want)
+        np.testing.assert_array_equal(dense_adjacency(g.edges), want)
         assert np.all(g.edges.row < g.edges.col)
 
     def test_random_files_match_the_loop_scatter(self, tmp_path):
@@ -211,7 +241,7 @@ class TestEdgeListLoader:
                                     rng.integers(0, n, 400).tolist(),
                                     rng.choice([1.0, 0.5, 0.0, 2.25, 0.1 + 0.2], 400).tolist())]
         g, want = self.load(tmp_path, "\n".join(lines) + "\n", n)
-        np.testing.assert_array_equal(dense_adjacency(g), want)
+        np.testing.assert_array_equal(dense_adjacency(g.edges), want)
         keys = g.edges.row * n + g.edges.col
         assert np.all(np.diff(keys) > 0)  # row-major, each pair once
 
@@ -240,6 +270,9 @@ class TestEdgeListLoader:
 
     @pytest.mark.parametrize("n", [SPARSE_MIN_NODES, SPARSE_MIN_NODES + 50])
     def test_csr_from_the_list_equals_scipy_of_the_dense(self, tmp_path, n):
+        """A loaded list at the sparse threshold or above: its adjacency is
+        the line-by-line one, and its CSR view is scipy's normalization of
+        that adjacency, bit for bit."""
         from scipy import sparse
 
         rng = np.random.default_rng(n)
@@ -247,8 +280,8 @@ class TestEdgeListLoader:
                                                      rng.integers(0, n, 6 * n).tolist(),
                                                      rng.uniform(0.5, 2.0, 6 * n).tolist())]
         g, want = self.load(tmp_path, "\n".join(lines) + "\n", n)
-        np.testing.assert_array_equal(dense_adjacency(g), want)
-        got, ref = g.edges.csr(), sparse.csr_array(want)
+        np.testing.assert_array_equal(dense_adjacency(g.edges), want)
+        got, ref = sym_normalize(g.edges), csr_sym_normalize(sparse.csr_array(want))
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
@@ -338,19 +371,19 @@ class TestAttributeShift:
     def test_determinism(self):
         a = gen_attribute_shift(0.8, seed=11)
         b = gen_attribute_shift(0.8, seed=11)
-        np.testing.assert_array_equal(dense_adjacency(a), dense_adjacency(b))
+        np.testing.assert_array_equal(dense_adjacency(a.edges), dense_adjacency(b.edges))
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_adjacency_fixed_across_stds(self):
         a = gen_attribute_shift(0.1, seed=4)
         b = gen_attribute_shift(1.9, seed=4)
-        np.testing.assert_array_equal(dense_adjacency(a), dense_adjacency(b))
+        np.testing.assert_array_equal(dense_adjacency(a.edges), dense_adjacency(b.edges))
 
     def test_edge_count_near_binomial_expectation(self):
         g = gen_attribute_shift(1.0, seed=9, n=100, edge_prob=0.3)
         expected = 0.3 * 100 * 99 / 2
-        observed = dense_adjacency(g).sum() / 2
+        observed = dense_adjacency(g.edges).sum() / 2
         assert abs(observed - expected) / expected < 0.10
 
     def test_balanced_labels(self):
@@ -391,12 +424,12 @@ class TestSbm:
         np.testing.assert_array_equal(g.features, np.ones((100, 10)))
 
     def test_symmetric_zero_diagonal(self):
-        adj = dense_adjacency(gen_sbm(seed=7))
+        adj = dense_adjacency(gen_sbm(seed=7).edges)
         np.testing.assert_array_equal(adj, adj.T)
         np.testing.assert_array_equal(np.diag(adj), np.zeros(100))
 
     def test_block_densities(self):
-        adj = dense_adjacency(gen_sbm(seed=8, n=100, p=0.8))
+        adj = dense_adjacency(gen_sbm(seed=8, n=100, p=0.8).edges)
         half = 50
         intra_top = adj[:half, :half]
         possible = half * (half - 1) / 2
@@ -407,21 +440,21 @@ class TestSbm:
         assert abs(inter_density - 0.08) / 0.08 < 0.25
 
     def test_weights_in_unit_interval(self):
-        adj = dense_adjacency(gen_sbm(seed=9))
+        adj = dense_adjacency(gen_sbm(seed=9).edges)
         w = adj[adj > 0]
         assert w.min() > 0.0 and w.max() <= 1.0
 
     def test_lower_p_removes_edges_monotonically(self):
         dense = gen_sbm(seed=10, p=0.8)
         sparse = gen_sbm(seed=10, p=0.4)
-        dense_mask = dense_adjacency(dense) > 0
-        sparse_mask = dense_adjacency(sparse) > 0
+        dense_mask = dense_adjacency(dense.edges) > 0
+        sparse_mask = dense_adjacency(sparse.edges) > 0
         assert np.all(dense_mask[sparse_mask])  # sparse edge set is nested
         assert sparse_mask.sum() < dense_mask.sum()
 
     def test_determinism(self):
-        np.testing.assert_array_equal(dense_adjacency(gen_sbm(seed=1)),
-                                      dense_adjacency(gen_sbm(seed=1)))
+        np.testing.assert_array_equal(dense_adjacency(gen_sbm(seed=1).edges),
+                                      dense_adjacency(gen_sbm(seed=1).edges))
 
     @pytest.mark.parametrize("p", [0.3, 0.8, 1.0])
     @pytest.mark.parametrize("n", [2, 3, 100, GEN_BLOCK, GEN_BLOCK + 1, 2 * GEN_BLOCK + 7])
@@ -487,7 +520,7 @@ def test_weighted_edge_roundtrip(tmp_path):
     g = gen_sbm(seed=12, n=20, d=3)
     save_graph(g, tmp_path / "s.edges", tmp_path / "s.csv", tmp_path / "s.labels")
     back = load_graph(tmp_path / "s.edges", tmp_path / "s.csv", tmp_path / "s.labels")
-    np.testing.assert_array_equal(dense_adjacency(back), dense_adjacency(g))
+    np.testing.assert_array_equal(dense_adjacency(back.edges), dense_adjacency(g.edges))
 
 
 def test_save_graph_edges_match_pair_walk(tmp_path):
@@ -499,3 +532,33 @@ def test_save_graph_edges_match_pair_walk(tmp_path):
     g = Graph(edges=edges_of_dense(adj), features=rng.normal(size=(n, 2)))
     save_graph(g, tmp_path / "w.edges", tmp_path / "w.csv")
     assert (tmp_path / "w.edges").read_text() == loop_edge_lines(adj)
+
+
+def test_save_graph_blocks_join_at_the_boundaries(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 20
+    adj = np.triu(rng.random((n, n)) < 0.4, 1) * rng.choice([1.0, 0.1 + 0.2, 2.5], (n, n))
+    adj = adj + adj.T
+    g = Graph(edges=edges_of_dense(adj), features=rng.normal(size=(n, 2)))
+    for block in (1, 3, g.edges.row.size, g.edges.row.size + 1):
+        with mock.patch.object(graphs, "SAVE_BLOCK", block):
+            save_graph(g, tmp_path / "b.edges", tmp_path / "b.csv")
+        assert (tmp_path / "b.edges").read_text() == loop_edge_lines(adj)
+
+
+def test_save_graph_holds_no_list_of_every_edge(tmp_path):
+    """The peak stays below the pointer arrays alone of three Python lists
+    of every edge, 8 bytes per entry: only a block of edges is formatted at
+    a time (small here, so that 100k edges are enough to tell)."""
+    n = 450
+    row, col = np.triu_indices(n, 1)
+    weight = np.where(row % 2 == 0, 1.0, 0.5)
+    g = Graph(edges=EdgeList(n, row, col, weight), features=np.ones((n, 1)))
+    tracemalloc.start()
+    try:
+        with mock.patch.object(graphs, "SAVE_BLOCK", 1024):
+            save_graph(g, tmp_path / "big.edges", tmp_path / "big.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * row.size

@@ -269,12 +269,12 @@ class TestViewBuilding:
         from gaa import featgraph
 
         pair = small_pair()
-        topologies = [dense_adjacency(g) for g in (pair.source, pair.target)]
+        topologies = [dense_adjacency(g.edges) for g in (pair.source, pair.target)]
         normalized = []
         original = featgraph.sym_normalize
 
         def recording(edges, *args, **kwargs):
-            normalized.append(any(np.array_equal(edges.dense(), a) for a in topologies))
+            normalized.append(any(np.array_equal(dense_adjacency(edges), a) for a in topologies))
             return original(edges, *args, **kwargs)
 
         monkeypatch.setattr(featgraph, "sym_normalize", recording)
@@ -370,7 +370,7 @@ def _pair_and_permuted(n):
     perms, graphs = [], []
     for g in (pair.source, pair.target):
         perm = rng.permutation(n)
-        adjacency = dense_adjacency(g)[np.ix_(perm, perm)]
+        adjacency = dense_adjacency(g.edges)[np.ix_(perm, perm)]
         graphs.append(Graph(edges=edges_of_dense(adjacency), features=g.features[perm],
                             labels=g.labels[perm], num_classes=g.num_classes))
         perms.append(perm)

@@ -322,11 +322,14 @@ def _parse_grid(items) -> dict:
 
 
 _sweep_pair = None  # the pair every sweep cell of this process trains on
+# the TrainInputs of this process's last cell: cells arrive in k order, so
+# each k's views are built about once per process
+_sweep_inputs = None
 
 
 def _set_sweep_pair(pair):
-    global _sweep_pair
-    _sweep_pair = pair
+    global _sweep_pair, _sweep_inputs
+    _sweep_pair, _sweep_inputs = pair, None
 
 
 def _init_sweep_worker(pair):
@@ -336,8 +339,12 @@ def _init_sweep_worker(pair):
 
 
 def _sweep_cell(task):
+    global _sweep_inputs
     cfg, runs = task
-    result = run_repeated(_sweep_pair, cfg, n_runs=runs)
+    if _sweep_inputs is not None and _sweep_inputs.k != cfg.k:
+        _sweep_inputs = None  # never hold two k's views at once
+    result = run_repeated(_sweep_pair, cfg, n_runs=runs, inputs=_sweep_inputs)
+    _sweep_inputs = result.inputs
     return result.mean_acc, result.std_acc
 
 
@@ -355,16 +362,21 @@ def _cmd_sweep(args) -> int:
     for alpha, beta, tau, k in cells:
         cell_cfg = replace(cfg, k=k, weights=LossWeights(alpha=alpha, beta=beta, tau=tau))
         tasks.append((cell_cfg, args.runs))
+    # k-major, so that each process's consecutive cells share their views;
+    # the results go back to grid order
+    order = sorted(range(len(tasks)), key=lambda i: tasks[i][0].k)
+    ordered = [tasks[i] for i in order]
 
     if workers > 1:
         with Pool(processes=workers, initializer=_init_sweep_worker, initargs=(pair,)) as pool:
-            results = pool.map(_sweep_cell, tasks)
+            done = pool.map(_sweep_cell, ordered)
     else:
         _set_sweep_pair(pair)
         try:
-            results = [_sweep_cell(t) for t in tasks]
+            done = [_sweep_cell(t) for t in ordered]
         finally:
             _set_sweep_pair(None)
+    results = [result for _, result in sorted(zip(order, done))]
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -105,7 +105,8 @@ def _check_k(n: int, k: int):
 
 def knn_graph(sim_rows: np.ndarray, start: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of the kNN picks of each row of ``sim_rows``, which are
-    rows ``start``, ``start + 1``, ... of the similarity matrix.
+    rows ``start``, ``start + 1``, ... of the similarity matrix; the block
+    is overwritten.
 
     A row takes every score above its k-th largest and the ones equal to it,
     never itself. Only a row where that is not exactly k, because more
@@ -113,17 +114,17 @@ def knn_graph(sim_rows: np.ndarray, start: int, k: int) -> tuple[np.ndarray, np.
     index. The scores are never NaN: they come from validated, finite
     features.
     """
-    # ascending order of -score is descending score
-    neg = -sim_rows
-    local = np.arange(neg.shape[0])
-    neg[local, start + local] = np.inf
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-    picked = neg <= kth
-    for i in np.flatnonzero(picked.sum(axis=1) != k):
-        # a stable sort keeps ascending index order among ties
+    n = sim_rows.shape[1]
+    local = np.arange(sim_rows.shape[0])
+    sim_rows[local, start + local] = -np.inf
+    kth = np.partition(sim_rows, n - k, axis=1)[:, n - k:n - k + 1]
+    picked = sim_rows >= kth
+    for i in np.flatnonzero(np.count_nonzero(picked, axis=1) != k):
+        # ascending order of -score is descending score, and a stable sort
+        # keeps ascending index order among ties
         picked[i] = False
-        picked[i, np.argsort(neg[i], kind="stable")[:k]] = True
-    rows, cols = np.nonzero(picked)
+        picked[i, np.argsort(-sim_rows[i], kind="stable")[:k]] = True
+    rows, cols = np.divmod(np.flatnonzero(picked), n)
     return rows + start, cols
 
 
@@ -146,9 +147,10 @@ def knn_edges(x: np.ndarray, k: int) -> EdgeList:
     return EdgeList.from_pairs(n, rows, cols, np.ones(rows.size))
 
 
-def _looped_csr(edges: EdgeList) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, data, indptr) of A + I in CSR order: every entry of the
-    list in both directions and a loop of weight 1 per node.
+def _looped_csr(edges: EdgeList) -> tuple[np.ndarray, ...]:
+    """(rows, cols, data, indptr, degrees) of A + I in CSR order: every
+    entry of the list in both directions and a loop of weight 1 per node,
+    and each row's sum in column order, inf past the float64 range.
 
     Within one row, the mirrored entries have the lower columns, the loop
     comes next and the list's own entries have the higher columns, each part
@@ -164,16 +166,17 @@ def _looped_csr(edges: EdgeList) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     order = np.argsort(rows, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return (rows[order], np.concatenate([edges.row, nodes, edges.col])[order],
-            np.concatenate([edges.weight, np.ones(n), edges.weight])[order], indptr)
+    data = np.concatenate([edges.weight, np.ones(n), edges.weight])[order]
+    with np.errstate(over="ignore"):
+        degrees = np.add.reduceat(data, indptr[:-1])
+    return (rows[order], np.concatenate([edges.row, nodes, edges.col])[order], data, indptr,
+            degrees)
 
 
 def view_degrees(edges: EdgeList) -> np.ndarray:
     """The degree of each node in A + I, summed exactly as ``sym_normalize``
     sums it; a degree past the float64 range is inf."""
-    _, _, data, indptr = _looped_csr(edges)
-    with np.errstate(over="ignore"):
-        return np.add.reduceat(data, indptr[:-1])
+    return _looped_csr(edges)[4]
 
 
 def sym_normalize(edges: EdgeList):
@@ -185,10 +188,14 @@ def sym_normalize(edges: EdgeList):
     at least 1, so no row is divided by zero. Each row's degree sums that
     row's entries in CSR column order (as scipy's ``csr.sum(axis=1)`` does),
     and each entry is scaled by ``dinv[row] * dinv[col]``, so an entry and
-    its mirror get the same bits.
+    its mirror get the same bits. A degree past the float64 range is a
+    ``DomainError``.
     """
-    rows, cols, data, indptr = _looped_csr(edges)
-    dinv = 1.0 / np.sqrt(np.add.reduceat(data, indptr[:-1]))
+    rows, cols, data, indptr, degrees = _looped_csr(edges)
+    heavy = np.flatnonzero(np.isinf(degrees))
+    if heavy.size:
+        raise DomainError(f"sym_normalize: the degree of node {heavy[0]} overflows float64")
+    dinv = 1.0 / np.sqrt(degrees)
     data = data * (dinv[rows] * dinv[cols])
     n = edges.n
     if n < SPARSE_MIN_NODES:

@@ -394,9 +394,3 @@ def save_metrics(metrics: RunMetrics, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(asdict(metrics), fh, indent=2)
         fh.write("\n")
-
-
-def load_metrics(path) -> RunMetrics:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return RunMetrics(**{**doc, "per_epoch": [EpochLosses(**e) for e in doc["per_epoch"]]})

@@ -20,9 +20,10 @@ from .exceptions import ConfigError, DomainError, NumericError, check_field_type
 from .featgraph import ViewMatrices, build_views
 from .graphs import DomainPair, EpochLosses, Graph, RunMetrics
 from .model import (
+    VARIANT_SPECS,
+    VARIANTS,
     GaaModel,
     Hyper,
-    VARIANTS,
     classify,
     forward_all,
     gcn_encode,
@@ -137,32 +138,61 @@ def _epoch_losses(model: GaaModel, out, labels_s, w: L.LossWeights):
     return L.total_loss(l_a, l_s, l_d, l_t, w), l_s, l_a, l_d, l_t
 
 
-def train_gaa(pair: DomainPair, cfg: TrainConfig) -> tuple[GaaModel, RunMetrics]:
+@dataclass(frozen=True)
+class TrainInputs:
+    """The views of both domains that a variant trains on and ÂX of each, with
+    the channels and k they were built for. None of it depends on a parameter
+    (SGC, arXiv:1902.07153), so every run on those channels and k shares it."""
+
+    topo: bool
+    feat: bool
+    k: int
+    views_s: ViewMatrices
+    views_t: ViewMatrices
+    ax_s: tuple
+    ax_t: tuple
+
+
+def build_inputs(pair: DomainPair, cfg: TrainConfig) -> TrainInputs:
+    """Every channel of ``cfg.variant`` for both domains, at ``cfg.k``."""
+    spec = VARIANT_SPECS[cfg.variant]
+    views_s, views_t = (build_views(g.edges if spec.topo else None,
+                                    g.features if spec.feat else None, cfg.k)
+                        for g in (pair.source, pair.target))
+    return TrainInputs(spec.topo, spec.feat, cfg.k, views_s, views_t,
+                       propagate(views_s, pair.source.features),
+                       propagate(views_t, pair.target.features))
+
+
+def train_gaa(pair: DomainPair, cfg: TrainConfig,
+              inputs: TrainInputs | None = None) -> tuple[GaaModel, RunMetrics]:
     """Full-batch training per the configured variant.
 
-    The views the variant reads, and ÂX for each, are built once up front
-    and reused by the final evaluation; every epoch runs one forward, one
+    The views and ÂX come from ``inputs``, built here when not given, and
+    serve the final evaluation too; every epoch runs one forward, one
     backward, and one optimizer step.
     """
     start = time.perf_counter()
+    spec = VARIANT_SPECS[cfg.variant]
+    if inputs is None:
+        inputs = build_inputs(pair, cfg)
+    elif (inputs.topo, inputs.feat, inputs.k) != (spec.topo, spec.feat, cfg.k):
+        raise DomainError(f"inputs built for topo={inputs.topo}, feat={inputs.feat}, "
+                          f"k={inputs.k} cannot train {cfg.variant} at k={cfg.k}")
     master = np.random.SeedSequence(cfg.seed)
     init_seq, dropout_seq = master.spawn(2)
     model = init_model(pair.source.dim, pair.num_classes, cfg.variant, cfg.k,
                        cfg.hyper(), init_seq)
     params = model.parameters()
     state = AdamState(params)
-
-    views_s = _views_for(model, pair.source, training=True)
-    views_t = _views_for(model, pair.target, training=True)
-    ax_s = propagate(views_s, pair.source.features)
-    ax_t = propagate(views_t, pair.target.features)
     labels_s = pair.source.labels
 
     dropout_rng = np.random.default_rng(dropout_seq)
     metrics = RunMetrics(seed=cfg.seed, epochs=cfg.epochs, config_echo=asdict(cfg))
     for epoch in range(cfg.epochs):
         with ad.Tape() as tape:
-            out = forward_all(model, views_s, views_t, ax_s, ax_t, True, dropout_rng)
+            out = forward_all(model, inputs.views_s, inputs.views_t, inputs.ax_s, inputs.ax_t,
+                              True, dropout_rng)
             total, l_s, l_a, l_d, l_t = _epoch_losses(model, out, labels_s, cfg.weights)
             values = [t.item() for t in (total, l_s, l_a, l_d, l_t)]
             if not all(math.isfinite(v) for v in values):
@@ -175,21 +205,17 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig) -> tuple[GaaModel, RunMetrics]
         ))
 
     if pair.target.labels is not None:
-        metrics.target_accuracy = _accuracy(model, views_t, ax_t, pair.target)
+        metrics.target_accuracy = _accuracy(model, inputs.views_t, inputs.ax_t, pair.target)
     metrics.wall_seconds = time.perf_counter() - start
     return model, metrics
 
 
-def _views_for(model: GaaModel, graph: Graph, training: bool) -> ViewMatrices:
-    """The normalized views of ``graph`` that ``model`` reads; the rest are None.
-
-    Training reads every channel of the variant. Classification reads one:
-    the topology, or the feature view for the variant without topology.
-    """
+def _views_for(model: GaaModel, graph: Graph) -> ViewMatrices:
+    """The one view that classification reads, the other None: the topology,
+    or the feature view for the variant without topology."""
     spec = model.spec
-    feat = spec.feat and (training or not spec.topo)
     return build_views(graph.edges if spec.topo else None,
-                       graph.features if feat else None, model.k)
+                       None if spec.topo else graph.features, model.k)
 
 
 def _predict(model: GaaModel, views: ViewMatrices, ax: tuple) -> np.ndarray:
@@ -209,18 +235,12 @@ def _accuracy(model: GaaModel, views: ViewMatrices, ax: tuple, graph: Graph) -> 
     return float((probs.argmax(axis=1) == graph.labels).mean())
 
 
-def predict(model: GaaModel, graph: Graph) -> np.ndarray:
-    """Class probabilities for every node, dropout disabled."""
-    views = _views_for(model, graph, training=False)
-    return _predict(model, views, propagate(views, graph.features))
-
-
 def evaluate(model: GaaModel, graph: Graph) -> float:
     """Fraction of nodes whose argmax class (ties to the lowest index)
     matches the label."""
     if graph.labels is None:
         raise DomainError("evaluate needs a labeled graph")
-    views = _views_for(model, graph, training=False)
+    views = _views_for(model, graph)
     return _accuracy(model, views, propagate(views, graph.features), graph)
 
 
@@ -231,18 +251,23 @@ class RepeatedResult:
     accuracies: list[float]
     metrics: list[RunMetrics]
     first_model: GaaModel  # the model trained with cfg.seed
+    inputs: TrainInputs  # the views and ÂX every run trained on
 
 
-def run_repeated(pair: DomainPair, cfg: TrainConfig, n_runs: int = 5) -> RepeatedResult:
-    """Train with seeds cfg.seed .. cfg.seed + n_runs - 1; sample std (0 for one run)."""
+def run_repeated(pair: DomainPair, cfg: TrainConfig, n_runs: int = 5,
+                 inputs: TrainInputs | None = None) -> RepeatedResult:
+    """Train with seeds cfg.seed .. cfg.seed + n_runs - 1 on one ``inputs``,
+    built here when not given; sample std (0 for one run)."""
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
     if pair.target.labels is None:
         raise DomainError("run_repeated needs a labeled target graph")
+    if inputs is None:
+        inputs = build_inputs(pair, cfg)
     accs = []
     all_metrics = []
     for offset in range(n_runs):
-        model, metrics = train_gaa(pair, replace(cfg, seed=cfg.seed + offset))
+        model, metrics = train_gaa(pair, replace(cfg, seed=cfg.seed + offset), inputs)
         if offset == 0:
             first_model = model
         accs.append(metrics.target_accuracy)
@@ -250,4 +275,4 @@ def run_repeated(pair: DomainPair, cfg: TrainConfig, n_runs: int = 5) -> Repeate
     mean = float(np.mean(accs))
     std = float(np.std(accs, ddof=1)) if n_runs > 1 else 0.0
     return RepeatedResult(mean_acc=mean, std_acc=std, accuracies=accs, metrics=all_metrics,
-                          first_model=first_model)
+                          first_model=first_model, inputs=inputs)

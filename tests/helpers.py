@@ -1,9 +1,15 @@
-"""Shared oracles for the test suite, kept independent of the library paths."""
+"""Shared oracles for the test suite, kept independent of the library paths,
+and the test-only helpers ``load_metrics`` and ``predict``."""
+
+import json
 
 import numpy as np
 
 from gaa import autodiff as ad
+from gaa import train
 from gaa.featgraph import EdgeList
+from gaa.graphs import EpochLosses, RunMetrics
+from gaa.model import propagate
 
 FD_H = 1e-5
 FD_REL_TOL = 1e-4
@@ -219,3 +225,17 @@ def loop_target_entropy(probs, clamp=1e-12):
         for p in row:
             total += -p * np.log(max(p, clamp))
     return total / probs.shape[0]
+
+
+def load_metrics(path):
+    """The ``RunMetrics`` that ``save_metrics`` wrote to ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return RunMetrics(**{**doc, "per_epoch": [EpochLosses(**e) for e in doc["per_epoch"]]})
+
+
+def predict(model, graph):
+    """Class probabilities for every node of ``graph``, dropout disabled,
+    from the view that ``evaluate`` builds."""
+    views = train._views_for(model, graph)
+    return train._predict(model, views, propagate(views, graph.features))

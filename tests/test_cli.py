@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaa import cli as cli_module
+from gaa import train
 from gaa.autodiff import thread_budget
 from gaa.analysis import avg_feature_value, proposition1_bound
 from gaa.cli import load_pair, run_command
@@ -794,9 +795,9 @@ class TestSweep:
         seen, budgets = {}, []
         self.serial_pool(monkeypatch, seen)
 
-        def recording_run_repeated(pair, cfg, n_runs):
+        def recording_run_repeated(pair, cfg, n_runs, inputs):
             budgets.append(thread_budget())
-            return run_repeated(pair, cfg, n_runs=n_runs)
+            return run_repeated(pair, cfg, n_runs=n_runs, inputs=inputs)
 
         monkeypatch.setattr(cli_module, "run_repeated", recording_run_repeated)
         monkeypatch.setenv("GAA_THREADS", "2")
@@ -817,6 +818,60 @@ class TestSweep:
         monkeypatch.setenv("GAA_THREADS", "2")
         assert cli(*args, "--out", str(parallel)) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    SHARED_VIEWS_ARGS = ("sweep", "--runs", "2", "--seed", "0", "--variant", "GAA",
+                         "--set", "epochs=2", "--set", "hidden=8", "--set", "embed=4",
+                         "--grid", "alpha=0.5,1.0", "--grid", "beta=0.1", "--grid", "tau=0.1",
+                         "--grid", "k=2,3")
+
+    def test_serial_sweep_builds_one_value_per_k(self, pair_dir, tmp_path, monkeypatch):
+        built = []
+        original = train.build_inputs
+
+        def recording(pair, cfg):
+            built.append(cfg.k)
+            return original(pair, cfg)
+
+        monkeypatch.setattr(train, "build_inputs", recording)
+        monkeypatch.setenv("GAA_THREADS", "1")
+        assert cli(*self.SHARED_VIEWS_ARGS, "--pair", str(pair_dir),
+                   "--out", str(tmp_path / "s.csv")) == 0
+        assert built == [2, 3]
+
+    def test_k_major_sweep_is_the_same_bytes_on_one_or_two_workers(self, pair_dir, tmp_path,
+                                                                    monkeypatch):
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        monkeypatch.setenv("GAA_THREADS", "1")
+        assert cli(*self.SHARED_VIEWS_ARGS, "--pair", str(pair_dir), "--out", str(serial)) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
+        monkeypatch.setenv("GAA_THREADS", "2")
+        assert cli(*self.SHARED_VIEWS_ARGS, "--pair", str(pair_dir), "--out", str(parallel)) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_row_holds_its_own_cells_result(self, pair_dir, tmp_path, monkeypatch,
+                                                  threads):
+        """Cells run in k order, and each result goes back to its cell's row,
+        alpha-major and k-minor."""
+        self.serial_pool(monkeypatch, {})
+        monkeypatch.setattr(cli_module, "run_repeated", lambda pair, cfg, n_runs, inputs: (
+            train.RepeatedResult(cfg.weights.alpha, float(cfg.k), [], [], None, None)))
+        monkeypatch.setenv("GAA_THREADS", threads)
+        out = tmp_path / "s.csv"
+        assert cli(*self.SHARED_VIEWS_ARGS, "--pair", str(pair_dir), "--out", str(out)) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(r[0], r[3], r[4], r[5]) for r in rows] == [
+            (alpha, k, alpha, k + ".0") for alpha in ("0.5", "1.0") for k in ("2", "3")]
+
+    def test_pool_receives_the_cells_in_k_order(self, pair_dir, tmp_path, monkeypatch):
+        seen = {}
+        self.serial_pool(monkeypatch, seen)
+        monkeypatch.setenv("GAA_THREADS", "2")
+        assert cli(*self.SHARED_VIEWS_ARGS, "--pair", str(pair_dir),
+                   "--out", str(tmp_path / "s.csv")) == 0
+        assert [(cfg.k, cfg.weights.alpha) for cfg, _ in seen["tasks"]] == [
+            (2, 0.5), (2, 1.0), (3, 0.5), (3, 1.0)]
 
 
 def test_dense_path_never_imports_scipy(tmp_path):

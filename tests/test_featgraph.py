@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -124,6 +125,16 @@ class TestKnn:
             for k in range(1, len(x)):
                 np.testing.assert_array_equal(dense_adjacency(knn_edges(x, k)), loop_knn(sim, k))
 
+    # one row short of a block, one row into a second block, one row into a
+    # third; three small-integer columns leave 27 distinct rows, so most
+    # scores tie and many rows have more ties than slots
+    @pytest.mark.parametrize("n", [featgraph.KNN_BLOCK - 1, featgraph.KNN_BLOCK + 1,
+                                   2 * featgraph.KNN_BLOCK + 1])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_oracle_on_heavy_ties_across_blocks(self, n, k):
+        x = np.random.default_rng(n + k).integers(0, 3, size=(n, 3)).astype(float)
+        np.testing.assert_array_equal(dense_adjacency(knn_edges(x, k)), loop_knn(cosine(x), k))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(3, 12), st.integers(1, 4))
     def test_structural_invariants(self, seed, n, k):
@@ -177,6 +188,14 @@ class TestSymNormalize:
     def test_rejects_negative_entries(self):
         with pytest.raises(DomainError):
             sym_normalize(EdgeList(2, np.array([0]), np.array([1]), np.array([-1.0])))
+
+    def test_a_degree_past_float64_is_rejected_without_a_warning(self):
+        # node 1's two edges sum past the float64 maximum
+        edges = EdgeList(3, np.array([0, 1]), np.array([1, 2]), np.array([1e308, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="degree of node 1 overflows"):
+                build_views(edges, None, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.booleans())

@@ -22,7 +22,6 @@ from gaa.graphs import (
     gen_attribute_shift,
     gen_sbm,
     load_graph,
-    load_metrics,
     save_graph,
     save_metrics,
 )
@@ -31,6 +30,7 @@ from helpers import (
     csr_sym_normalize,
     dense_adjacency,
     edges_of_dense,
+    load_metrics,
     loop_edge_lines,
     loop_load_adjacency,
 )

@@ -1,12 +1,13 @@
 import functools
 import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from gaa import autodiff as ad
-from gaa.exceptions import ConfigError
+from gaa.exceptions import ConfigError, DomainError
 from gaa.graphs import DomainPair, Graph, gen_attribute_shift, save_metrics
 from gaa.losses import LossWeights
 from gaa.model import VARIANT_SPECS, VARIANTS, save_model
@@ -14,13 +15,13 @@ from gaa.train import (
     AdamState,
     TrainConfig,
     adam_step,
+    build_inputs,
     evaluate,
-    predict,
     run_repeated,
     train_gaa,
 )
 
-from helpers import dense_adjacency, edges_of_dense
+from helpers import dense_adjacency, edges_of_dense, predict
 
 
 def small_pair(n=14, d=4, seed=3):
@@ -197,7 +198,6 @@ class TestEvaluate:
         assert acc == pytest.approx((pair.target.labels == 0).mean())
 
     def test_matches_per_node_loop(self):
-        from gaa.train import predict
         pair = small_pair(n=20)
         model, _ = train_gaa(pair, quick_cfg(epochs=5))
         probs = predict(model, pair.target)
@@ -208,7 +208,6 @@ class TestEvaluate:
         pair = small_pair()
         unlabeled = Graph(edges=pair.target.edges, features=pair.target.features)
         model, _ = train_gaa(pair, quick_cfg(epochs=1))
-        from gaa.exceptions import DomainError
         with pytest.raises(DomainError):
             evaluate(model, unlabeled)
 
@@ -226,6 +225,50 @@ class TestRunRepeated:
     def test_seeds_advance_per_run(self):
         result = run_repeated(small_pair(), quick_cfg(epochs=2, seed=10), n_runs=3)
         assert [m.seed for m in result.metrics] == [10, 11, 12]
+
+    @pytest.mark.parametrize("variant", ["GAA", "KNN_GCN"])
+    def test_views_built_once_for_all_seeds(self, variant, monkeypatch):
+        """Three seeds build each domain's views once, and train exactly as
+        three separate runs do, bit for bit."""
+        from gaa import train
+
+        pair, cfg = small_pair(), quick_cfg(variant=variant, seed=4)
+        alone = [train_gaa(pair, replace(cfg, seed=seed)) for seed in (4, 5, 6)]
+        built = []
+        original = train.build_views
+
+        def recording(edges, features, k):
+            built.append((edges, features))
+            return original(edges, features, k)
+
+        monkeypatch.setattr(train, "build_views", recording)
+        result = run_repeated(pair, cfg, n_runs=3)
+        spec = VARIANT_SPECS[variant]
+        assert len(built) == 2
+        for (edges, features), graph in zip(built, (pair.source, pair.target)):
+            assert edges is (graph.edges if spec.topo else None)
+            assert features is (graph.features if spec.feat else None)
+        for metrics, (_, want) in zip(result.metrics, alone):
+            metrics.wall_seconds = want.wall_seconds = 0.0
+            assert asdict(metrics) == asdict(want)
+        for got, want in zip(result.first_model.parameters(), alone[0][0].parameters()):
+            assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("change", [{"k": 3}, {"variant": "GCN"}, {"variant": "KNN_GCN"}])
+    def test_inputs_for_another_k_or_variant_are_rejected(self, change):
+        pair, cfg = small_pair(), quick_cfg(variant="GAA", k=2)
+        inputs = build_inputs(pair, cfg)
+        with pytest.raises(DomainError, match="cannot train"):
+            train_gaa(pair, replace(cfg, **change), inputs)
+
+    def test_inputs_serve_every_variant_with_the_same_channels(self):
+        # GAA1 reads both channels as GAA does; GAA2, GAA3 and GCN read the topology
+        pair = small_pair()
+        for built_for, trained in (("GAA", "GAA1"), ("GCN", "GAA3")):
+            cfg = quick_cfg(variant=trained)
+            _, shared = train_gaa(pair, cfg, build_inputs(pair, replace(cfg, variant=built_for)))
+            _, alone = train_gaa(pair, cfg)
+            assert shared.per_epoch == alone.per_epoch
 
 
 class TestVariantTable:

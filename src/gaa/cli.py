@@ -30,6 +30,7 @@ import numpy as np
 from .autodiff import thread_budget, worker_count
 from .exceptions import CheckpointError, ConfigError, GaaError, ParseError, field_types
 from .analysis import avg_feature_value, proposition1_bound
+from .featgraph import check_k
 from .graphs import (
     DomainPair,
     Graph,
@@ -40,7 +41,7 @@ from .graphs import (
     save_metrics,
 )
 from .losses import LossWeights
-from .model import load_model, save_model
+from .model import VARIANT_SPECS, load_model, save_model
 from .train import TrainConfig, evaluate, run_repeated, train_gaa
 
 DEFAULT_SWEEP_GRID = {
@@ -358,6 +359,8 @@ def _cmd_sweep(args) -> int:
     workers = worker_count(len(cells))
     pair = load_pair(args.pair)
     _check_target_labels(pair, args.pair, "sweep")
+    if VARIANT_SPECS[cfg.variant].feat:  # a k too large for a graph fails before any cell
+        check_k(min(pair.source.n, pair.target.n), max(grid["k"]))
     tasks = []
     for alpha, beta, tau, k in cells:
         cell_cfg = replace(cfg, k=k, weights=LossWeights(alpha=alpha, beta=beta, tau=tau))

@@ -17,7 +17,7 @@ and scipy is imported only for a CSR view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def cosine_similarity_matrix(unit: np.ndarray, nonzero: np.ndarray, start: int) 
     return sim
 
 
-def _check_k(n: int, k: int):
+def check_k(n: int, k: int):
     # k comes from the user's config, so a k the graph cannot hold is theirs to fix
     if not 1 <= k <= n - 1:
         raise ConfigError(f"k must be in [1, {n - 1}] for {n} nodes, got {k}")
@@ -138,7 +138,7 @@ def knn_edges(x: np.ndarray, k: int) -> EdgeList:
     """
     unit, nonzero = _unit_rows(x)
     n = unit.shape[0]
-    _check_k(n, k)
+    check_k(n, k)
     picks = [knn_graph(cosine_similarity_matrix(unit, nonzero, start), start, k)
              for start in range(0, n, KNN_BLOCK)]
     rows = np.concatenate([r for r, _ in picks])
@@ -207,21 +207,28 @@ def sym_normalize(edges: EdgeList):
     return sparse.csr_array((data, cols, indptr), shape=(n, n))
 
 
-@dataclass(frozen=True)
-class ViewMatrices:
-    """Normalized propagation matrices for the two message-passing views,
-    each ``sym_normalize`` of an edge list: a dense array or a scipy.sparse
-    CSR array. A view that its consumer never reads may be None.
-    """
+class View(NamedTuple):
+    """A view Â (``sym_normalize``, dense or CSR) and ÂX, which depends on no
+    parameter, so every epoch reads the one product (SGC, arXiv:1902.07153)."""
 
-    topo_norm: Optional[np.ndarray]
-    feat_norm: Optional[np.ndarray]
+    norm: object
+    ax: np.ndarray
 
 
-def build_views(edges: Optional[EdgeList], features: Optional[np.ndarray],
-                k: int) -> ViewMatrices:
-    """The normalized topology and kNN views; a view whose input is None is
-    not built and stays None."""
-    feat_norm = None if features is None else sym_normalize(knn_edges(features, k))
-    return ViewMatrices(topo_norm=None if edges is None else sym_normalize(edges),
-                        feat_norm=feat_norm)
+class ViewMatrices(NamedTuple):
+    """The topology and the kNN view of one graph; a view that its consumer
+    never reads is None."""
+
+    topo: Optional[View]
+    feat: Optional[View]
+
+
+def build_views(edges: Optional[EdgeList], features: np.ndarray,
+                k: Optional[int]) -> ViewMatrices:
+    """The topology view of ``edges`` and the kNN view of ``features`` at
+    ``k``, each with ÂX of ``features``; one whose ``edges`` or ``k`` is None
+    is not built and stays None."""
+    feat = None if k is None else sym_normalize(knn_edges(features, k))
+    topo = None if edges is None else sym_normalize(edges)
+    return ViewMatrices(*(None if norm is None else View(norm, norm @ features)
+                          for norm in (topo, feat)))

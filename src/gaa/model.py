@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .exceptions import CheckpointError, ConfigError, DomainError, ShapeError, check_field_types
-from .featgraph import ViewMatrices
+from .featgraph import View, ViewMatrices
 
 # checkpoint payload order; also the order parameters are initialized in
 FIELD_ORDER = ("W1_topo", "W2_topo", "W1_feat", "W2_feat",
@@ -166,26 +166,16 @@ def init_model(in_dim: int, num_classes: int, variant: str, k: int,
 # network pieces
 
 
-def propagate(views: ViewMatrices, x: np.ndarray) -> tuple[Optional[Tensor], Optional[Tensor]]:
-    """ÂX for the topology and the feature view, None where the view is None.
-
-    ÂX depends on no parameter, so a training run computes it once per
-    domain and view and every epoch reuses it (SGC, arXiv:1902.07153).
-    """
-    return tuple(None if norm is None else ad.constant(norm @ x)
-                 for norm in (views.topo_norm, views.feat_norm))
-
-
-def gcn_encode(view_norm, ax: Tensor, w1: Tensor, w2: Tensor,
+def gcn_encode(view: View, w1: Tensor, w2: Tensor,
                dropout_rate: float, rng: np.random.Generator, training: bool,
                relu_second: bool = False) -> Tensor:
-    """Two propagation layers on ``ax`` = ÂX: relu((ÂX) W1) with dropout,
-    then Â (H W2). ``view_norm`` is Â itself, dense or sparse. W2 comes first
+    """Two propagation layers on ``view.ax`` = ÂX: relu((ÂX) W1) with dropout,
+    then Â (H W2), ``view.norm`` being Â, dense or sparse. W2 comes first
     (Kipf & Welling, arXiv:1609.02907, eq. 2), so the n x n product and its
     gradient have embed, not hidden, columns."""
-    hidden = ad.relu(ad.matmul(ax, w1))
+    hidden = ad.relu(ad.matmul(ad.constant(view.ax), w1))
     hidden = ad.dropout(hidden, dropout_rate, rng, training)
-    z = ad.spmm(view_norm, ad.matmul(hidden, w2))
+    z = ad.spmm(view.norm, ad.matmul(hidden, w2))
     return ad.relu(z) if relu_second else z
 
 
@@ -241,28 +231,25 @@ class ForwardOutputs:
 
 
 def forward_all(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices,
-                ax_s: tuple, ax_t: tuple, training: bool,
-                rng: np.random.Generator) -> ForwardOutputs:
+                training: bool, rng: np.random.Generator) -> ForwardOutputs:
     """Run every branch the variant's row names, in a fixed order.
 
-    ``ax_s`` and ``ax_t`` are ``propagate`` of each domain's views. Dropout
-    draws happen in encoder order (source topo, source feat, target topo,
-    target feat), so equal seeds give bit-identical passes. A variant that
-    does not adapt never encodes the target.
+    Dropout draws happen in encoder order (source topo, source feat, target
+    topo, target feat), so equal seeds give bit-identical passes. A variant
+    that does not adapt never encodes the target.
     """
     spec, hy = model.spec, model.hyper
 
-    def encode(views, ax):
-        def gcn(norm, ax_view, w1, w2):
-            return gcn_encode(norm, ax_view, w1, w2,
-                              hy.dropout, rng, training, hy.relu_second_layer)
-        return (gcn(views.topo_norm, ax[0], model.W1_topo, model.W2_topo) if spec.topo else None,
-                gcn(views.feat_norm, ax[1], model.W1_feat, model.W2_feat) if spec.feat else None)
+    def encode(views):
+        def gcn(view, w1, w2):
+            return gcn_encode(view, w1, w2, hy.dropout, rng, training, hy.relu_second_layer)
+        return (gcn(views.topo, model.W1_topo, model.W2_topo) if spec.topo else None,
+                gcn(views.feat, model.W1_feat, model.W2_feat) if spec.feat else None)
 
     out = ForwardOutputs()
-    out.z_s, out.z_s_f = encode(views_s, ax_s)
+    out.z_s, out.z_s_f = encode(views_s)
     if spec.adapts:
-        out.z_t, out.z_t_f = encode(views_t, ax_t)
+        out.z_t, out.z_t_f = encode(views_t)
     if spec.attends:
         out.att_s, out.att_s_f, out.att_t, out.att_t_f = [
             attention_embed(z, model.Wq, model.Wk, model.Wv)

@@ -28,7 +28,6 @@ from .model import (
     forward_all,
     gcn_encode,
     init_model,
-    propagate,
 )
 
 
@@ -140,28 +139,22 @@ def _epoch_losses(model: GaaModel, out, labels_s, w: L.LossWeights):
 
 @dataclass(frozen=True)
 class TrainInputs:
-    """The views of both domains that a variant trains on and ÂX of each, with
-    the channels and k they were built for. None of it depends on a parameter
-    (SGC, arXiv:1902.07153), so every run on those channels and k shares it."""
+    """The views of both domains that a variant trains on, each with its ÂX,
+    and the k they were built for. None of it depends on a parameter (SGC,
+    arXiv:1902.07153), so every run on those channels and k shares it."""
 
-    topo: bool
-    feat: bool
     k: int
     views_s: ViewMatrices
     views_t: ViewMatrices
-    ax_s: tuple
-    ax_t: tuple
 
 
 def build_inputs(pair: DomainPair, cfg: TrainConfig) -> TrainInputs:
     """Every channel of ``cfg.variant`` for both domains, at ``cfg.k``."""
     spec = VARIANT_SPECS[cfg.variant]
-    views_s, views_t = (build_views(g.edges if spec.topo else None,
-                                    g.features if spec.feat else None, cfg.k)
+    views_s, views_t = (build_views(g.edges if spec.topo else None, g.features,
+                                    cfg.k if spec.feat else None)
                         for g in (pair.source, pair.target))
-    return TrainInputs(spec.topo, spec.feat, cfg.k, views_s, views_t,
-                       propagate(views_s, pair.source.features),
-                       propagate(views_t, pair.target.features))
+    return TrainInputs(cfg.k, views_s, views_t)
 
 
 def train_gaa(pair: DomainPair, cfg: TrainConfig,
@@ -176,8 +169,9 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig,
     spec = VARIANT_SPECS[cfg.variant]
     if inputs is None:
         inputs = build_inputs(pair, cfg)
-    elif (inputs.topo, inputs.feat, inputs.k) != (spec.topo, spec.feat, cfg.k):
-        raise DomainError(f"inputs built for topo={inputs.topo}, feat={inputs.feat}, "
+    topo, feat = (view is not None for view in inputs.views_s)
+    if (topo, feat, inputs.k) != (spec.topo, spec.feat, cfg.k):
+        raise DomainError(f"inputs built for topo={topo}, feat={feat}, "
                           f"k={inputs.k} cannot train {cfg.variant} at k={cfg.k}")
     master = np.random.SeedSequence(cfg.seed)
     init_seq, dropout_seq = master.spawn(2)
@@ -189,23 +183,26 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig,
 
     dropout_rng = np.random.default_rng(dropout_seq)
     metrics = RunMetrics(seed=cfg.seed, epochs=cfg.epochs, config_echo=asdict(cfg))
-    for epoch in range(cfg.epochs):
-        with ad.Tape() as tape:
-            out = forward_all(model, inputs.views_s, inputs.views_t, inputs.ax_s, inputs.ax_t,
-                              True, dropout_rng)
-            total, l_s, l_a, l_d, l_t = _epoch_losses(model, out, labels_s, cfg.weights)
-            values = [t.item() for t in (total, l_s, l_a, l_d, l_t)]
-            if not all(math.isfinite(v) for v in values):
-                raise NumericError(f"non-finite loss at epoch {epoch}: {values}")
-            ad.backward(total, tape)
-        adam_step(params, state, cfg.lr, cfg.weight_decay)
-        metrics.per_epoch.append(EpochLosses(
-            epoch=epoch, loss_total=values[0], loss_S=values[1],
-            loss_A=values[2], loss_D=values[3], loss_T=values[4],
-        ))
+    try:  # an overflow stops the run at its op, not as warnings and a later error
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for epoch in range(cfg.epochs):
+                with ad.Tape() as tape:
+                    out = forward_all(model, inputs.views_s, inputs.views_t, True, dropout_rng)
+                    total, l_s, l_a, l_d, l_t = _epoch_losses(model, out, labels_s, cfg.weights)
+                    values = [t.item() for t in (total, l_s, l_a, l_d, l_t)]
+                    if not all(math.isfinite(v) for v in values):
+                        raise NumericError(f"non-finite loss at epoch {epoch}: {values}")
+                    ad.backward(total, tape)
+                adam_step(params, state, cfg.lr, cfg.weight_decay)
+                metrics.per_epoch.append(EpochLosses(
+                    epoch=epoch, loss_total=values[0], loss_S=values[1],
+                    loss_A=values[2], loss_D=values[3], loss_T=values[4],
+                ))
+    except FloatingPointError as exc:
+        raise NumericError(f"epoch {epoch}: {exc}") from exc
 
     if pair.target.labels is not None:
-        metrics.target_accuracy = _accuracy(model, inputs.views_t, inputs.ax_t, pair.target)
+        metrics.target_accuracy = _accuracy(model, inputs.views_t, pair.target)
     metrics.wall_seconds = time.perf_counter() - start
     return model, metrics
 
@@ -213,25 +210,24 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig,
 def _views_for(model: GaaModel, graph: Graph) -> ViewMatrices:
     """The one view that classification reads, the other None: the topology,
     or the feature view for the variant without topology."""
-    spec = model.spec
-    return build_views(graph.edges if spec.topo else None,
-                       None if spec.topo else graph.features, model.k)
+    topo = model.spec.topo
+    return build_views(graph.edges if topo else None, graph.features,
+                       None if topo else model.k)
 
 
-def _predict(model: GaaModel, views: ViewMatrices, ax: tuple) -> np.ndarray:
-    """Class probabilities from ``views`` and their ``propagate``d features."""
+def _predict(model: GaaModel, views: ViewMatrices) -> np.ndarray:
+    """Class probabilities from the view of ``views`` that classification reads."""
     rng = np.random.default_rng(0)  # never consumed: dropout is off in eval
     if model.spec.topo:
-        norm, ax_view, w1, w2 = views.topo_norm, ax[0], model.W1_topo, model.W2_topo
+        view, w1, w2 = views.topo, model.W1_topo, model.W2_topo
     else:
-        norm, ax_view, w1, w2 = views.feat_norm, ax[1], model.W1_feat, model.W2_feat
-    z = gcn_encode(norm, ax_view, w1, w2,
-                   model.hyper.dropout, rng, False, model.hyper.relu_second_layer)
+        view, w1, w2 = views.feat, model.W1_feat, model.W2_feat
+    z = gcn_encode(view, w1, w2, model.hyper.dropout, rng, False, model.hyper.relu_second_layer)
     return classify(z, model.Wc, model.bc).data
 
 
-def _accuracy(model: GaaModel, views: ViewMatrices, ax: tuple, graph: Graph) -> float:
-    probs = _predict(model, views, ax)
+def _accuracy(model: GaaModel, views: ViewMatrices, graph: Graph) -> float:
+    probs = _predict(model, views)
     return float((probs.argmax(axis=1) == graph.labels).mean())
 
 
@@ -240,8 +236,7 @@ def evaluate(model: GaaModel, graph: Graph) -> float:
     matches the label."""
     if graph.labels is None:
         raise DomainError("evaluate needs a labeled graph")
-    views = _views_for(model, graph)
-    return _accuracy(model, views, propagate(views, graph.features), graph)
+    return _accuracy(model, _views_for(model, graph), graph)
 
 
 @dataclass

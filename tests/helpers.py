@@ -9,7 +9,6 @@ from gaa import autodiff as ad
 from gaa import train
 from gaa.featgraph import EdgeList
 from gaa.graphs import EpochLosses, RunMetrics
-from gaa.model import propagate
 
 FD_H = 1e-5
 FD_REL_TOL = 1e-4
@@ -237,5 +236,4 @@ def load_metrics(path):
 def predict(model, graph):
     """Class probabilities for every node of ``graph``, dropout disabled,
     from the view that ``evaluate`` builds."""
-    views = train._views_for(model, graph)
-    return train._predict(model, views, propagate(views, graph.features))
+    return train._predict(model, train._views_for(model, graph))

@@ -22,7 +22,7 @@ from gaa.cli import run_command
 from gaa.featgraph import build_views, knn_edges
 from gaa.graphs import DomainPair, Graph, gen_attribute_shift
 from gaa.losses import LossWeights, alignment_loss, domain_bce, source_ce, target_entropy
-from gaa.model import forward_all, init_model, propagate, Hyper
+from gaa.model import forward_all, init_model, Hyper
 from gaa.train import TrainConfig, run_repeated, train_gaa, _epoch_losses
 
 from helpers import (
@@ -164,12 +164,10 @@ def test_criterion_1_gradient_correctness():
         model = init_model(d, 2, "GAA", 2, hyper, np.random.SeedSequence(5000 + i))
         views_s = build_views(pair.source.edges, pair.source.features / 10.0, 2)
         views_t = build_views(pair.target.edges, pair.target.features / 10.0, 2)
-        ax_s = propagate(views_s, pair.source.features / 10.0)
-        ax_t = propagate(views_t, pair.target.features / 10.0)
         labels = pair.source.labels
 
         def terms():
-            out = forward_all(model, views_s, views_t, ax_s, ax_t,
+            out = forward_all(model, views_s, views_t,
                               hyper.dropout > 0, np.random.default_rng(6000 + i))
             total, _, _, l_d, _ = _epoch_losses(model, out, labels, w)
             return total, l_d

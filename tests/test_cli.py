@@ -677,6 +677,15 @@ class TestHugeInput:
         assert cli(verb, "--pair", str(pair_dir)) == 1
         assert self.one_error_line(capsys) == f"error: {pair_dir}: {term} overflows float64\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_training_that_overflows_exit_2(self, pair_dir, tmp_path, capsys):
+        # every squared norm fits, but the attention's products do not
+        self.scale_features(pair_dir, 1e152)
+        assert cli("train", "--pair", str(pair_dir), "--variant", "GAA",
+                   "--out", str(tmp_path / "x"), "--set", "epochs=3") == 2
+        assert self.one_error_line(capsys).startswith("error: epoch 0: overflow encountered in ")
+        assert not (tmp_path / "x").exists()
+
 
 class TestSweep:
     def test_grid_cardinality_and_format(self, pair_dir, tmp_path):
@@ -701,6 +710,26 @@ class TestSweep:
                    "--grid", "gamma=1")
         assert code == 1
         assert "gamma" in capsys.readouterr().err
+
+    def test_a_k_the_graphs_cannot_hold_exit_1_before_any_cell(self, pair_dir, tmp_path,
+                                                               capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "run_repeated", None)  # calling it would raise
+        monkeypatch.setenv("GAA_THREADS", "1")
+        code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
+                   "--variant", "GAA", "--runs", "2", "--set", "epochs=2",
+                   "--grid", "k=2,3,100")
+        assert code == 1
+        assert capsys.readouterr().err == "error: k must be in [1, 23] for 24 nodes, got 100\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_a_variant_without_the_knn_view_sweeps_any_k(self, pair_dir, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setenv("GAA_THREADS", "1")
+        out = tmp_path / "s.csv"
+        assert cli("sweep", "--pair", str(pair_dir), "--out", str(out), "--variant", "GCN",
+                   "--runs", "1", "--set", "epochs=2", "--grid", "alpha=0.5",
+                   "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,100") == 0
+        assert len(out.read_text().splitlines()) == 3
 
     @staticmethod
     def serial_pool(monkeypatch, seen, cores=8):

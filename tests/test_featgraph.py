@@ -195,7 +195,7 @@ class TestSymNormalize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="degree of node 1 overflows"):
-                build_views(edges, None, 1)
+                build_views(edges, np.ones((3, 1)), None)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.booleans())
@@ -235,7 +235,7 @@ def test_build_views_invariants():
     adj = adj + adj.T
     views = build_views(edges_of_dense(adj), rng.normal(size=(12, 4)), k=3)
     assert isinstance(views, ViewMatrices)
-    for m in (views.topo_norm, views.feat_norm):
+    for m in (views.topo.norm, views.feat.norm):
         assert np.abs(m - m.T).max() <= 1e-12
         assert m.min() >= 0.0
         assert np.all(m.sum(axis=1) > 0.0)  # no zero rows once loops are added
@@ -273,7 +273,7 @@ def test_views_are_exactly_symmetric_non_negative_and_finite(seed, n, huge, forc
     with mock.patch.object(featgraph, "SPARSE_MIN_NODES", threshold):
         views = build_views(edges, x, k)
     knn = dense_adjacency(knn_edges(x, k))
-    for view, graph in ((views.topo_norm, adj), (views.feat_norm, knn)):
+    for view, graph in ((views.topo.norm, adj), (views.feat.norm, knn)):
         assert sparse.issparse(view) == (n >= threshold)
         if sparse.issparse(view):
             want = csr_sym_normalize(sparse.csr_array(graph))
@@ -294,11 +294,12 @@ def test_build_views_skips_a_view_whose_input_is_none():
     x = rng.normal(size=(8, 3))
     edges = edges_of_dense(adj)
     both = build_views(edges, x, k=2)
-    topo_only = build_views(edges, None, k=2)
+    topo_only = build_views(edges, x, k=None)
     feat_only = build_views(None, x, k=2)
-    assert topo_only.feat_norm is None and feat_only.topo_norm is None
-    np.testing.assert_array_equal(topo_only.topo_norm, both.topo_norm)
-    np.testing.assert_array_equal(feat_only.feat_norm, both.feat_norm)
+    assert topo_only.feat is None and feat_only.topo is None
+    for got, want in ((topo_only.topo, both.topo), (feat_only.feat, both.feat)):
+        np.testing.assert_array_equal(got.norm, want.norm)
+        np.testing.assert_array_equal(got.ax, want.ax)
 
 
 def _tied_inputs(n, seed):
@@ -317,7 +318,8 @@ def _tied_inputs(n, seed):
 def test_sparse_views_match_the_dense_ones(n):
     """Both sides of the threshold: the dense view of an edge list is its
     CSR view's array exactly, ties and a zero-norm row included, and
-    build_views returns the one its side calls for."""
+    build_views returns the one its side calls for, with ÂX its product
+    with the features bit for bit."""
     adj, x = _tied_inputs(n, seed=n)
     edges = edges_of_dense(adj)
     lists = (edges, knn_edges(x, 3))
@@ -330,9 +332,10 @@ def test_sparse_views_match_the_dense_ones(n):
         np.testing.assert_array_equal(dense, csr.toarray())
     views = build_views(edges, x, k=3)
     want = forms[n] if n >= SPARSE_MIN_NODES else forms[n + 1]
-    for built, norm in zip((views.topo_norm, views.feat_norm), want):
-        assert sparse.issparse(built) == (n >= SPARSE_MIN_NODES)
-        assert (built != norm).sum() == 0
+    for built, norm in zip(views, want):
+        assert sparse.issparse(built.norm) == (n >= SPARSE_MIN_NODES)
+        assert (built.norm != norm).sum() == 0
+        assert built.ax.tobytes() == (norm @ x).tobytes()
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -345,7 +348,7 @@ def test_csr_views_are_scipys_normalization_bit_for_bit(weighted):
         adj = (adj > 0.0).astype(float)
     edges = edges_of_dense(adj)
     views = build_views(edges, x, k=3)
-    for got, graph in ((views.topo_norm, edges), (views.feat_norm, knn_edges(x, 3))):
+    for got, graph in ((views.topo.norm, edges), (views.feat.norm, knn_edges(x, 3))):
         want = csr_sym_normalize(sparse.csr_array(dense_adjacency(graph)))
         np.testing.assert_array_equal(got.indptr, want.indptr)
         np.testing.assert_array_equal(got.indices, want.indices)

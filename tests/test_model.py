@@ -5,7 +5,7 @@ import pytest
 
 from gaa import autodiff as ad
 from gaa.exceptions import ShapeError
-from gaa.featgraph import build_views
+from gaa.featgraph import View, build_views
 from gaa.graphs import gen_attribute_shift
 from gaa.model import (
     FIELD_ORDER,
@@ -20,7 +20,6 @@ from gaa.model import (
     gcn_encode,
     init_model,
     load_model,
-    propagate,
     refine,
     save_model,
 )
@@ -41,10 +40,10 @@ class TestGcnEncode:
     def test_zero_weights_give_zero_embedding(self):
         rng = np.random.default_rng(0)
         norm = np.eye(4)
-        x = ad.constant(rng.normal(size=(4, 3)))
+        x = rng.normal(size=(4, 3))
         w1 = ad.parameter(np.zeros((3, 5)))
         w2 = ad.parameter(np.zeros((5, 2)))
-        z = gcn_encode(norm, x, w1, w2, 0.0, rng, training=False)
+        z = gcn_encode(View(norm, norm @ x), w1, w2, 0.0, rng, training=False)
         np.testing.assert_array_equal(z.data, np.zeros((4, 2)))
 
     def test_single_node_identity_norm_is_mlp(self):
@@ -52,7 +51,7 @@ class TestGcnEncode:
         x_data = rng.normal(size=(1, 3))
         w1_data = rng.normal(size=(3, 5))
         w2_data = rng.normal(size=(5, 2))
-        z = gcn_encode(np.eye(1), ad.constant(x_data),
+        z = gcn_encode(View(np.eye(1), x_data),
                        ad.parameter(w1_data), ad.parameter(w2_data),
                        0.0, rng, training=False)
         expected = np.maximum(x_data @ w1_data, 0.0) @ w2_data
@@ -64,24 +63,22 @@ class TestGcnEncode:
         g = gen_attribute_shift(0.5, seed=4, n=40, d=6, edge_prob=0.2)
         views = build_views(g.edges, g.features, k=3)
         w1, w2 = rng.normal(size=(6, 32)), rng.normal(size=(32, 8))
-        for norm, ax in zip((views.topo_norm, views.feat_norm), propagate(views, g.features)):
-            hidden = np.maximum((norm @ g.features) @ w1, 0.0)
-            want = (norm @ hidden) @ w2
-            got = gcn_encode(norm, ax, ad.parameter(w1), ad.parameter(w2),
+        for view in views:
+            hidden = np.maximum((view.norm @ g.features) @ w1, 0.0)
+            want = (view.norm @ hidden) @ w2
+            got = gcn_encode(view, ad.parameter(w1), ad.parameter(w2),
                              0.0, rng, training=False).data
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         g = gen_attribute_shift(0.5, seed=3, n=6, d=3, edge_prob=0.5)
-        views = build_views(g.edges, g.features, k=2)
-        norm = views.topo_norm
-        x = propagate(views, g.features / 10.0)[0]
+        view = build_views(g.edges, g.features / 10.0, k=None).topo
         w1 = ad.parameter(rng.uniform(-1, 1, size=(3, 4)))
         w2 = ad.parameter(rng.uniform(-1, 1, size=(4, 2)))
 
         def build(leaves):
-            return ad.sq_l2(gcn_encode(norm, x, leaves[0], leaves[1], 0.0,
+            return ad.sq_l2(gcn_encode(view, leaves[0], leaves[1], 0.0,
                                        np.random.default_rng(0), training=False))
 
         fd_check(build, [w1, w2])
@@ -308,15 +305,13 @@ class TestForwardAll:
             adj = np.triu(adj, 1)
             adj = adj + adj.T
             x = rng.normal(size=(n, d))
-            views = build_views(edges_of_dense(adj), x, k=2)
-            out.append((views, propagate(views, x)))
+            out.append(build_views(edges_of_dense(adj), x, k=2))
         return out
 
     def test_output_shapes_full_variant(self):
-        (views_s, ax_s), (views_t, ax_t) = self.pair_inputs()
+        views_s, views_t = self.pair_inputs()
         model = make_model("GAA")
-        out = forward_all(model, views_s, views_t, ax_s, ax_t,
-                          False, np.random.default_rng(0))
+        out = forward_all(model, views_s, views_t, False, np.random.default_rng(0))
         e, c = model.hyper.embed, model.num_classes
         assert out.att_s.shape == (6, e) and out.att_s_f.shape == (6, e)
         assert out.att_t.shape == (5, e) and out.att_t_f.shape == (5, e)
@@ -328,32 +323,30 @@ class TestForwardAll:
         assert model.W1_topo is model.W1_topo  # identity, not value
         # the same tensors appear in source and target paths by construction;
         # check gradients from both domains accumulate into one buffer
-        (views_s, ax_s), (views_t, ax_t) = self.pair_inputs()
+        views_s, views_t = self.pair_inputs()
         with ad.Tape() as tape:
-            out = forward_all(model, views_s, views_t, ax_s, ax_t,
-                              False, np.random.default_rng(0))
+            out = forward_all(model, views_s, views_t, False, np.random.default_rng(0))
             loss = ad.add(ad.sq_l2(out.z_s), ad.sq_l2(out.z_t))
             ad.backward(loss, tape)
         assert np.abs(model.W1_topo.grad).sum() > 0
 
     def test_gaa1_attention_unrefined(self):
-        (views_s, ax_s), (views_t, ax_t) = self.pair_inputs()
+        views_s, views_t = self.pair_inputs()
         m_full = make_model("GAA", seed=3)
         m_nore = make_model("GAA1", seed=3)
         kw = dict(training=False, rng=np.random.default_rng(0))
-        out_full = forward_all(m_full, views_s, views_t, ax_s, ax_t, **kw)
-        out_nore = forward_all(m_nore, views_s, views_t, ax_s, ax_t, **kw)
+        out_full = forward_all(m_full, views_s, views_t, **kw)
+        out_nore = forward_all(m_nore, views_s, views_t, **kw)
         raw = attention_embed(out_nore.z_s, m_nore.Wq, m_nore.Wk, m_nore.Wv)
         np.testing.assert_array_equal(out_nore.att_s.data, raw.data)
         assert np.abs(out_full.att_s.data - out_nore.att_s.data).max() > 0
 
     def test_deterministic_under_fixed_seed(self):
-        (views_s, ax_s), (views_t, ax_t) = self.pair_inputs()
+        views_s, views_t = self.pair_inputs()
         model = make_model("GAA", hyper=Hyper(hidden=5, embed=4, dropout=0.4))
         runs = []
         for _ in range(2):
-            out = forward_all(model, views_s, views_t, ax_s, ax_t,
-                              True, np.random.default_rng(99))
+            out = forward_all(model, views_s, views_t, True, np.random.default_rng(99))
             runs.append(out.probs_s.data.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
 

@@ -119,7 +119,7 @@ class TestTrainLoop:
         cfg = quick_cfg(epochs=1, dropout=0.0,
                         weights=LossWeights(alpha=1.0, beta=1.0, tau=1.0))
         from gaa.featgraph import build_views
-        from gaa.model import forward_all, init_model, propagate
+        from gaa.model import forward_all, init_model
         from gaa.train import _epoch_losses
 
         model = init_model(pair.source.dim, pair.num_classes, "GAA", cfg.k,
@@ -127,10 +127,7 @@ class TestTrainLoop:
         views_s = build_views(pair.source.edges, pair.source.features, cfg.k)
         views_t = build_views(pair.target.edges, pair.target.features, cfg.k)
         with ad.Tape() as tape:
-            out = forward_all(model, views_s, views_t,
-                              propagate(views_s, pair.source.features),
-                              propagate(views_t, pair.target.features),
-                              False, np.random.default_rng(0))
+            out = forward_all(model, views_s, views_t, False, np.random.default_rng(0))
             total, *_ = _epoch_losses(model, out, pair.source.labels, cfg.weights)
             ad.backward(total, tape)
         for name, p in zip(model.parameter_names(), model.parameters()):
@@ -238,16 +235,17 @@ class TestRunRepeated:
         original = train.build_views
 
         def recording(edges, features, k):
-            built.append((edges, features))
+            built.append((edges, features, k))
             return original(edges, features, k)
 
         monkeypatch.setattr(train, "build_views", recording)
         result = run_repeated(pair, cfg, n_runs=3)
         spec = VARIANT_SPECS[variant]
         assert len(built) == 2
-        for (edges, features), graph in zip(built, (pair.source, pair.target)):
+        for (edges, features, k), graph in zip(built, (pair.source, pair.target)):
             assert edges is (graph.edges if spec.topo else None)
-            assert features is (graph.features if spec.feat else None)
+            assert features is graph.features
+            assert k == (cfg.k if spec.feat else None)
         for metrics, (_, want) in zip(result.metrics, alone):
             metrics.wall_seconds = want.wall_seconds = 0.0
             assert asdict(metrics) == asdict(want)
@@ -282,7 +280,7 @@ class TestVariantTable:
         original = train.build_views
 
         def recording(edges, features, k):
-            built.append((edges is not None, features is not None))
+            built.append((edges is not None, k is not None))
             return original(edges, features, k)
 
         monkeypatch.setattr(train, "build_views", recording)
@@ -358,7 +356,7 @@ class TestViewBuilding:
         _, dense = train_gaa(pair, cfg)
         monkeypatch.setattr(featgraph, "SPARSE_MIN_NODES", 0)
         views = featgraph.build_views(pair.source.edges, pair.source.features, cfg.k)
-        assert sparse.issparse(views.topo_norm) and sparse.issparse(views.feat_norm)
+        assert sparse.issparse(views.topo.norm) and sparse.issparse(views.feat.norm)
         model, run = train_gaa(pair, cfg)
         assert run.target_accuracy == dense.target_accuracy == evaluate(model, pair.target)
         for a, b in zip(dense.per_epoch, run.per_epoch):

@@ -203,6 +203,17 @@ def _check_runs(runs: int):
         raise ConfigError(f"--runs must be >= 1, got {runs}")
 
 
+def _check_out(out: Path, is_dir: bool):
+    """Fail before any training where writing ``out``, a directory or a
+    file, would fail after it."""
+    if out.exists() and out.is_dir() != is_dir:
+        raise ConfigError(f"--out {out} is {'not ' if is_dir else ''}a directory")
+    if not is_dir:
+        ancestor = next((p for p in out.parents if p.exists()), None)
+        if ancestor is not None and not ancestor.is_dir():
+            raise ConfigError(f"--out {out}: {ancestor} is not a directory")
+
+
 def _check_target_labels(pair: DomainPair, pair_dir, what: str):
     # repeated runs and sweep cells are scored on target accuracy
     if pair.target.labels is None:
@@ -214,10 +225,11 @@ def _cmd_train(args) -> int:
     _check_runs(args.runs)
     thread_budget()
     cfg = _load_config(args)
+    out = Path(args.out)
+    _check_out(out, is_dir=True)
     pair = load_pair(args.pair)
     if args.runs > 1:
         _check_target_labels(pair, args.pair, f"--runs {args.runs}")
-    out = Path(args.out)
     started = time.perf_counter()
     if args.runs == 1:
         model, metrics = train_gaa(pair, cfg)
@@ -323,14 +335,11 @@ def _parse_grid(items) -> dict:
 
 
 _sweep_pair = None  # the pair every sweep cell of this process trains on
-# the TrainInputs of this process's last cell: cells arrive in k order, so
-# each k's views are built about once per process
-_sweep_inputs = None
 
 
 def _set_sweep_pair(pair):
-    global _sweep_pair, _sweep_inputs
-    _sweep_pair, _sweep_inputs = pair, None
+    global _sweep_pair
+    _sweep_pair = pair
 
 
 def _init_sweep_worker(pair):
@@ -340,56 +349,56 @@ def _init_sweep_worker(pair):
 
 
 def _sweep_cell(task):
-    global _sweep_inputs
     cfg, runs = task
-    if _sweep_inputs is not None and _sweep_inputs.k != cfg.k:
-        _sweep_inputs = None  # never hold two k's views at once
-    result = run_repeated(_sweep_pair, cfg, n_runs=runs, inputs=_sweep_inputs)
-    _sweep_inputs = result.inputs
+    result = run_repeated(_sweep_pair, cfg, n_runs=runs)
     return result.mean_acc, result.std_acc
 
 
 def _cmd_sweep(args) -> int:
     _check_runs(args.runs)
+    thread_budget()
     cfg = _load_config(args)
     grid = _parse_grid(args.grid)
+    out = Path(args.out)
+    _check_out(out, is_dir=False)
+    spec = VARIANT_SPECS[cfg.variant]
     cells = list(itertools.product(grid["alpha"], grid["beta"], grid["tau"], grid["k"]))
-    # each worker receives the pair once, not once per task; no worker sits
-    # idle, and none waits for a core
-    workers = worker_count(len(cells))
-    pair = load_pair(args.pair)
-    _check_target_labels(pair, args.pair, "sweep")
-    if VARIANT_SPECS[cfg.variant].feat:  # a k too large for a graph fails before any cell
-        check_k(min(pair.source.n, pair.target.n), max(grid["k"]))
-    tasks = []
+    # a cell's key is what the variant's row reads of it; the first cell of
+    # each key, in grid order, trains for every row of that key
+    keys, distinct = [], {}
     for alpha, beta, tau, k in cells:
         cell_cfg = replace(cfg, k=k, weights=LossWeights(alpha=alpha, beta=beta, tau=tau))
-        tasks.append((cell_cfg, args.runs))
-    # k-major, so that each process's consecutive cells share their views;
-    # the results go back to grid order
-    order = sorted(range(len(tasks)), key=lambda i: tasks[i][0].k)
-    ordered = [tasks[i] for i in order]
+        key = (cell_cfg.weights if spec.adapts else None, k if spec.feat else None)
+        keys.append(key)
+        distinct.setdefault(key, (cell_cfg, args.runs))
+    tasks = list(distinct.values())
+    # each worker receives the pair once, not once per task; no worker sits
+    # idle, and none waits for a core
+    workers = worker_count(len(tasks))
+    pair = load_pair(args.pair)
+    _check_target_labels(pair, args.pair, "sweep")
+    if spec.feat:  # a k too large for a graph fails before any cell
+        check_k(min(pair.source.n, pair.target.n), max(grid["k"]))
 
     if workers > 1:
         with Pool(processes=workers, initializer=_init_sweep_worker, initargs=(pair,)) as pool:
-            done = pool.map(_sweep_cell, ordered)
+            done = pool.map(_sweep_cell, tasks)
     else:
         _set_sweep_pair(pair)
         try:
-            done = [_sweep_cell(t) for t in ordered]
+            done = [_sweep_cell(t) for t in tasks]
         finally:
             _set_sweep_pair(None)
-    results = [result for _, result in sorted(zip(order, done))]
+    results = dict(zip(distinct, done))
 
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "beta", "tau", "k", "mean_acc", "std_acc"])
-        for (alpha, beta, tau, k), (mean_acc, std_acc) in zip(cells, results):
-            writer.writerow([repr(alpha), repr(beta), repr(tau), k,
-                             repr(mean_acc), repr(std_acc)])
-    print(f"wrote {len(cells)} rows to {out}")
+        for (alpha, beta, tau, k), key in zip(cells, keys):
+            writer.writerow([repr(alpha), repr(beta), repr(tau), k, *map(repr, results[key])])
+    trained = f"{len(tasks)} trained cell" + ("" if len(tasks) == 1 else "s")
+    print(f"wrote {len(cells)} rows from {trained} to {out}")
     return 0
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .exceptions import ConfigError, DomainError, ParseError
 from .featgraph import EdgeList, view_degrees
 
-GEN_BLOCK = 256  # rows of a generator's n x n uniform draw held at once
+GEN_FLOATS = 256 * 1024  # floats of a generator's n x n uniform draw held at once
 SAVE_BLOCK = 65536  # edges formatted and written at a time
 
 
@@ -296,14 +296,20 @@ def _check_sizes(seed: int, n: int, d: int):
             raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
+def _row_blocks(n: int):
+    """(lo, hi) of each row block of an n-column draw: GEN_FLOATS floats at
+    most, or one row where n is more."""
+    step = max(1, GEN_FLOATS // n)
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def _strict_upper_draw(rng, n: int, threshold) -> tuple[np.ndarray, np.ndarray]:
     """(row, col), row-major, of the strict upper triangle where one n x n
     uniform draw of ``rng`` falls below ``threshold(lo, hi)``, the threshold
-    of rows lo to hi. The draw is made GEN_BLOCK rows at a time: successive
-    row blocks are the same stream, and no n x n array exists."""
+    of rows lo to hi. The draw is made a row block at a time:
+    successive row blocks are the same stream, and no n x n array exists."""
     rows, cols = [], []
-    for lo in range(0, n, GEN_BLOCK):
-        hi = min(lo + GEN_BLOCK, n)
+    for lo, hi in _row_blocks(n):
         r, c = np.nonzero(np.triu(rng.random((hi - lo, n)) < threshold(lo, hi), lo + 1))
         rows.append(r + lo)
         cols.append(c)
@@ -340,7 +346,7 @@ def gen_sbm(seed: int, n: int = 100, p: float = 0.8, d: int = 10) -> Graph:
 
     Intra-community edge probability is ``p``, inter-community ``p / 10``.
     Features are all ones; labels are the communities. Two n x n uniform
-    draws, made GEN_BLOCK rows at a time, pick the edges and weigh them; they
+    draws, made a row block at a time, pick the edges and weigh them; they
     depend on ``seed`` only, so lowering ``p`` under a fixed seed removes
     edges monotonically (nested edge sets). With constant features a
     bias-free GCN embeds every node as a per-node scalar times one fixed vector,
@@ -357,8 +363,7 @@ def gen_sbm(seed: int, n: int = 100, p: float = 0.8, d: int = 10) -> Graph:
         rng, n, lambda lo, hi: np.where(labels[lo:hi, None] == labels, p, p / 10.0))
     # the second draw, the weights, is read at the picks one row block at a time
     weight = np.empty(row.size)
-    for lo in range(0, n, GEN_BLOCK):
-        hi = min(lo + GEN_BLOCK, n)
+    for lo, hi in _row_blocks(n):
         a, b = np.searchsorted(row, (lo, hi))
         weight[a:b] = 1.0 - rng.random((hi - lo, n))[row[a:b] - lo, col[a:b]]  # Uniform(0, 1]
     features = np.ones((n, d))

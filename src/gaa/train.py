@@ -246,19 +246,16 @@ class RepeatedResult:
     accuracies: list[float]
     metrics: list[RunMetrics]
     first_model: GaaModel  # the model trained with cfg.seed
-    inputs: TrainInputs  # the views and ÂX every run trained on
 
 
-def run_repeated(pair: DomainPair, cfg: TrainConfig, n_runs: int = 5,
-                 inputs: TrainInputs | None = None) -> RepeatedResult:
-    """Train with seeds cfg.seed .. cfg.seed + n_runs - 1 on one ``inputs``,
-    built here when not given; sample std (0 for one run)."""
+def run_repeated(pair: DomainPair, cfg: TrainConfig, n_runs: int = 5) -> RepeatedResult:
+    """Train with seeds cfg.seed .. cfg.seed + n_runs - 1, all on the one
+    ``TrainInputs`` built here; sample std (0 for one run)."""
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
     if pair.target.labels is None:
         raise DomainError("run_repeated needs a labeled target graph")
-    if inputs is None:
-        inputs = build_inputs(pair, cfg)
+    inputs = build_inputs(pair, cfg)
     accs = []
     all_metrics = []
     for offset in range(n_runs):
@@ -270,4 +267,4 @@ def run_repeated(pair: DomainPair, cfg: TrainConfig, n_runs: int = 5,
     mean = float(np.mean(accs))
     std = float(np.std(accs, ddof=1)) if n_runs > 1 else 0.0
     return RepeatedResult(mean_acc=mean, std_acc=std, accuracies=accs, metrics=all_metrics,
-                          first_model=first_model, inputs=inputs)
+                          first_model=first_model)

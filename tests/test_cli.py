@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -21,8 +22,9 @@ from gaa.cli import load_pair, run_command
 from gaa.exceptions import GaaError
 from gaa.featgraph import EdgeList, build_views
 from gaa.graphs import DomainPair, Graph
+from gaa.losses import LossWeights
 from gaa.model import VARIANTS
-from gaa.train import run_repeated
+from gaa.train import TrainConfig, run_repeated
 
 
 def cli(*argv):
@@ -278,6 +280,16 @@ class TestErrors:
                    "--set", "epochs=1", "--set", "hidden=8")
         assert code == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_out_that_is_a_file_exit_1_before_training(self, pair_dir, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(cli_module, "train_gaa", None)  # calling it would raise
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        code = cli("train", "--pair", str(pair_dir), "--out", str(blocker), "--set", "epochs=1")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --out {blocker} is not a directory\n"
+        assert blocker.read_text() == ""
 
     def test_bad_flag_exit_1(self):
         assert cli("train", "--nonsense") == 1
@@ -824,9 +836,9 @@ class TestSweep:
         seen, budgets = {}, []
         self.serial_pool(monkeypatch, seen)
 
-        def recording_run_repeated(pair, cfg, n_runs, inputs):
+        def recording_run_repeated(pair, cfg, n_runs):
             budgets.append(thread_budget())
-            return run_repeated(pair, cfg, n_runs=n_runs, inputs=inputs)
+            return run_repeated(pair, cfg, n_runs=n_runs)
 
         monkeypatch.setattr(cli_module, "run_repeated", recording_run_repeated)
         monkeypatch.setenv("GAA_THREADS", "2")
@@ -848,59 +860,124 @@ class TestSweep:
         assert cli(*args, "--out", str(parallel)) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
-    SHARED_VIEWS_ARGS = ("sweep", "--runs", "2", "--seed", "0", "--variant", "GAA",
-                         "--set", "epochs=2", "--set", "hidden=8", "--set", "embed=4",
-                         "--grid", "alpha=0.5,1.0", "--grid", "beta=0.1", "--grid", "tau=0.1",
-                         "--grid", "k=2,3")
+    GAA_GRID_ARGS = ("sweep", "--runs", "2", "--seed", "0", "--variant", "GAA",
+                     "--set", "epochs=2", "--set", "hidden=8", "--set", "embed=4",
+                     "--grid", "alpha=0.5,1.0", "--grid", "beta=0.1", "--grid", "tau=0.1",
+                     "--grid", "k=2,3")
 
-    def test_serial_sweep_builds_one_value_per_k(self, pair_dir, tmp_path, monkeypatch):
-        built = []
-        original = train.build_inputs
-
-        def recording(pair, cfg):
-            built.append(cfg.k)
-            return original(pair, cfg)
-
-        monkeypatch.setattr(train, "build_inputs", recording)
-        monkeypatch.setenv("GAA_THREADS", "1")
-        assert cli(*self.SHARED_VIEWS_ARGS, "--pair", str(pair_dir),
-                   "--out", str(tmp_path / "s.csv")) == 0
-        assert built == [2, 3]
-
-    def test_k_major_sweep_is_the_same_bytes_on_one_or_two_workers(self, pair_dir, tmp_path,
-                                                                    monkeypatch):
+    def test_a_sweep_is_the_same_bytes_on_one_or_two_workers(self, pair_dir, tmp_path,
+                                                             monkeypatch):
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         monkeypatch.setenv("GAA_THREADS", "1")
-        assert cli(*self.SHARED_VIEWS_ARGS, "--pair", str(pair_dir), "--out", str(serial)) == 0
+        assert cli(*self.GAA_GRID_ARGS, "--pair", str(pair_dir), "--out", str(serial)) == 0
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
         monkeypatch.setenv("GAA_THREADS", "2")
-        assert cli(*self.SHARED_VIEWS_ARGS, "--pair", str(pair_dir), "--out", str(parallel)) == 0
+        assert cli(*self.GAA_GRID_ARGS, "--pair", str(pair_dir), "--out", str(parallel)) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_each_row_holds_its_own_cells_result(self, pair_dir, tmp_path, monkeypatch,
                                                   threads):
-        """Cells run in k order, and each result goes back to its cell's row,
-        alpha-major and k-minor."""
+        """Each cell's result goes back to its row, alpha-major and k-minor."""
         self.serial_pool(monkeypatch, {})
-        monkeypatch.setattr(cli_module, "run_repeated", lambda pair, cfg, n_runs, inputs: (
-            train.RepeatedResult(cfg.weights.alpha, float(cfg.k), [], [], None, None)))
+        monkeypatch.setattr(cli_module, "run_repeated", lambda pair, cfg, n_runs: (
+            train.RepeatedResult(cfg.weights.alpha, float(cfg.k), [], [], None)))
         monkeypatch.setenv("GAA_THREADS", threads)
         out = tmp_path / "s.csv"
-        assert cli(*self.SHARED_VIEWS_ARGS, "--pair", str(pair_dir), "--out", str(out)) == 0
+        assert cli(*self.GAA_GRID_ARGS, "--pair", str(pair_dir), "--out", str(out)) == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [(r[0], r[3], r[4], r[5]) for r in rows] == [
             (alpha, k, alpha, k + ".0") for alpha in ("0.5", "1.0") for k in ("2", "3")]
 
-    def test_pool_receives_the_cells_in_k_order(self, pair_dir, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("variant, reads, calls", [
+        ("GAA", ("alpha", "tau", "k"), 8), ("GAA1", ("alpha", "tau", "k"), 8),
+        ("GAA2", ("alpha", "tau"), 4), ("GAA3", ("alpha", "tau"), 4),
+        ("KNN_GCN", ("k",), 2), ("GCN", (), 1),
+    ], ids=["GAA", "GAA1", "GAA2", "GAA3", "KNN_GCN", "GCN"])
+    def test_cells_a_variant_cannot_tell_apart_train_once(self, pair_dir, tmp_path, capsys,
+                                                          monkeypatch, variant, reads, calls):
+        """``reads`` are the grid axes the variant's row reads: the loss
+        weights where it adapts, k where it has the kNN view. Cells that
+        differ on no axis it reads train once, the first in grid order, and
+        every row is the row that training the cell alone would write."""
+        axes = {"alpha": (0.5, 1.0), "tau": (0.1, 0.5), "k": (2, 3)}
+        grid = [dict(zip(axes, cell)) for cell in itertools.product(*axes.values())]
+        expected = [cell for cell in grid
+                    if all(cell[axis] == axes[axis][0] for axis in axes if axis not in reads)]
+        assert len(expected) == calls
+        trained = []
+
+        def recording_run_repeated(pair, cfg, n_runs):
+            trained.append({"alpha": cfg.weights.alpha, "tau": cfg.weights.tau, "k": cfg.k})
+            return run_repeated(pair, cfg, n_runs=n_runs)
+
         seen = {}
         self.serial_pool(monkeypatch, seen)
+        monkeypatch.setattr(cli_module, "run_repeated", recording_run_repeated)
         monkeypatch.setenv("GAA_THREADS", "2")
-        assert cli(*self.SHARED_VIEWS_ARGS, "--pair", str(pair_dir),
-                   "--out", str(tmp_path / "s.csv")) == 0
-        assert [(cfg.k, cfg.weights.alpha) for cfg, _ in seen["tasks"]] == [
-            (2, 0.5), (2, 1.0), (3, 0.5), (3, 1.0)]
+        out = tmp_path / "s.csv"
+        assert cli("sweep", "--pair", str(pair_dir), "--out", str(out), "--variant", variant,
+                   "--runs", "2", "--seed", "0", "--set", "epochs=2", "--set", "hidden=8",
+                   "--set", "embed=4", "--grid", "alpha=0.5,1.0", "--grid", "beta=0.1",
+                   "--grid", "tau=0.1,0.5", "--grid", "k=2,3") == 0
+        assert trained == expected
+        assert [{"alpha": cfg.weights.alpha, "tau": cfg.weights.tau, "k": cfg.k}
+                for cfg, _ in seen.get("tasks", [])] == (expected if calls > 1 else [])
+        cells = "cell" if calls == 1 else "cells"
+        assert capsys.readouterr().out == f"wrote 8 rows from {calls} trained {cells} to {out}\n"
+
+        pair = load_pair(pair_dir)
+        oracle = io.StringIO(newline="")
+        writer = csv.writer(oracle)
+        writer.writerow(["alpha", "beta", "tau", "k", "mean_acc", "std_acc"])
+        for cell in grid:
+            cfg = TrainConfig(variant=variant, epochs=2, hidden=8, embed=4, k=cell["k"],
+                              weights=LossWeights(alpha=cell["alpha"], beta=0.1,
+                                                  tau=cell["tau"]))
+            result = run_repeated(pair, cfg, n_runs=2)
+            writer.writerow([repr(cell["alpha"]), "0.1", repr(cell["tau"]), cell["k"],
+                             repr(result.mean_acc), repr(result.std_acc)])
+        assert out.read_bytes() == oracle.getvalue().encode()
+
+    @pytest.mark.parametrize("variant", ["GCN", "KNN_GCN"])
+    def test_k_zero_exit_1_for_a_variant_that_reads_no_k_or_only_k(self, pair_dir, tmp_path,
+                                                                   capsys, monkeypatch,
+                                                                   variant):
+        monkeypatch.setattr(cli_module, "run_repeated", None)  # calling it would raise
+        code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
+                   "--variant", variant, "--runs", "1", "--grid", "k=0,2")
+        assert code == 1
+        assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_bad_gaa_threads_is_reported_before_the_pair_loads(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setenv("GAA_THREADS", "abc")
+        code = cli("sweep", "--pair", str(tmp_path / "missing"),
+                   "--out", str(tmp_path / "s.csv"), "--runs", "1")
+        assert code == 1
+        assert capsys.readouterr().err == "error: GAA_THREADS must be an integer, got 'abc'\n"
+
+    def test_out_that_is_a_directory_exit_1_before_any_cell(self, pair_dir, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(cli_module, "run_repeated", None)  # calling it would raise
+        code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path), "--runs", "1",
+                   "--grid", "k=2")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --out {tmp_path} is a directory\n"
+
+    def test_out_under_a_file_exit_1_before_any_cell(self, pair_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli_module, "run_repeated", None)  # calling it would raise
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        out = blocker / "sub" / "s.csv"
+        code = cli("sweep", "--pair", str(pair_dir), "--out", str(out), "--runs", "1",
+                   "--grid", "k=2")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == ""
 
 
 def test_dense_path_never_imports_scipy(tmp_path):

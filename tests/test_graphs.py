@@ -13,7 +13,6 @@ from gaa import graphs
 from gaa.exceptions import ConfigError, DomainError, ParseError
 from gaa.featgraph import SPARSE_MIN_NODES, EdgeList, sym_normalize
 from gaa.graphs import (
-    GEN_BLOCK,
     DomainPair,
     EpochLosses,
     Graph,
@@ -360,6 +359,14 @@ class TestGraphInvariants:
         assert pair.target.num_classes == 2
 
 
+# n for a generator's draw at the default GEN_FLOATS: 512 rows are the most
+# that one block holds, so 513 and 519 are drawn in two
+ONE_BLOCK_OR_TWO = [2, 100, 256, 257, 512, 513, 519]
+# GEN_FLOATS at n=100: ragged three-row blocks, one-row blocks, and one row
+# even where a row is more than GEN_FLOATS
+SMALL_BLOCKS = [307, 100, 1]
+
+
 class TestAttributeShift:
     def test_zero_std_puts_nodes_on_centers(self):
         g = gen_attribute_shift(0.0, seed=3, n=10, d=4)
@@ -390,8 +397,17 @@ class TestAttributeShift:
         g = gen_attribute_shift(0.5, seed=2, n=100)
         assert (g.labels == 0).sum() == 50
 
-    @pytest.mark.parametrize("n", [2, 100, GEN_BLOCK, GEN_BLOCK + 1, 2 * GEN_BLOCK + 7])
+    @pytest.mark.parametrize("n", ONE_BLOCK_OR_TWO)
     def test_edges_equal_the_dense_draw(self, n):
+        self.assert_dense_draw(n)
+
+    @pytest.mark.parametrize("floats", SMALL_BLOCKS)
+    def test_small_blocks_equal_the_dense_draw(self, monkeypatch, floats):
+        monkeypatch.setattr(graphs, "GEN_FLOATS", floats)
+        self.assert_dense_draw(100)
+
+    @staticmethod
+    def assert_dense_draw(n):
         """The blocked draw against the dense one it replaces: the strict upper
         triangle of one n x n uniform matrix, then the centers."""
         g = gen_attribute_shift(0.6, seed=n, n=n, d=3, edge_prob=0.1)
@@ -457,8 +473,17 @@ class TestSbm:
                                       dense_adjacency(gen_sbm(seed=1).edges))
 
     @pytest.mark.parametrize("p", [0.3, 0.8, 1.0])
-    @pytest.mark.parametrize("n", [2, 3, 100, GEN_BLOCK, GEN_BLOCK + 1, 2 * GEN_BLOCK + 7])
+    @pytest.mark.parametrize("n", [3, *ONE_BLOCK_OR_TWO])
     def test_edges_equal_the_dense_draw(self, n, p):
+        self.assert_dense_draw(n, p)
+
+    @pytest.mark.parametrize("floats", SMALL_BLOCKS)
+    def test_small_blocks_equal_the_dense_draw(self, monkeypatch, floats):
+        monkeypatch.setattr(graphs, "GEN_FLOATS", floats)
+        self.assert_dense_draw(100, 0.3)
+
+    @staticmethod
+    def assert_dense_draw(n, p):
         """The blocked draws against the dense ones they replace: the strict
         upper triangle of one n x n uniform matrix below each pair's
         probability, weighed by a second n x n draw."""
@@ -484,6 +509,24 @@ class TestSbm:
             tracemalloc.stop()
         assert g.edges.row.size > 0
         assert peak < n * n * 8  # 72 MB, one n x n float64 array
+
+
+@pytest.mark.parametrize("generate", [
+    lambda n: gen_attribute_shift(1.0, seed=1, n=n, edge_prob=0.0005),
+    lambda n: gen_sbm(seed=1, n=n, p=0.002),
+], ids=["attribute-shift", "sbm"])
+def test_draw_blocks_are_bounded_in_floats_not_rows(generate):
+    """A block of 256 rows at n=10000 is 20 MB alone; one of GEN_FLOATS
+    floats is 2 MB, whatever n is."""
+    n = 10000
+    tracemalloc.start()
+    try:
+        g = generate(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edges.row.size > 0
+    assert peak < 256 * n * 8
 
 
 class TestMetricsIO:

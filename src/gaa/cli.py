@@ -124,6 +124,9 @@ def _coerce(key: str, raw: str):
     owner, name = ((LossWeights, key[len("weights."):]) if key.startswith("weights.")
                    else (TrainConfig, key))
     kind = field_types(owner).get(name)
+    if kind is LossWeights:
+        raise ConfigError(f"config key {key!r} is not settable; set one of "
+                          + ", ".join(f"{key}.{field}" for field in field_types(kind)))
     if kind not in (int, float, str, bool):
         raise ConfigError(f"unknown config key {key!r}")
     if kind is bool:
@@ -208,10 +211,9 @@ def _check_out(out: Path, is_dir: bool):
     file, would fail after it."""
     if out.exists() and out.is_dir() != is_dir:
         raise ConfigError(f"--out {out} is {'not ' if is_dir else ''}a directory")
-    if not is_dir:
-        ancestor = next((p for p in out.parents if p.exists()), None)
-        if ancestor is not None and not ancestor.is_dir():
-            raise ConfigError(f"--out {out}: {ancestor} is not a directory")
+    ancestor = next((p for p in out.parents if p.exists()), None)
+    if ancestor is not None and not ancestor.is_dir():
+        raise ConfigError(f"--out {out}: {ancestor} is not a directory")
 
 
 def _check_target_labels(pair: DomainPair, pair_dir, what: str):

@@ -40,12 +40,12 @@ class VariantSpec:
     the topology embedding when there is one. A variant that adapts encodes
     the target too and adds L_D and L_T; one that attends embeds all four
     encodings with attention, one that refines gates them by cross-view
-    agreement, and one that aligns adds L_A. ``fields`` are its parameters.
+    agreement, and one that aligns adds L_A. These flags alone decide its
+    parameters (``_param_shapes``).
     """
 
     topo: bool
     feat: bool
-    fields: tuple[str, ...]
     attends: bool = False
     refines: bool = False
     aligns: bool = False
@@ -55,18 +55,16 @@ class VariantSpec:
 # Without L_A no loss reads the feature channel or the attention weights
 # (the classifier reads the topology embedding), so dropping L_A (GAA2) also
 # drops the channel, and GAA2 computes exactly what GAA3 does.
-_TOPO_ADAPT = VariantSpec(topo=True, feat=False, adapts=True,
-                          fields=("W1_topo", "W2_topo", "Wc", "bc", "Wd", "bd"))
+_TOPO_ADAPT = VariantSpec(topo=True, feat=False, adapts=True)
 
 VARIANT_SPECS = {
-    "GAA": VariantSpec(topo=True, feat=True, fields=FIELD_ORDER,
-                       attends=True, refines=True, aligns=True, adapts=True),
-    "GAA1": VariantSpec(topo=True, feat=True, fields=FIELD_ORDER,
-                        attends=True, aligns=True, adapts=True),
+    "GAA": VariantSpec(topo=True, feat=True, attends=True, refines=True, aligns=True,
+                       adapts=True),
+    "GAA1": VariantSpec(topo=True, feat=True, attends=True, aligns=True, adapts=True),
     "GAA2": _TOPO_ADAPT,
     "GAA3": _TOPO_ADAPT,
-    "GCN": VariantSpec(topo=True, feat=False, fields=("W1_topo", "W2_topo", "Wc", "bc")),
-    "KNN_GCN": VariantSpec(topo=False, feat=True, fields=("W1_feat", "W2_feat", "Wc", "bc")),
+    "GCN": VariantSpec(topo=True, feat=False),
+    "KNN_GCN": VariantSpec(topo=False, feat=True),
 }
 VARIANTS = tuple(VARIANT_SPECS)
 
@@ -97,27 +95,14 @@ class GaaModel:
     in_dim: int
     num_classes: int
     hyper: Hyper
-    W1_topo: Optional[Tensor] = None
-    W2_topo: Optional[Tensor] = None
-    W1_feat: Optional[Tensor] = None
-    W2_feat: Optional[Tensor] = None
-    Wq: Optional[Tensor] = None
-    Wk: Optional[Tensor] = None
-    Wv: Optional[Tensor] = None
-    Wc: Optional[Tensor] = None
-    bc: Optional[Tensor] = None
-    Wd: Optional[Tensor] = None
-    bd: Optional[Tensor] = None
+    params: dict[str, Tensor]  # the variant's parameters, in FIELD_ORDER
 
     @property
     def spec(self) -> VariantSpec:
         return VARIANT_SPECS[self.variant]
 
     def parameters(self) -> list[Tensor]:
-        return [getattr(self, name) for name in FIELD_ORDER if getattr(self, name) is not None]
-
-    def parameter_names(self) -> list[str]:
-        return [name for name in FIELD_ORDER if getattr(self, name) is not None]
+        return list(self.params.values())
 
 
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -127,15 +112,18 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
 
 def _param_shapes(variant: str, in_dim: int, num_classes: int, hyper: Hyper) -> dict:
     """(rows, cols) of each parameter the variant has, in FIELD_ORDER."""
-    h, e, c = hyper.hidden, hyper.embed, num_classes
-    shapes = {
-        "W1_topo": (in_dim, h), "W2_topo": (h, e),
-        "W1_feat": (in_dim, h), "W2_feat": (h, e),
-        "Wq": (e, e), "Wk": (e, e), "Wv": (e, e),
-        "Wc": (e, c), "bc": (1, c),
-        "Wd": (e, 1), "bd": (1, 1),
-    }
-    return {name: shapes[name] for name in FIELD_ORDER if name in VARIANT_SPECS[variant].fields}
+    spec, h, e, c = VARIANT_SPECS[variant], hyper.hidden, hyper.embed, num_classes
+    shapes = {}
+    if spec.topo:
+        shapes.update(W1_topo=(in_dim, h), W2_topo=(h, e))
+    if spec.feat:
+        shapes.update(W1_feat=(in_dim, h), W2_feat=(h, e))
+    if spec.attends:
+        shapes.update(Wq=(e, e), Wk=(e, e), Wv=(e, e))
+    shapes.update(Wc=(e, c), bc=(1, c))
+    if spec.adapts:
+        shapes.update(Wd=(e, 1), bd=(1, 1))
+    return shapes
 
 
 def init_model(in_dim: int, num_classes: int, variant: str, k: int,
@@ -148,18 +136,16 @@ def init_model(in_dim: int, num_classes: int, variant: str, k: int,
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    shapes = _param_shapes(variant, in_dim, num_classes, hyper)
     streams = seed_seq.spawn(len(FIELD_ORDER))
-    model = GaaModel(variant=variant, k=k, in_dim=in_dim, num_classes=num_classes, hyper=hyper)
-    for idx, name in enumerate(FIELD_ORDER):
-        if name not in shapes:
-            continue
-        rows, cols = shapes[name]
+    params = {}
+    for name, (rows, cols) in _param_shapes(variant, in_dim, num_classes, hyper).items():
         if name.startswith("b"):
-            setattr(model, name, ad.parameter(np.zeros((rows, cols))))
+            params[name] = ad.parameter(np.zeros((rows, cols)))
         else:
-            setattr(model, name, _glorot(np.random.default_rng(streams[idx]), rows, cols))
-    return model
+            rng = np.random.default_rng(streams[FIELD_ORDER.index(name)])
+            params[name] = _glorot(rng, rows, cols)
+    return GaaModel(variant=variant, k=k, in_dim=in_dim, num_classes=num_classes, hyper=hyper,
+                    params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +224,14 @@ def forward_all(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices,
     topo, target feat), so equal seeds give bit-identical passes. A variant
     that does not adapt never encodes the target.
     """
-    spec, hy = model.spec, model.hyper
+    spec, hy, p = model.spec, model.hyper, model.params
 
     def encode(views):
-        def gcn(view, w1, w2):
-            return gcn_encode(view, w1, w2, hy.dropout, rng, training, hy.relu_second_layer)
-        return (gcn(views.topo, model.W1_topo, model.W2_topo) if spec.topo else None,
-                gcn(views.feat, model.W1_feat, model.W2_feat) if spec.feat else None)
+        def gcn(view, channel):
+            return gcn_encode(view, p[f"W1_{channel}"], p[f"W2_{channel}"], hy.dropout, rng,
+                              training, hy.relu_second_layer)
+        return (gcn(views.topo, "topo") if spec.topo else None,
+                gcn(views.feat, "feat") if spec.feat else None)
 
     out = ForwardOutputs()
     out.z_s, out.z_s_f = encode(views_s)
@@ -252,7 +239,7 @@ def forward_all(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices,
         out.z_t, out.z_t_f = encode(views_t)
     if spec.attends:
         out.att_s, out.att_s_f, out.att_t, out.att_t_f = [
-            attention_embed(z, model.Wq, model.Wk, model.Wv)
+            attention_embed(z, p["Wq"], p["Wk"], p["Wv"])
             for z in (out.z_s, out.z_s_f, out.z_t, out.z_t_f)]
     if spec.refines:
         out.scores_s = cross_view_scores(out.z_s_f, out.z_s)
@@ -261,11 +248,11 @@ def forward_all(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices,
         out.att_t, out.att_t_f = refine(out.att_t, out.scores_t), refine(out.att_t_f, out.scores_t)
 
     z_s, z_t = (out.z_s, out.z_t) if spec.topo else (out.z_s_f, out.z_t_f)
-    out.probs_s = classify(z_s, model.Wc, model.bc)
+    out.probs_s = classify(z_s, p["Wc"], p["bc"])
     if spec.adapts:
-        out.probs_t = classify(z_t, model.Wc, model.bc)
-        out.dom_s = domain_discriminate(z_s, hy.grl_lambda, model.Wd, model.bd)
-        out.dom_t = domain_discriminate(z_t, hy.grl_lambda, model.Wd, model.bd)
+        out.probs_t = classify(z_t, p["Wc"], p["bc"])
+        out.dom_s = domain_discriminate(z_s, hy.grl_lambda, p["Wd"], p["bd"])
+        out.dom_t = domain_discriminate(z_t, hy.grl_lambda, p["Wd"], p["bd"])
     return out
 
 
@@ -275,7 +262,6 @@ def forward_all(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices,
 
 
 def save_model(model: GaaModel, path):
-    names = model.parameter_names()
     header = {
         "format": "gaa-model-v1",
         "variant": model.variant,
@@ -283,16 +269,14 @@ def save_model(model: GaaModel, path):
         "in_dim": model.in_dim,
         "num_classes": model.num_classes,
         "hyper": asdict(model.hyper),
-        "tensors": [
-            {"name": name, "rows": getattr(model, name).rows, "cols": getattr(model, name).cols}
-            for name in names
-        ],
+        "tensors": [{"name": name, "rows": p.rows, "cols": p.cols}
+                    for name, p in model.params.items()],
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for name in names:
-            fh.write(np.ascontiguousarray(getattr(model, name).data, dtype="<f8").tobytes())
+        for p in model.params.values():
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
 def _count(value) -> bool:
@@ -339,20 +323,20 @@ def load_model(path) -> GaaModel:
         hyper = Hyper(**header["hyper"])
     except ConfigError as exc:
         raise CheckpointError(path, f"bad hyper: {exc}")
-    model = GaaModel(variant=header["variant"], k=header["k"], in_dim=header["in_dim"],
-                     num_classes=header["num_classes"], hyper=hyper)
-    shapes = _param_shapes(model.variant, model.in_dim, model.num_classes, model.hyper)
+    variant = header["variant"]
+    shapes = _param_shapes(variant, header["in_dim"], header["num_classes"], hyper)
     if header["tensors"] != [{"name": name, "rows": rows, "cols": cols}
                              for name, (rows, cols) in shapes.items()]:
-        raise CheckpointError(path, f"tensor list does not match a {model.variant} model")
+        raise CheckpointError(path, f"tensor list does not match a {variant} model")
     expected = 8 * sum(rows * cols for rows, cols in shapes.values())
     if len(payload) != expected:
         raise CheckpointError(path, f"payload is {len(payload)} bytes, expected {expected}")
     if not np.isfinite(np.frombuffer(payload, dtype="<f8")).all():
         raise CheckpointError(path, "non-finite parameter value")
-    offset = 0
+    params, offset = {}, 0
     for name, (rows, cols) in shapes.items():
         data = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
-        setattr(model, name, ad.parameter(data.reshape(rows, cols).copy()))
+        params[name] = ad.parameter(data.reshape(rows, cols).copy())
         offset += 8 * rows * cols
-    return model
+    return GaaModel(variant=variant, k=header["k"], in_dim=header["in_dim"],
+                    num_classes=header["num_classes"], hyper=hyper, params=params)

@@ -218,12 +218,11 @@ def _views_for(model: GaaModel, graph: Graph) -> ViewMatrices:
 def _predict(model: GaaModel, views: ViewMatrices) -> np.ndarray:
     """Class probabilities from the view of ``views`` that classification reads."""
     rng = np.random.default_rng(0)  # never consumed: dropout is off in eval
-    if model.spec.topo:
-        view, w1, w2 = views.topo, model.W1_topo, model.W2_topo
-    else:
-        view, w1, w2 = views.feat, model.W1_feat, model.W2_feat
-    z = gcn_encode(view, w1, w2, model.hyper.dropout, rng, False, model.hyper.relu_second_layer)
-    return classify(z, model.Wc, model.bc).data
+    p, hy = model.params, model.hyper
+    channel, view = ("topo", views.topo) if model.spec.topo else ("feat", views.feat)
+    z = gcn_encode(view, p[f"W1_{channel}"], p[f"W2_{channel}"], hy.dropout, rng, False,
+                   hy.relu_second_layer)
+    return classify(z, p["Wc"], p["bc"]).data
 
 
 def _accuracy(model: GaaModel, views: ViewMatrices, graph: Graph) -> float:

@@ -15,6 +15,17 @@ FD_REL_TOL = 1e-4
 FD_ABS_FLOOR = 1e-8
 FD_ABS_TOL = 1e-7
 
+# each variant's parameters in checkpoint order, written out by hand rather
+# than derived from the variant's flags
+EXPECTED_PARAMS = {
+    "GAA": ["W1_topo", "W2_topo", "W1_feat", "W2_feat", "Wq", "Wk", "Wv", "Wc", "bc", "Wd", "bd"],
+    "GAA1": ["W1_topo", "W2_topo", "W1_feat", "W2_feat", "Wq", "Wk", "Wv", "Wc", "bc", "Wd", "bd"],
+    "GAA2": ["W1_topo", "W2_topo", "Wc", "bc", "Wd", "bd"],
+    "GAA3": ["W1_topo", "W2_topo", "Wc", "bc", "Wd", "bd"],
+    "GCN": ["W1_topo", "W2_topo", "Wc", "bc"],
+    "KNN_GCN": ["W1_feat", "W2_feat", "Wc", "bc"],
+}
+
 
 def fd_check(build_loss, leaves, h=FD_H, rel_tol=FD_REL_TOL):
     """Compare autodiff gradients of ``build_loss(leaves)`` to central differences.

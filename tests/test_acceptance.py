@@ -175,8 +175,7 @@ def test_criterion_1_gradient_correctness():
         with ad.Tape() as tape:
             total, l_d = terms()
             ad.backward(total, tape)
-        analytic = {name: p.grad.copy()
-                    for name, p in zip(model.parameter_names(), model.parameters())}
+        analytic = {name: p.grad.copy() for name, p in model.params.items()}
 
         def value_total():
             with ad.Tape():
@@ -187,8 +186,7 @@ def test_criterion_1_gradient_correctness():
                 total_t, l_d_t = terms()
                 return total_t.item() - (1.0 + hyper.grl_lambda) * w.beta * l_d_t.item()
 
-        for name in model.parameter_names():
-            leaf = getattr(model, name)
+        for name, leaf in model.params.items():
             fn = value_total if name in ("Wd", "bd") else value_encoder_side
             bad = _fd_scan(fn, leaf, analytic[name])
             if bad:
@@ -389,7 +387,7 @@ def test_gaa2_trains_exactly_as_gaa3():
         for variant in ("GAA2", "GAA3")]
     assert run2.per_epoch == run3.per_epoch
     assert run2.target_accuracy == run3.target_accuracy
-    assert model2.parameter_names() == model3.parameter_names() == [
+    assert list(model2.params) == list(model3.params) == [
         "W1_topo", "W2_topo", "Wc", "bc", "Wd", "bd"]
     for p2, p3 in zip(model2.parameters(), model3.parameters()):
         assert p2.data.tobytes() == p3.data.tobytes()

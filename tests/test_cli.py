@@ -237,6 +237,13 @@ class TestErrors:
         assert code == 1
         assert "warmup" in capsys.readouterr().err
 
+    def test_set_of_a_field_group_names_its_fields_exit_1(self, pair_dir, tmp_path, capsys):
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
+                   "--set", "weights=1")
+        assert code == 1
+        assert capsys.readouterr().err == ("error: config key 'weights' is not settable; "
+                                           "set one of weights.alpha, weights.beta, weights.tau\n")
+
     def test_missing_pair_dir_exit_1(self, tmp_path):
         assert cli("bound", "--pair", str(tmp_path / "nope")) == 1
 
@@ -273,13 +280,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
-    def test_unwritable_output_stays_exit_2(self, pair_dir, tmp_path, capsys):
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        code = cli("train", "--pair", str(pair_dir), "--out", str(blocker / "x"),
+    def test_unwritable_output_stays_exit_2(self, pair_dir, tmp_path, capsys, monkeypatch):
+        # a write that fails after training, which no check up front can foresee
+        def full_disk(model, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli_module, "save_model", full_disk)
+        code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
                    "--set", "epochs=1", "--set", "hidden=8")
         assert code == 2
-        assert capsys.readouterr().err.count("\n") == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+    def test_out_under_a_file_exit_1_before_training(self, pair_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli_module, "train_gaa", None)  # calling it would raise
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        out = blocker / "x"
+        code = cli("train", "--pair", str(pair_dir), "--out", str(out), "--set", "epochs=1")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == ""
 
     def test_out_that_is_a_file_exit_1_before_training(self, pair_dir, tmp_path, capsys,
                                                        monkeypatch):

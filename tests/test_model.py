@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from gaa.model import (
     save_model,
 )
 
-from helpers import edges_of_dense, fd_check
+from helpers import EXPECTED_PARAMS, edges_of_dense, fd_check
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_hyper():
@@ -257,15 +261,15 @@ class TestModelInit:
     def test_shared_fields_identical_across_variants(self):
         full = make_model("GAA", seed=42)
         ablated = make_model("GAA3", seed=42)
-        np.testing.assert_array_equal(full.W1_topo.data, ablated.W1_topo.data)
-        np.testing.assert_array_equal(full.Wd.data, ablated.Wd.data)
+        np.testing.assert_array_equal(full.params["W1_topo"].data, ablated.params["W1_topo"].data)
+        np.testing.assert_array_equal(full.params["Wd"].data, ablated.params["Wd"].data)
 
     def test_gaa3_has_strictly_fewer_parameters(self):
         full = make_model("GAA", seed=1)
         ablated = make_model("GAA3", seed=1)
         count = lambda m: sum(p.data.size for p in m.parameters())
         assert count(ablated) < count(full)
-        assert ablated.W1_feat is None and ablated.Wq is None
+        assert "W1_feat" not in ablated.params and "Wq" not in ablated.params
 
     def test_all_parameters_require_grad(self):
         model = make_model("GAA")
@@ -274,26 +278,20 @@ class TestModelInit:
 
     def test_field_order_is_checkpoint_order(self):
         model = make_model("GAA")
-        assert model.parameter_names() == list(FIELD_ORDER)
+        assert list(model.params) == list(FIELD_ORDER)
 
 
 @pytest.mark.parametrize("variant", VARIANT_SPECS)
 def test_variant_row_is_consistent(variant):
-    """A row owns the parameters its flags read, in checkpoint order."""
+    """A row's flags agree with each other, and give the parameters the
+    hand-written table lists, in checkpoint order."""
     spec = VARIANT_SPECS[variant]
-    assert list(spec.fields) == [name for name in FIELD_ORDER if name in spec.fields]
-    needed = {"Wc", "bc"}
-    needed |= {"W1_topo", "W2_topo"} if spec.topo else set()
-    needed |= {"W1_feat", "W2_feat"} if spec.feat else set()
-    needed |= {"Wq", "Wk", "Wv"} if spec.attends else set()
-    needed |= {"Wd", "bd"} if spec.adapts else set()
-    assert needed <= set(spec.fields)
     assert spec.topo or spec.feat
     if spec.refines or spec.aligns:
         assert spec.attends
     if spec.attends:  # attention embeds both channels of both domains
         assert spec.topo and spec.feat and spec.adapts
-    assert make_model(variant).parameter_names() == list(spec.fields)
+    assert list(make_model(variant).params) == EXPECTED_PARAMS[variant]
 
 
 class TestForwardAll:
@@ -320,7 +318,7 @@ class TestForwardAll:
 
     def test_weight_sharing_same_objects(self):
         model = make_model("GAA")
-        assert model.W1_topo is model.W1_topo  # identity, not value
+        assert model.params["W1_topo"] is model.params["W1_topo"]  # identity, not value
         # the same tensors appear in source and target paths by construction;
         # check gradients from both domains accumulate into one buffer
         views_s, views_t = self.pair_inputs()
@@ -328,7 +326,7 @@ class TestForwardAll:
             out = forward_all(model, views_s, views_t, False, np.random.default_rng(0))
             loss = ad.add(ad.sq_l2(out.z_s), ad.sq_l2(out.z_t))
             ad.backward(loss, tape)
-        assert np.abs(model.W1_topo.grad).sum() > 0
+        assert np.abs(model.params["W1_topo"].grad).sum() > 0
 
     def test_gaa1_attention_unrefined(self):
         views_s, views_t = self.pair_inputs()
@@ -337,7 +335,8 @@ class TestForwardAll:
         kw = dict(training=False, rng=np.random.default_rng(0))
         out_full = forward_all(m_full, views_s, views_t, **kw)
         out_nore = forward_all(m_nore, views_s, views_t, **kw)
-        raw = attention_embed(out_nore.z_s, m_nore.Wq, m_nore.Wk, m_nore.Wv)
+        p = m_nore.params
+        raw = attention_embed(out_nore.z_s, p["Wq"], p["Wk"], p["Wv"])
         np.testing.assert_array_equal(out_nore.att_s.data, raw.data)
         assert np.abs(out_full.att_s.data - out_nore.att_s.data).max() > 0
 
@@ -359,15 +358,27 @@ class TestCheckpoint:
         back = load_model(path)
         assert back.variant == model.variant
         assert back.hyper == model.hyper
-        for name in model.parameter_names():
-            np.testing.assert_array_equal(getattr(back, name).data, getattr(model, name).data)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(back.params[name].data, p.data)
 
     def test_roundtrip_partial_variant(self, tmp_path):
         model = make_model("GCN", seed=22)
         save_model(model, tmp_path / "m.bin")
         back = load_model(tmp_path / "m.bin")
-        assert back.parameter_names() == model.parameter_names()
-        assert back.W1_feat is None
+        assert list(back.params) == list(model.params)
+        assert "W1_feat" not in back.params
+
+    @pytest.mark.parametrize("variant", VARIANT_SPECS)
+    def test_golden_checkpoint(self, variant, tmp_path):
+        """Pins the format, the parameter order and each field's init stream
+        across commits: ``golden_<variant>.bin`` was written by this init and
+        ``save_model`` before the parameters moved into one map."""
+        golden = DATA / f"golden_{variant}.bin"
+        model = init_model(2, 2, variant, 2, Hyper(hidden=3, embed=2), np.random.SeedSequence(7))
+        save_model(model, tmp_path / "init.bin")
+        assert (tmp_path / "init.bin").read_bytes() == golden.read_bytes()
+        save_model(load_model(golden), tmp_path / "back.bin")
+        assert (tmp_path / "back.bin").read_bytes() == golden.read_bytes()
 
     def test_save_is_deterministic(self, tmp_path):
         model = make_model("GAA", seed=23)

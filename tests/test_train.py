@@ -21,7 +21,7 @@ from gaa.train import (
     train_gaa,
 )
 
-from helpers import dense_adjacency, edges_of_dense, predict
+from helpers import EXPECTED_PARAMS, dense_adjacency, edges_of_dense, predict
 
 
 def small_pair(n=14, d=4, seed=3):
@@ -130,7 +130,7 @@ class TestTrainLoop:
             out = forward_all(model, views_s, views_t, False, np.random.default_rng(0))
             total, *_ = _epoch_losses(model, out, pair.source.labels, cfg.weights)
             ad.backward(total, tape)
-        for name, p in zip(model.parameter_names(), model.parameters()):
+        for name, p in model.params.items():
             assert p.grad is not None, name
             if not name.startswith("b"):
                 assert np.abs(p.grad).sum() > 0, f"dead parameter {name}"
@@ -189,8 +189,8 @@ class TestEvaluate:
         pair = small_pair()
         model = init_model(pair.source.dim, 2, "GCN", 2,
                            Hyper(hidden=4, embed=3), np.random.SeedSequence(0))
-        model.Wc.data[...] = 0.0
-        model.bc.data[...] = 0.0
+        model.params["Wc"].data[...] = 0.0
+        model.params["bc"].data[...] = 0.0
         acc = evaluate(model, pair.target)
         assert acc == pytest.approx((pair.target.labels == 0).mean())
 
@@ -272,7 +272,7 @@ class TestRunRepeated:
 class TestVariantTable:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_row_matches_training(self, variant, monkeypatch):
-        """Each row's channels, fields and loss flags against what train_gaa does."""
+        """Each row's channels, parameters and loss flags against what train_gaa does."""
         from gaa import train
 
         spec = VARIANT_SPECS[variant]
@@ -286,7 +286,7 @@ class TestVariantTable:
         monkeypatch.setattr(train, "build_views", recording)
         model, metrics = train_gaa(small_pair(), quick_cfg(variant=variant))
         assert built == [(spec.topo, spec.feat)] * 2  # source, then target
-        assert model.parameter_names() == list(spec.fields)
+        assert list(model.params) == EXPECTED_PARAMS[variant]
         for e in metrics.per_epoch:
             assert e.loss_A > 0.0 if spec.aligns else e.loss_A == 0.0
             for term in (e.loss_D, e.loss_T):

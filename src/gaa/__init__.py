@@ -4,7 +4,7 @@ Submodules:
   autodiff   dense 2-D tensors with tape-based reverse-mode differentiation
   featgraph  cosine kNN feature graphs and propagation-matrix normalization
   graphs     data model, text formats, synthetic shift generators
-  model      dual-channel encoders, attention refinement, classifier heads
+  model      dual-channel encoders, score-weighted attention pooling, heads
   losses     the four objectives and their weighted sum
   train      Adam, the training loop, ablation variants, evaluation
   analysis   discrepancy bound, feature-value diagnostics, margin loss

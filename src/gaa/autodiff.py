@@ -254,17 +254,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _emit("sum", np.array([[a.data.sum()]]), (a,), backward_fn)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Column-wise mean over rows; output is 1 x cols."""
-    _check_nonempty(a, "mean_rows")
-    n = a.rows
-
-    def backward_fn(g):
-        return (np.broadcast_to(g / n, (n, g.shape[1])).copy(),)
-
-    return _emit("mean_rows", a.data.mean(axis=0, keepdims=True), (a,), backward_fn)
-
-
 def row_cosine(a: Tensor, b: Tensor) -> Tensor:
     """cos(a_i, b_i) for each pair of rows, as a rows x 1 tensor. The norm
     product is clamped at COSINE_CLAMP, so a zero-norm row scores 0."""
@@ -408,38 +397,49 @@ def _map_blocks(fn, blocks, threads: int):
         wait(pending)
 
 
-def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Scaled dot-product attention over the rows of z, streamed in row blocks.
+def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, s: Tensor) -> Tensor:
+    """The s-weighted node mean of scaled dot-product attention over the rows
+    of z, streamed in row blocks.
 
-    With Q = z Wq^T, K = z Wk^T and M = z Wv^T, row i of the n x e output is
-    softmax_j(K_i . Q_j / sqrt(e)) M. Forward and backward visit the scores
-    ATTENTION_BLOCK rows at a time, so memory is O(n * block) and no n x n
-    array is kept. Forward saves each row's max and softmax sum; backward
-    rebuilds each block's softmax from them and, as in FlashAttention-2
-    (arXiv:2307.08691), uses D = rowsum(G * out) = rowsum(P * dP).
+    With Q = z Wq^T, K = z Wk^T, M = z Wv^T and P = softmax(K Q^T / sqrt(e))
+    row by row, the output is the 1 x e row y = (1/n) s^T P M = w^T M with
+    w = P^T s / n: the mean of the attention embedding PM with row i weighted
+    by s_i, without the n x e embedding. Forward and backward visit the
+    scores ATTENTION_BLOCK rows at a time, so memory is O(n * block) and no
+    n x n array is kept. Forward saves each row's max and softmax sum;
+    backward rebuilds each block's softmax from them, as in FlashAttention-2
+    (arXiv:2307.08691). The output gradient (s/n) g has rank one, so with
+    v = M g^T, r = s/n and D = P v, each block takes two products,
+    P [v, v*Q, Q] and P^T [r*K, r*D*K], which give
+    dK_i = r_i ((P(v*Q))_i - D_i (PQ)_i), dQ = v * P^T(r*K) - P^T(r*D*K),
+    and besides them dM = w g and ds = D / n.
 
     The blocks run on up to ``thread_budget()`` threads (one block runs
-    inline). Each block writes only its own rows of the output, K's gradient
-    and the row statistics, and returns its Q and M gradient terms, which are
+    inline). Each block writes only its own rows of K's gradient, D and the
+    row statistics, and returns its terms of w or of Q's gradient, which are
     summed in block order: the result is the same bytes for any thread count.
     """
-    e = z.cols
-    for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
-        if w.shape != (e, e):
-            raise ShapeError(f"attention: {name} is {w.shape}, expected {(e, e)}")
-    if not all(np.isfinite(t.data).all() for t in (z, wq, wk, wv)):
+    n, e = z.shape
+    for name, weight in (("wq", wq), ("wk", wk), ("wv", wv)):
+        if weight.shape != (e, e):
+            raise ShapeError(f"attention: {name} is {weight.shape}, expected {(e, e)}")
+    if s.shape != (n, 1):
+        raise ShapeError(f"attention: s is {s.shape}, expected {(n, 1)}")
+    if not all(np.isfinite(t.data).all() for t in (z, wq, wk, wv, s)):
         raise NumericError("attention received non-finite input")
     z_data, wq_data, wk_data, wv_data = z.data, wq.data, wk.data, wv.data
-    n, c = z.rows, 1.0 / np.sqrt(e)
+    c = 1.0 / np.sqrt(e)
     # the 1/sqrt(e) scale rides on Q, an n x e array, not on the scores
     q, k, m = (z_data @ wq_data.T) * c, z_data @ wk_data.T, z_data @ wv_data.T
+    r = s.data / n
     blocks = [(lo, min(lo + ATTENTION_BLOCK, n)) for lo in range(0, n, ATTENTION_BLOCK)]
     threads = worker_count(len(blocks))
     row_max, row_sum = np.empty((n, 1)), np.empty((n, 1))
 
-    def softmax_block(lo, hi, forward=False):
-        # the scores live only inside this call, so each thread holds one
-        # block at a time
+    def exp_block(lo, hi, forward=False):
+        # exp(scores - row max): each product divides by the row sums on its
+        # narrow side, not across the block. The scores live only inside
+        # this call, so each thread holds one block at a time
         p = k[lo:hi] @ q.T
         if forward:
             # only forward checks: backward replays this arithmetic on the
@@ -451,39 +451,39 @@ def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
         np.exp(p, out=p)
         if forward:
             row_sum[lo:hi] = p.sum(axis=1, keepdims=True)
-        p /= row_sum[lo:hi]  # so backward's P is bit-identical to forward's
         return p
 
-    out = np.empty((n, e))
-
     def forward_block(lo, hi):
-        out[lo:hi] = softmax_block(lo, hi, forward=True) @ m
+        p = exp_block(lo, hi, forward=True)
+        return p.T @ (r[lo:hi] / row_sum[lo:hi])
 
-    for _ in _map_blocks(forward_block, blocks, threads):
-        pass
+    w = np.zeros((n, 1))
+    for w_block in _map_blocks(forward_block, blocks, threads):
+        w += w_block
 
     def backward_fn(g):
-        dk = np.empty_like(k)
-        d = (g * out).sum(axis=1, keepdims=True)
+        v = m @ g.T
+        vq = np.hstack([v, v * q, q])
+        dk, d = np.empty_like(k), np.empty((n, 1))
 
         def block_grads(lo, hi):
-            p = softmax_block(lo, hi)
-            dm_block = p.T @ g[lo:hi]
-            ds = g[lo:hi] @ m.T
-            ds -= d[lo:hi]
-            ds *= p
-            dk[lo:hi] = ds @ q
-            return ds.T @ k[lo:hi], dm_block
+            p = exp_block(lo, hi)
+            pvq = p @ vq
+            pvq /= row_sum[lo:hi]
+            d[lo:hi] = pvq[:, :1]
+            dk[lo:hi] = r[lo:hi] * (pvq[:, 1:e + 1] - d[lo:hi] * pvq[:, e + 1:])
+            rk = (r[lo:hi] / row_sum[lo:hi]) * k[lo:hi]
+            return p.T @ np.hstack([rk, d[lo:hi] * rk])
 
-        dq, dm = np.zeros_like(q), np.zeros_like(m)
-        for dq_block, dm_block in _map_blocks(block_grads, blocks, threads):
-            dq += dq_block
-            dm += dm_block
-        dq *= c
+        pk = np.zeros((n, 2 * e))
+        for pk_block in _map_blocks(block_grads, blocks, threads):
+            pk += pk_block
+        dq = (v * pk[:, :e] - pk[:, e:]) * c
+        dm = w @ g
         dz = dq @ wq_data + dk @ wk_data + dm @ wv_data
-        return dz, dq.T @ z_data, dk.T @ z_data, dm.T @ z_data
+        return dz, dq.T @ z_data, dk.T @ z_data, dm.T @ z_data, d / n
 
-    return _emit("attention", out, (z, wq, wk, wv), backward_fn)
+    return _emit("attention", w.T @ m, (z, wq, wk, wv, s), backward_fn)
 
 
 def backward(loss: Tensor, tape: Tape):

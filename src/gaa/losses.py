@@ -1,10 +1,10 @@
 """The four training objectives and their weighted combination.
 
-The alignment term compares per-domain mean embeddings in each view, which
-stays well-typed when the two graphs have different node counts. The domain
-term enters the total with a positive weight; the gradient-reversal layer
-inside the discriminator's input realizes the adversarial direction, so no
-sign flip happens here.
+The alignment term compares the domains' pooled attention rows (one 1 x e
+row per domain and view), which stays well-typed when the two graphs have
+different node counts. The domain term enters the total with a positive
+weight; the gradient-reversal layer inside the discriminator's input
+realizes the adversarial direction, so no sign flip happens here.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ def source_ce(probs: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def alignment_loss(att_s: Tensor, att_t: Tensor, att_s_f: Tensor, att_t_f: Tensor) -> Tensor:
-    """Squared distance between domain mean embeddings, summed over views."""
-    cols = {att_s.cols, att_t.cols, att_s_f.cols, att_t_f.cols}
-    if len(cols) != 1:
-        raise ShapeError(f"alignment_loss: embedding widths differ: {sorted(cols)}")
-    topo = ad.sq_l2(ad.sub(ad.mean_rows(att_s), ad.mean_rows(att_t)))
-    feat = ad.sq_l2(ad.sub(ad.mean_rows(att_s_f), ad.mean_rows(att_t_f)))
+    """Squared distance between the domains' pooled rows, summed over views."""
+    shapes = {att_s.shape, att_t.shape, att_s_f.shape, att_t_f.shape}
+    if len(shapes) != 1 or att_s.rows != 1:
+        raise ShapeError(f"alignment_loss: expects four equal 1 x e rows, got {sorted(shapes)}")
+    topo = ad.sq_l2(ad.sub(att_s, att_t))
+    feat = ad.sq_l2(ad.sub(att_s_f, att_t_f))
     return ad.add(topo, feat)
 
 

@@ -1,14 +1,15 @@
-"""The dual-channel network: per-view GCN encoders, attention embeddings,
-cross-view refinement, label classifier, and a gradient-reversal domain head.
+"""The dual-channel network: per-view GCN encoders, pooled attention rows
+(cross-view scores weight the pooled mean), label classifier, and a
+gradient-reversal domain head.
 
 One parameter set processes both domains; that weight sharing is what makes
 the alignment terms meaningful. Each variant is one row of ``VARIANT_SPECS``,
 which init, forward, loss assembly, view building and evaluation all read:
 
   GAA      full model
-  GAA1     no cross-view refinement (raw attention embeddings)
-  GAA2     no alignment loss; no loss then reads the feature channel, so
-           it is GAA3's row
+  GAA1     no cross-view refinement (an unweighted attention mean)
+  GAA2     no alignment loss; no loss then reads the feature channel or
+           the attention, so it is GAA3's row
   GAA3     no alignment loss and no feature-graph channel
   GCN      source-only classifier on the topology view
   KNN_GCN  source-only classifier on the feature view
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .exceptions import CheckpointError, ConfigError, DomainError, ShapeError, check_field_types
+from .exceptions import CheckpointError, ConfigError, DomainError, check_field_types
 from .featgraph import View, ViewMatrices
 
 # checkpoint payload order; also the order parameters are initialized in
@@ -38,17 +39,16 @@ class VariantSpec:
 
     ``topo`` and ``feat`` name the channels it encodes; the classifier reads
     the topology embedding when there is one. A variant that adapts encodes
-    the target too and adds L_D and L_T; one that attends embeds all four
-    encodings with attention, one that refines gates them by cross-view
-    agreement, and one that aligns adds L_A. These flags alone decide its
-    parameters (``_param_shapes``).
+    the target too and adds L_D and L_T; one that attends pools all four
+    encodings with attention and adds L_A on the pooled rows, and one that
+    refines weights each node in the pool by its cross-view agreement. These
+    flags alone decide its parameters (``_param_shapes``).
     """
 
     topo: bool
     feat: bool
     attends: bool = False
     refines: bool = False
-    aligns: bool = False
     adapts: bool = False
 
 
@@ -58,9 +58,8 @@ class VariantSpec:
 _TOPO_ADAPT = VariantSpec(topo=True, feat=False, adapts=True)
 
 VARIANT_SPECS = {
-    "GAA": VariantSpec(topo=True, feat=True, attends=True, refines=True, aligns=True,
-                       adapts=True),
-    "GAA1": VariantSpec(topo=True, feat=True, attends=True, aligns=True, adapts=True),
+    "GAA": VariantSpec(topo=True, feat=True, attends=True, refines=True, adapts=True),
+    "GAA1": VariantSpec(topo=True, feat=True, attends=True, adapts=True),
     "GAA2": _TOPO_ADAPT,
     "GAA3": _TOPO_ADAPT,
     "GCN": VariantSpec(topo=True, feat=False),
@@ -165,12 +164,13 @@ def gcn_encode(view: View, w1: Tensor, w2: Tensor,
     return ad.relu(z) if relu_second else z
 
 
-def attention_embed(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Scaled dot-product attention over nodes in a shared latent space.
+def attention_embed(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, s: Tensor) -> Tensor:
+    """Scaled dot-product attention over nodes in a shared latent space,
+    pooled to its node mean with node i weighted by s_i.
 
-    One streamed tape op (``autodiff.attention``); the output is n x e.
+    One streamed tape op (``autodiff.attention``); the output is 1 x e.
     """
-    return ad.attention(z, wq, wk, wv)
+    return ad.attention(z, wq, wk, wv, s)
 
 
 def cross_view_scores(z_f: Tensor, z: Tensor) -> Tensor:
@@ -180,13 +180,6 @@ def cross_view_scores(z_f: Tensor, z: Tensor) -> Tensor:
     """
     ones = ad.constant(np.ones((z.rows, 1)))
     return ad.scale(ad.add(ad.row_cosine(z_f, z), ones), 0.5)
-
-
-def refine(att: Tensor, s: Tensor) -> Tensor:
-    """Gate each attention row by its cross-view agreement score."""
-    if s.shape != (att.rows, 1):
-        raise ShapeError(f"refine: scores {s.shape} do not match {att.rows} rows")
-    return ad.hadamard(att, s)
 
 
 def classify(z: Tensor, wc: Tensor, bias: Tensor) -> Tensor:
@@ -208,8 +201,6 @@ class ForwardOutputs:
     att_t: Optional[Tensor] = None
     att_s_f: Optional[Tensor] = None
     att_t_f: Optional[Tensor] = None
-    scores_s: Optional[Tensor] = None
-    scores_t: Optional[Tensor] = None
     probs_s: Optional[Tensor] = None
     probs_t: Optional[Tensor] = None
     dom_s: Optional[Tensor] = None
@@ -238,14 +229,15 @@ def forward_all(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices,
     if spec.adapts:
         out.z_t, out.z_t_f = encode(views_t)
     if spec.attends:
-        out.att_s, out.att_s_f, out.att_t, out.att_t_f = [
-            attention_embed(z, p["Wq"], p["Wk"], p["Wv"])
-            for z in (out.z_s, out.z_s_f, out.z_t, out.z_t_f)]
-    if spec.refines:
-        out.scores_s = cross_view_scores(out.z_s_f, out.z_s)
-        out.scores_t = cross_view_scores(out.z_t_f, out.z_t)
-        out.att_s, out.att_s_f = refine(out.att_s, out.scores_s), refine(out.att_s_f, out.scores_s)
-        out.att_t, out.att_t_f = refine(out.att_t, out.scores_t), refine(out.att_t_f, out.scores_t)
+        # L_A is the only reader of the attention: the classifier and the
+        # domain head read the GCN embedding, so each call returns just the
+        # pooled 1 x e row that L_A compares, never the n x e embedding
+        def pooled(z_f, z):
+            s = (cross_view_scores(z_f, z) if spec.refines
+                 else ad.constant(np.ones((z.rows, 1))))
+            return [attention_embed(h, p["Wq"], p["Wk"], p["Wv"], s) for h in (z, z_f)]
+        out.att_s, out.att_s_f = pooled(out.z_s_f, out.z_s)
+        out.att_t, out.att_t_f = pooled(out.z_t_f, out.z_t)
 
     z_s, z_t = (out.z_s, out.z_t) if spec.topo else (out.z_s_f, out.z_t_f)
     out.probs_s = classify(z_s, p["Wc"], p["bc"])

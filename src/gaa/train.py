@@ -133,7 +133,7 @@ def _epoch_losses(model: GaaModel, out, labels_s, w: L.LossWeights):
     l_d = L.domain_bce(out.dom_s, out.dom_t)
     l_t = L.target_entropy(out.probs_t)
     l_a = (L.alignment_loss(out.att_s, out.att_t, out.att_s_f, out.att_t_f)
-           if model.spec.aligns else zero)
+           if model.spec.attends else zero)
     return L.total_loss(l_a, l_s, l_d, l_t, w), l_s, l_a, l_d, l_t
 
 

@@ -67,14 +67,16 @@ def fd_check(build_loss, leaves, h=FD_H, rel_tol=FD_REL_TOL):
                 )
 
 
-def dense_attention(z, wq, wk, wv):
-    """Node attention composed from dense tape ops; it builds the n x n scores."""
+def dense_attention(z, wq, wk, wv, s):
+    """Node attention pooled to its s-weighted node mean, composed from dense
+    tape ops; it builds the n x n scores and the n x e embedding."""
     zt = ad.transpose(z)
     q = ad.matmul(wq, zt)
     k = ad.matmul(wk, zt)
     m = ad.matmul(wv, zt)
     scores = ad.scale(ad.matmul(ad.transpose(k), q), 1.0 / np.sqrt(z.cols))
-    return ad.matmul(ad.row_softmax(scores), ad.transpose(m))
+    embedding = ad.matmul(ad.row_softmax(scores), ad.transpose(m))
+    return ad.scale(ad.matmul(ad.transpose(s), embedding), 1.0 / z.rows)
 
 
 def loop_cosine_matrix(x):

@@ -130,11 +130,9 @@ def test_criterion_1_gradient_correctness():
         check_op("row_softmax", i,
                  lambda L: ad.sum_all(ad.hadamard(ad.row_softmax(L[0]), w_full)), [(r, c)])
         check_op("attention", i,
-                 lambda L: ad.sum_all(ad.hadamard(ad.attention(*L), w_full)),
-                 [(r, c), (c, c), (c, c), (c, c)])
+                 lambda L: ad.sum_all(ad.hadamard(ad.attention(*L), w_row)),
+                 [(r, c), (c, c), (c, c), (c, c), (r, 1)])
         check_op("sum", i, lambda L: ad.scale(ad.sum_all(L[0]), 0.9), [(r, c)])
-        check_op("mean_rows", i,
-                 lambda L: ad.sum_all(ad.hadamard(ad.mean_rows(L[0]), w_row)), [(r, c)])
         check_op("row_cosine", i, lambda L: ad.sq_l2(ad.row_cosine(L[0], L[1])),
                  [(r, c), (r, c)])
         # leaves in [0.05, 2): entries below the 0.4 clamp check the masked branch

@@ -82,9 +82,6 @@ def test_row_softmax_rejects_non_finite():
 
 def test_reductions_hand_values():
     assert ad.sq_l2(ad.constant([[3.0, 4.0]])).item() == 25.0
-    np.testing.assert_array_equal(
-        ad.mean_rows(ad.constant([[1.0, 3.0], [3.0, 5.0]])).data, [[2.0, 4.0]]
-    )
 
 
 def test_reduction_empty_tensor_rejected():
@@ -321,7 +318,7 @@ def test_row_softmax_gradients(seed):
     fd_check(lambda leaves: ad.sum_all(ad.hadamard(ad.row_softmax(leaves[0]), w)), [x])
 
 
-_REDUCTIONS = {"sum": ad.sum_all, "mean_rows": ad.mean_rows, "sq_l2": ad.sq_l2}
+_REDUCTIONS = {"sum": ad.sum_all, "sq_l2": ad.sq_l2}
 
 
 @pytest.mark.parametrize("kind", list(_REDUCTIONS))
@@ -388,9 +385,11 @@ def test_row_softmax_rows_sum_to_one(r, c, seed):
 
 
 def _attention_leaves(seed, n, e):
+    """z, Wq, Wk, Wv and the node weights s."""
     rng = np.random.default_rng(seed)
     return [ad.parameter(rng.normal(size=(n, e)))] + \
-        [ad.parameter(rng.normal(size=(e, e)) / 2) for _ in range(3)]
+        [ad.parameter(rng.normal(size=(e, e)) / 2) for _ in range(3)] + \
+        [ad.parameter(rng.uniform(0.0, 1.0, size=(n, 1)))]
 
 
 def _attention_value_and_grads(fn, leaves, w):
@@ -405,24 +404,24 @@ def _attention_value_and_grads(fn, leaves, w):
 def test_attention_matches_dense_composition_over_ragged_blocks():
     n, e = 2 * ad.ATTENTION_BLOCK + 3, 5
     leaves = _attention_leaves(21, n, e)
-    w = ad.constant(np.random.default_rng(22).normal(size=(n, e)))
+    w = ad.constant(np.random.default_rng(22).normal(size=(1, e)))
     streamed, streamed_grads = _attention_value_and_grads(ad.attention, leaves, w)
     dense, dense_grads = _attention_value_and_grads(dense_attention, leaves, w)
-    assert streamed.shape == (n, e)
+    assert streamed.shape == (1, e)
     for got, want in zip([streamed] + streamed_grads, [dense] + dense_grads):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_attention_matches_dense_composition_on_nearly_one_hot_rows():
     # a large-norm z puts almost all of each softmax row on one entry, where
-    # backward's D = rowsum(G * out) cancels against dP
+    # K's gradient (P(v*Q))_i - D_i (PQ)_i cancels to nearly nothing
     n, e = 2 * ad.ATTENTION_BLOCK + 3, 5
     leaves = _attention_leaves(23, n, e)
     leaves[0].data *= 6.0
-    w = ad.constant(np.random.default_rng(24).normal(size=(n, e)))
+    w = ad.constant(np.random.default_rng(24).normal(size=(1, e)))
     streamed, streamed_grads = _attention_value_and_grads(ad.attention, leaves, w)
     dense, dense_grads = _attention_value_and_grads(dense_attention, leaves, w)
-    z, wq, wk, _ = (leaf.data for leaf in leaves)
+    z, wq, wk, _, _ = (leaf.data for leaf in leaves)
     scores = (z @ wk.T) @ (z @ wq.T).T / np.sqrt(e)
     assert np.median(ad.row_softmax(ad.constant(scores)).data.max(axis=1)) > 0.999
     for got, want in zip([streamed] + streamed_grads, [dense] + dense_grads):
@@ -432,23 +431,33 @@ def test_attention_matches_dense_composition_on_nearly_one_hot_rows():
 @pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
 def test_attention_rejects_non_finite(value):
     # 1e200 is finite, but its scores overflow
-    z, wq, wk, wv = _attention_leaves(5, 4, 3)
+    z, wq, wk, wv, s = _attention_leaves(5, 4, 3)
     z.data[2] = value
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-        ad.attention(z, wq, wk, wv)
+        ad.attention(z, wq, wk, wv, s)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_attention_rejects_non_finite_node_weights(value):
+    z, wq, wk, wv, s = _attention_leaves(5, 4, 3)
+    s.data[1] = value
+    with pytest.raises(NumericError, match="non-finite"):
+        ad.attention(z, wq, wk, wv, s)
 
 
 def test_attention_shape_error():
-    z, wq, wk, _ = _attention_leaves(6, 4, 3)
+    z, wq, wk, wv, s = _attention_leaves(6, 4, 3)
     with pytest.raises(ShapeError, match="wv"):
-        ad.attention(z, wq, wk, ad.constant(np.zeros((3, 2))))
+        ad.attention(z, wq, wk, ad.constant(np.zeros((3, 2))), s)
+    with pytest.raises(ShapeError, match=r"s is \(1, 4\)"):
+        ad.attention(z, wq, wk, wv, ad.constant(np.ones((1, 4))))
 
 
 def _attention_bytes(seed=31, n=2 * ad.ATTENTION_BLOCK + 3):
     """Output and gradients of one multi-block attention call, as bytes."""
     e = 5
     leaves = _attention_leaves(seed, n, e)
-    w = ad.constant(np.random.default_rng(seed + 1).normal(size=(n, e)))
+    w = ad.constant(np.random.default_rng(seed + 1).normal(size=(1, e)))
     out, grads = _attention_value_and_grads(ad.attention, leaves, w)
     return b"".join(a.tobytes() for a in [out] + grads)
 
@@ -496,19 +505,18 @@ def test_attention_thread_count_is_capped_by_budget_blocks_and_cores(monkeypatch
 ])
 def test_attention_rejects_a_bad_thread_budget(raw, message, monkeypatch):
     monkeypatch.setenv("GAA_THREADS", raw)
-    z, wq, wk, wv = _attention_leaves(7, 2 * ad.ATTENTION_BLOCK + 3, 3)
     with pytest.raises(ConfigError, match=message):
-        ad.attention(z, wq, wk, wv)
+        ad.attention(*_attention_leaves(7, 2 * ad.ATTENTION_BLOCK + 3, 3))
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
 def test_attention_rejects_non_finite_on_two_threads(value, monkeypatch, cores):
     # the bad row sits in the last block, which a pool thread computes
     monkeypatch.setenv("GAA_THREADS", "2")
-    z, wq, wk, wv = _attention_leaves(5, 2 * ad.ATTENTION_BLOCK + 3, 3)
-    z.data[-1] = value
+    leaves = _attention_leaves(5, 2 * ad.ATTENTION_BLOCK + 3, 3)
+    leaves[0].data[-1] = value
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-        ad.attention(z, wq, wk, wv)
+        ad.attention(*leaves)
     monkeypatch.setenv("GAA_THREADS", "1")
     serial = _attention_bytes()
     monkeypatch.setenv("GAA_THREADS", "2")
@@ -538,8 +546,9 @@ def test_one_attention_block_runs_without_a_pool(tmp_path):
         "from gaa import autodiff as ad",
         "z = ad.parameter(np.ones((ad.ATTENTION_BLOCK, 4)))",
         "ws = [ad.parameter(np.eye(4)) for _ in range(3)]",
+        "s = ad.constant(np.ones((ad.ATTENTION_BLOCK, 1)))",
         "with ad.Tape() as tape:",
-        "    ad.backward(ad.sum_all(ad.attention(z, *ws)), tape)",
+        "    ad.backward(ad.sum_all(ad.attention(z, *ws, s)), tape)",
         "assert ad._POOL is None and 'concurrent.futures' not in sys.modules",
     ])
     src = Path(__file__).resolve().parents[1] / "src"

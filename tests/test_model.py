@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gaa import autodiff as ad
-from gaa.exceptions import ShapeError
 from gaa.featgraph import View, build_views
 from gaa.graphs import gen_attribute_shift
 from gaa.model import (
@@ -21,7 +20,6 @@ from gaa.model import (
     gcn_encode,
     init_model,
     load_model,
-    refine,
     save_model,
 )
 
@@ -94,36 +92,39 @@ class TestAttention:
         z_data = rng.normal(size=(1, 3))
         wv_data = rng.normal(size=(3, 3))
         att = attention_embed(ad.constant(z_data), ad.constant(rng.normal(size=(3, 3))),
-                              ad.constant(rng.normal(size=(3, 3))), ad.constant(wv_data))
+                              ad.constant(rng.normal(size=(3, 3))), ad.constant(wv_data),
+                              ad.constant([[1.0]]))
         np.testing.assert_allclose(att.data, (wv_data @ z_data.T).T, atol=1e-12)
 
     def test_zero_query_key_mixes_uniformly(self):
+        # every node attends to the plain mean of the values, so the pool is
+        # that mean scaled by the mean weight
         rng = np.random.default_rng(5)
         z_data = rng.normal(size=(5, 3))
         wv_data = rng.normal(size=(3, 3))
+        s_data = rng.uniform(0.0, 1.0, size=(5, 1))
         zeros = ad.constant(np.zeros((3, 3)))
-        att = attention_embed(ad.constant(z_data), zeros, zeros, ad.constant(wv_data))
-        mixed = (wv_data @ z_data.T).T.mean(axis=0)
-        for row in att.data:
-            np.testing.assert_allclose(row, mixed, atol=1e-10)
-        spread = np.abs(att.data - att.data[0]).max()
-        assert spread < 1e-10
+        att = attention_embed(ad.constant(z_data), zeros, zeros, ad.constant(wv_data),
+                              ad.constant(s_data))
+        mixed = (wv_data @ z_data.T).T.mean(axis=0, keepdims=True)
+        np.testing.assert_allclose(att.data, s_data.mean() * mixed, atol=1e-12)
 
     def test_matches_three_loop_oracle(self):
         rng = np.random.default_rng(6)
         n, e = 5, 3
         z = rng.normal(size=(n, e))
         wq, wk, wv = (rng.normal(size=(e, e)) for _ in range(3))
-        att = attention_embed(ad.constant(z), ad.constant(wq), ad.constant(wk), ad.constant(wv))
+        s = rng.uniform(0.0, 1.0, size=(n, 1))
+        att = attention_embed(*[ad.constant(x) for x in (z, wq, wk, wv, s)])
 
         q, k, m = wq @ z.T, wk @ z.T, wv @ z.T
-        expected = np.zeros((n, e))
+        expected = np.zeros((1, e))
         for i in range(n):
             scores = np.array([k[:, i] @ q[:, j] for j in range(n)]) / np.sqrt(e)
             weights = np.exp(scores - scores.max())
             weights = weights / weights.sum()
             for j in range(n):
-                expected[i] += weights[j] * m[:, j]
+                expected[0] += s[i, 0] * weights[j] * m[:, j] / n
         np.testing.assert_allclose(att.data, expected, atol=1e-10)
 
     def test_backward_peak_memory_below_one_score_matrix(self):
@@ -131,16 +132,17 @@ class TestAttention:
         rng = np.random.default_rng(8)
         z = ad.parameter(rng.normal(size=(n, e)))
         wq, wk, wv = (ad.parameter(rng.normal(size=(e, e)) / 4) for _ in range(3))
-        w = ad.constant(rng.normal(size=(n, e)))
+        s = ad.parameter(rng.uniform(0.0, 1.0, size=(n, 1)))
+        w = ad.constant(rng.normal(size=(1, e)))
         tracemalloc.start()
         try:
             with ad.Tape() as tape:
-                att = attention_embed(z, wq, wk, wv)
+                att = attention_embed(z, wq, wk, wv, s)
                 ad.backward(ad.sum_all(ad.hadamard(att, w)), tape)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert att.shape == (n, e)
+        assert att.shape == (1, e)
         assert peak < n * n * 8, f"traced peak {peak / 1e6:.1f} MB"
 
 
@@ -172,35 +174,17 @@ class TestCrossView:
             cos = a[i] @ b[i] / (np.linalg.norm(a[i]) * np.linalg.norm(b[i]))
             assert s.data[i, 0] == pytest.approx((1 + cos) / 2, abs=1e-12)
 
-    def test_gradient_through_refine_and_scores(self):
+    def test_gradient_through_scores_into_the_pooled_row(self):
         rng = np.random.default_rng(10)
         z_f = ad.parameter(rng.uniform(0.2, 2.0, size=(4, 3)))
         z = ad.parameter(rng.uniform(0.2, 2.0, size=(4, 3)))
-        att = ad.parameter(rng.uniform(-1, 1, size=(4, 3)))
+        ws = [ad.constant(rng.uniform(-1, 1, size=(3, 3))) for _ in range(3)]
 
         def build(leaves):
             s = cross_view_scores(leaves[0], leaves[1])
-            return ad.sq_l2(refine(leaves[2], s))
+            return ad.sq_l2(attention_embed(leaves[1], *ws, s))
 
-        fd_check(build, [z_f, z, att])
-
-
-class TestRefine:
-    def test_ones_are_identity(self):
-        rng = np.random.default_rng(11)
-        att_data = rng.normal(size=(3, 4))
-        out = refine(ad.constant(att_data), ad.constant(np.ones((3, 1))))
-        np.testing.assert_array_equal(out.data, att_data)
-
-    def test_zero_score_annihilates_row(self):
-        att = ad.constant(np.ones((3, 2)))
-        s = ad.constant(np.array([[1.0], [0.0], [1.0]]))
-        out = refine(att, s)
-        np.testing.assert_array_equal(out.data[1], np.zeros(2))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            refine(ad.constant(np.ones((3, 2))), ad.constant(np.ones((2, 1))))
+        fd_check(build, [z_f, z])
 
 
 class TestHeads:
@@ -287,9 +271,9 @@ def test_variant_row_is_consistent(variant):
     hand-written table lists, in checkpoint order."""
     spec = VARIANT_SPECS[variant]
     assert spec.topo or spec.feat
-    if spec.refines or spec.aligns:
+    if spec.refines:
         assert spec.attends
-    if spec.attends:  # attention embeds both channels of both domains
+    if spec.attends:  # attention pools both channels of both domains
         assert spec.topo and spec.feat and spec.adapts
     assert list(make_model(variant).params) == EXPECTED_PARAMS[variant]
 
@@ -311,8 +295,8 @@ class TestForwardAll:
         model = make_model("GAA")
         out = forward_all(model, views_s, views_t, False, np.random.default_rng(0))
         e, c = model.hyper.embed, model.num_classes
-        assert out.att_s.shape == (6, e) and out.att_s_f.shape == (6, e)
-        assert out.att_t.shape == (5, e) and out.att_t_f.shape == (5, e)
+        for att in (out.att_s, out.att_s_f, out.att_t, out.att_t_f):
+            assert att.shape == (1, e)
         assert out.probs_s.shape == (6, c) and out.probs_t.shape == (5, c)
         assert out.dom_s.shape == (6, 1) and out.dom_t.shape == (5, 1)
 
@@ -335,8 +319,8 @@ class TestForwardAll:
         kw = dict(training=False, rng=np.random.default_rng(0))
         out_full = forward_all(m_full, views_s, views_t, **kw)
         out_nore = forward_all(m_nore, views_s, views_t, **kw)
-        p = m_nore.params
-        raw = attention_embed(out_nore.z_s, p["Wq"], p["Wk"], p["Wv"])
+        p, ones = m_nore.params, ad.constant(np.ones((6, 1)))
+        raw = attention_embed(out_nore.z_s, p["Wq"], p["Wk"], p["Wv"], ones)
         np.testing.assert_array_equal(out_nore.att_s.data, raw.data)
         assert np.abs(out_full.att_s.data - out_nore.att_s.data).max() > 0
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import os
 from dataclasses import asdict, replace
@@ -288,11 +289,50 @@ class TestVariantTable:
         assert built == [(spec.topo, spec.feat)] * 2  # source, then target
         assert list(model.params) == EXPECTED_PARAMS[variant]
         for e in metrics.per_epoch:
-            assert e.loss_A > 0.0 if spec.aligns else e.loss_A == 0.0
+            assert e.loss_A > 0.0 if spec.attends else e.loss_A == 0.0
             for term in (e.loss_D, e.loss_T):
                 assert term > 0.0 if spec.adapts else term == 0.0
             if not spec.adapts:
                 assert e.loss_total == e.loss_S
+
+
+# One training epoch's tape records by op kind. The shared part is one
+# source GCN encoder, the classifier and L_S; adapting adds the target
+# encoder, the domain head, L_D, L_T and the total; attending adds the
+# feature encoders, four pooled attention rows and L_A; refining adds the
+# cross-view scores that weight the pools.
+_GCN_EPOCH = {"matmul": 3, "relu": 1, "dropout": 1, "spmm": 1, "add": 1, "row_softmax": 1,
+              "xlogy_sum": 1, "scale": 1}
+_ADAPT_EPOCH = {"matmul": 8, "relu": 2, "dropout": 2, "spmm": 2, "add": 8, "row_softmax": 2,
+                "xlogy_sum": 4, "scale": 6, "grad_reverse": 2, "sigmoid": 2, "sub": 1}
+_ATTEND_EPOCH = {**_ADAPT_EPOCH, "matmul": 12, "relu": 4, "dropout": 4, "spmm": 4, "add": 9,
+                 "attention": 4, "sq_l2": 2, "sub": 3}
+EPOCH_RECORDS = {
+    "GAA": {**_ATTEND_EPOCH, "row_cosine": 2, "add": 11, "scale": 8},
+    "GAA1": _ATTEND_EPOCH,
+    "GAA2": _ADAPT_EPOCH,
+    "GAA3": _ADAPT_EPOCH,
+    "GCN": _GCN_EPOCH,
+    "KNN_GCN": _GCN_EPOCH,
+}
+EPOCH_TOTALS = {"GAA": 64, "GAA1": 58, "GAA2": 39, "GAA3": 39, "GCN": 10, "KNN_GCN": 10}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_epoch_emits_a_fixed_count_of_each_op_kind(variant, monkeypatch):
+    """The op budget of a training epoch, read off the tape ``train_gaa``
+    hands to ``backward``."""
+    kinds = []
+    original = ad.backward
+
+    def counting(loss, tape):
+        kinds.extend(rec.kind for rec in tape.records)
+        return original(loss, tape)
+
+    monkeypatch.setattr(ad, "backward", counting)
+    train_gaa(small_pair(), quick_cfg(variant=variant, epochs=1))
+    assert dict(collections.Counter(kinds)) == EPOCH_RECORDS[variant]
+    assert len(kinds) == EPOCH_TOTALS[variant]
 
 
 class TestViewBuilding:

@@ -7,7 +7,7 @@ Submodules:
   model      dual-channel encoders, score-weighted attention pooling, heads
   losses     the four objectives and their weighted sum
   train      Adam, the training loop, ablation variants, evaluation
-  analysis   discrepancy bound, feature-value diagnostics, margin loss
+  analysis   discrepancy bound, feature-value diagnostics
   cli        command-line driver (train / eval / generate / bound /
              diagnose / sweep)
 """

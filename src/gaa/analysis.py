@@ -69,19 +69,3 @@ def avg_feature_value(graph: Graph, view: str, k: int | None = None) -> float:
         raise DomainError(f"view must be 'topology' or 'attribute', got {view!r}")
     return float(np.abs(propagated).mean())
 
-
-def empirical_margin_loss(scores: np.ndarray, labels: np.ndarray, gamma: float) -> float:
-    """Fraction of nodes whose true-class score fails to clear the best
-    wrong class by more than ``gamma`` (ties count as failures)."""
-    if gamma < 0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n, c = scores.shape
-    if labels.min() < 0 or labels.max() >= c:
-        raise IndexError(f"label outside [0, {c})")
-    true = scores[np.arange(n), labels]
-    masked = scores.copy()
-    masked[np.arange(n), labels] = -np.inf
-    best_other = masked.max(axis=1)
-    return float((true <= gamma + best_other).mean())

@@ -147,20 +147,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", a_data @ b_data, (a, b), backward_fn)
 
 
-def spmm(a, h: Tensor) -> Tensor:
-    """``a @ h`` for a constant symmetric n x n matrix ``a``, a dense array
-    or a scipy.sparse one (a GCN propagation view). Backward is ``a.T @ g``,
-    which for a dense ``a`` is exactly what ``matmul`` computes."""
-    if a.shape[1] != h.rows:
-        raise ShapeError(f"spmm: inner dims differ, {a.shape} @ {h.shape}")
-    h_data = h.data
-
-    def backward_fn(g):
-        return (a.T @ g,)
-
-    return _emit("spmm", a @ h_data, (h,), backward_fn)
-
-
 def transpose(a: Tensor) -> Tensor:
     def backward_fn(g):
         return (g.T.copy(),)
@@ -320,19 +306,45 @@ def grad_reverse(a: Tensor, lam: float) -> Tensor:
     return _emit("grad_reverse", a.data.copy(), (a,), backward_fn)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate) at train time."""
+def gcn(a, ax: np.ndarray, w1: Tensor, w2: Tensor, rate: float,
+        rng: np.random.Generator, training: bool) -> Tensor:
+    """A two-layer GCN encoder as one record: Z = Â (H W2) with
+    H = dropout(relu(ÂX W1)), for a constant symmetric view ``a`` = Â, a
+    dense array or a scipy.sparse one, and its constant ÂX ``ax``. At train
+    time inverted dropout draws its keep mask from ``rng`` and scales the
+    survivors by 1/(1-rate).
+
+    Backward keeps only H, as In-Place ABN keeps only its output
+    (arXiv:1712.02616): since 1/(1-rate) > 0, H > 0 exactly where relu was
+    active and the unit kept, so that one mask stands for both. Where relu
+    was active but the unit dropped, relu, dropout and the two products
+    recorded one by one give a zero with the upstream gradient's sign, as
+    the mask H > 0 does, so the gradients keep those ops' bytes.
+    """
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training:
-        return a
-    keep = rng.random(a.shape) >= rate
-    inv = 1.0 / (1.0 - rate)
+    n = ax.shape[0]
+    if a.shape != (n, n) or ax.shape[1] != w1.rows or w1.cols != w2.rows:
+        raise ShapeError(f"gcn: Â {a.shape}, ÂX {ax.shape}, W1 {w1.shape} and W2 {w2.shape} "
+                         f"do not chain")
+    w1_data, w2_data = w1.data, w2.data
+    h = ax @ w1_data
+    np.maximum(h, 0.0, out=h)
+    inv = 1.0
+    if training:
+        inv = 1.0 / (1.0 - rate)
+        h *= rng.random(h.shape) >= rate
+        h *= inv
 
     def backward_fn(g):
-        return (g * keep * inv,)
+        gy = a.T @ g
+        gh = gy @ w2_data.T
+        gh *= inv
+        gh *= h > 0
+        return (ax.T @ gh if w1.requires_grad else None,
+                h.T @ gy if w2.requires_grad else None)
 
-    return _emit("dropout", a.data * keep * inv, (a,), backward_fn)
+    return _emit("gcn", a @ (h @ w2_data), (w1, w2), backward_fn)
 
 
 ATTENTION_BLOCK = 128

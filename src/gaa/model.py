@@ -157,10 +157,9 @@ def gcn_encode(view: View, w1: Tensor, w2: Tensor,
     """Two propagation layers on ``view.ax`` = ÂX: relu((ÂX) W1) with dropout,
     then Â (H W2), ``view.norm`` being Â, dense or sparse. W2 comes first
     (Kipf & Welling, arXiv:1609.02907, eq. 2), so the n x n product and its
-    gradient have embed, not hidden, columns."""
-    hidden = ad.relu(ad.matmul(ad.constant(view.ax), w1))
-    hidden = ad.dropout(hidden, dropout_rate, rng, training)
-    z = ad.spmm(view.norm, ad.matmul(hidden, w2))
+    gradient have embed, not hidden, columns. Both layers are one tape
+    record (``autodiff.gcn``) that keeps only the hidden layer H."""
+    z = ad.gcn(view.norm, view.ax, w1, w2, dropout_rate, rng, training)
     return ad.relu(z) if relu_second else z
 
 

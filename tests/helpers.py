@@ -7,6 +7,7 @@ import numpy as np
 
 from gaa import autodiff as ad
 from gaa import train
+from gaa.exceptions import DomainError
 from gaa.featgraph import EdgeList
 from gaa.graphs import EpochLosses, RunMetrics
 
@@ -77,6 +78,17 @@ def dense_attention(z, wq, wk, wv, s):
     scores = ad.scale(ad.matmul(ad.transpose(k), q), 1.0 / np.sqrt(z.cols))
     embedding = ad.matmul(ad.row_softmax(scores), ad.transpose(m))
     return ad.scale(ad.matmul(ad.transpose(s), embedding), 1.0 / z.rows)
+
+
+def composed_gcn(a, ax, w1, w2, rate, rng, training):
+    """The GCN encoder as separate tape ops, with a dense Â ``a``:
+    relu((ÂX) W1), dropout as a product with a constant keep/(1-rate) tensor
+    drawn from ``rng`` as ``autodiff.gcn`` draws it, then Â (H W2)."""
+    h = ad.relu(ad.matmul(ad.constant(ax), w1))
+    if training:
+        keep = rng.random(h.shape) >= rate
+        h = ad.hadamard(h, ad.constant(keep * (1.0 / (1.0 - rate))))
+    return ad.matmul(ad.constant(a), ad.matmul(h, w2))
 
 
 def loop_cosine_matrix(x):
@@ -213,6 +225,24 @@ def loop_margin_loss(scores, labels, gamma):
         if true <= gamma + best_other:
             hits += 1
     return hits / n
+
+
+def empirical_margin_loss(scores, labels, gamma):
+    """Fraction of nodes whose true-class score fails to clear the best
+    wrong class by more than ``gamma`` (ties count as failures): the margin
+    term of the paper's bound, vectorized; ``loop_margin_loss`` judges it."""
+    if gamma < 0:
+        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n, c = scores.shape
+    if labels.min() < 0 or labels.max() >= c:
+        raise IndexError(f"label outside [0, {c})")
+    true = scores[np.arange(n), labels]
+    masked = scores.copy()
+    masked[np.arange(n), labels] = -np.inf
+    best_other = masked.max(axis=1)
+    return float((true <= gamma + best_other).mean())
 
 
 def loop_source_ce(probs, labels, clamp=1e-12):

@@ -17,7 +17,7 @@ from scipy.stats import spearmanr
 
 from gaa import autodiff as ad
 from gaa import featgraph
-from gaa.analysis import empirical_margin_loss, proposition1_bound
+from gaa.analysis import proposition1_bound
 from gaa.cli import run_command
 from gaa.featgraph import build_views, knn_edges
 from gaa.graphs import DomainPair, Graph, gen_attribute_shift
@@ -28,6 +28,7 @@ from gaa.train import TrainConfig, run_repeated, train_gaa, _epoch_losses
 from helpers import (
     dense_adjacency,
     edges_of_dense,
+    empirical_margin_loss,
     loop_cosine_matrix,
     loop_domain_bce,
     loop_knn,
@@ -118,7 +119,15 @@ def test_criterion_1_gradient_correctness():
         view = rng.uniform(-1, 1, (r, r)) * (rng.random((r, r)) < 0.5)
         view = view + view.T
         view = sparse.csr_array(view) if i % 2 else view
-        check_op("spmm", i, lambda L: ad.sq_l2(ad.spmm(view, L[0])), [(r, c)])
+        # one GCN encoder on that view, with and without the second relu;
+        # dropout is on (its rng rebuilt for every call) where i % 4 < 2, so
+        # both view kinds are checked with dropout and without
+        ax, hidden = rng.uniform(-1, 1, (r, k_inner)), int(rng.integers(2, 7))
+        for relu_second in (False, True):
+            def encode(L, relu_second=relu_second):
+                z = ad.gcn(view, ax, L[0], L[1], 0.3, np.random.default_rng(77 + i), i % 4 < 2)
+                return ad.sq_l2(ad.relu(z) if relu_second else z)
+            check_op("gcn", i, encode, [(k_inner, hidden), (hidden, c)])
         check_op("transpose", i, lambda L: ad.sq_l2(ad.transpose(L[0])), [(r, c)])
         check_op("add", i, lambda L: ad.sq_l2(ad.add(L[0], L[1])), [(r, c), (1, c)])
         check_op("sub", i, lambda L: ad.sq_l2(ad.sub(L[0], L[1])), [(r, c), (r, 1)])
@@ -141,9 +150,6 @@ def test_criterion_1_gradient_correctness():
         check_op("xlogy_sum", i, lambda L: ad.xlogy_sum(L[0], L[0], 0.4),
                  [(r, c)], positive=True)
         check_op("sq_l2", i, lambda L: ad.scale(ad.sq_l2(L[0]), 0.5), [(r, c)])
-        check_op("dropout", i,
-                 lambda L: ad.sq_l2(ad.dropout(L[0], 0.3, np.random.default_rng(77 + i), True)),
-                 [(r, c)])
 
     # the composed objective: encoder-side parameters follow the
     # reversal-adjusted objective, head parameters the raw total

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaa.analysis import avg_feature_value, empirical_margin_loss, proposition1_bound
+from gaa.analysis import avg_feature_value, proposition1_bound
 from gaa.exceptions import DomainError
 from gaa.featgraph import SPARSE_MIN_NODES
 from gaa.graphs import Graph, gen_attribute_shift
@@ -9,6 +9,7 @@ from gaa.graphs import Graph, gen_attribute_shift
 from helpers import (
     dense_adjacency,
     edges_of_dense,
+    empirical_margin_loss,
     loop_cosine_matrix,
     loop_knn,
     loop_margin_loss,

@@ -14,7 +14,7 @@ from scipy import sparse
 from gaa import autodiff as ad
 from gaa.exceptions import ConfigError, DomainError, NumericError, ShapeError
 
-from helpers import dense_attention, fd_check
+from helpers import composed_gcn, dense_attention, fd_check
 
 
 def rand(rng, r, c, lo=-2.0, hi=2.0):
@@ -118,22 +118,40 @@ def test_grad_reverse_composes_with_positive_sign():
     np.testing.assert_array_equal(x.grad, 6.0 * np.ones((2, 2)))
 
 
+def _mlp_view(n):
+    # Â = I and ÂX = I: with W2 = I the encoder's output is its hidden layer
+    return np.eye(n), np.eye(n)
+
+
 def test_dropout_rate_zero_and_eval_identity():
     rng = np.random.default_rng(2)
-    x = ad.constant(rand(rng, 4, 4))
-    out = ad.dropout(x, 0.0, np.random.default_rng(0), training=True)
-    np.testing.assert_array_equal(out.data, x.data)
-    out_eval = ad.dropout(x, 0.9, np.random.default_rng(0), training=False)
-    assert out_eval is x
+    a, ax = _mlp_view(4)
+    w1, w2 = ad.constant(rand(rng, 4, 4)), ad.constant(np.eye(4))
+    plain = np.maximum(w1.data, 0.0)
+    out = ad.gcn(a, ax, w1, w2, 0.0, np.random.default_rng(0), training=True)
+    np.testing.assert_array_equal(out.data, plain)
+    draws = np.random.default_rng(0)
+    out_eval = ad.gcn(a, ax, w1, w2, 0.9, draws, training=False)
+    np.testing.assert_array_equal(out_eval.data, plain)
+    assert draws.random() == np.random.default_rng(0).random()  # eval draws nothing
 
 
 def test_dropout_survival_statistics():
-    rng = np.random.default_rng(3)
-    x = ad.constant(np.ones((100, 100)))
-    out = ad.dropout(x, 0.5, np.random.default_rng(42), training=True)
+    a, ax = _mlp_view(100)
+    ones, eye = ad.constant(np.ones((100, 100))), ad.constant(np.eye(100))
+    out = ad.gcn(a, ax, ones, eye, 0.5, np.random.default_rng(42), training=True)
     surviving = np.count_nonzero(out.data) / out.data.size
     assert abs(surviving - 0.5) < 0.02
     assert abs(out.data.mean() - 1.0) / 1.0 < 0.05
+
+
+def test_gcn_rate_outside_unit_interval_is_a_domain_error():
+    a, ax = _mlp_view(2)
+    w = ad.constant(np.eye(2))
+    for rate in (-0.1, 1.0):
+        for training in (True, False):
+            with pytest.raises(DomainError, match="dropout rate"):
+                ad.gcn(a, ax, w, w, rate, np.random.default_rng(0), training)
 
 
 def test_backward_requires_scalar_on_tape():
@@ -226,33 +244,59 @@ def _symmetric_view(rng, n):
     return a + a.T
 
 
+def _gcn_grads(op, a, ax, w1_data, w2_data, rate, seed, training, w):
+    """The encoder's value and its W1 and W2 gradients under the loss
+    sum(w * Z), from ``op`` (``ad.gcn`` or ``composed_gcn``)."""
+    w1, w2 = ad.parameter(w1_data.copy()), ad.parameter(w2_data.copy())
+    with ad.Tape() as tape:
+        out = op(a, ax, w1, w2, rate, np.random.default_rng(seed), training)
+        ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(w))), tape)
+    return out.data, w1.grad, w2.grad
+
+
+def _gcn_case(seed, n, d=5, hidden=8, e=3):
+    rng = np.random.default_rng(seed)
+    a = _symmetric_view(rng, n)
+    return a, a @ rand(rng, n, d), rand(rng, d, hidden), rand(rng, hidden, e), rand(rng, n, e)
+
+
 @pytest.mark.parametrize("as_sparse", [False, True])
 @pytest.mark.parametrize("seed", range(3))
 def test_spmm_matches_dense_matmul(seed, as_sparse):
-    """spmm's value and gradient are matmul's with a constant left operand."""
-    rng = np.random.default_rng(seed)
-    a = _symmetric_view(rng, 9)
-    h_data, w = rand(rng, 9, 4), rand(rng, 9, 4)
-    results = []
-    for op, left in ((ad.spmm, sparse.csr_array(a) if as_sparse else a),
-                     (ad.matmul, ad.constant(a))):
-        h = ad.parameter(h_data.copy())
-        with ad.Tape() as tape:
-            out = op(left, h)
-            ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(w))), tape)
-        results.append((out.data, h.grad))
-    (out, grad), (want_out, want_grad) = results
-    assert isinstance(out, np.ndarray) and isinstance(grad, np.ndarray)
-    assert np.abs(out - want_out).max() <= 1e-12 * np.abs(want_out).max()
-    assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
-    if not as_sparse:  # a dense view computes exactly what matmul does
-        np.testing.assert_array_equal(out, want_out)
-        np.testing.assert_array_equal(grad, want_grad)
+    """The gcn op's products with Â, a sparse or a dense matrix, give the
+    value and gradients of the dense composition, exactly for a dense Â."""
+    a, ax, w1, w2, w = _gcn_case(seed, 9)
+    left = sparse.csr_array(a) if as_sparse else a
+    got = _gcn_grads(ad.gcn, left, ax, w1, w2, 0.0, 0, False, w)
+    want = _gcn_grads(composed_gcn, a, ax, w1, w2, 0.0, 0, False, w)
+    for g, ref in zip(got, want):
+        assert isinstance(g, np.ndarray)
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+        if not as_sparse:
+            np.testing.assert_array_equal(g, ref)
+
+
+@pytest.mark.parametrize("n", [20, 259])
+def test_gcn_is_the_composed_ops_bit_for_bit(n):
+    """With dropout on, the one record's value and gradients are the bytes of
+    relu, dropout and the products recorded one by one; a CSR Â agrees with
+    the dense one within 1e-12."""
+    a, ax, w1, w2, w = _gcn_case(n, n, d=7, hidden=16, e=4)
+    want = _gcn_grads(composed_gcn, a, ax, w1, w2, 0.3, 11, True, w)
+    for g, ref in zip(_gcn_grads(ad.gcn, a, ax, w1, w2, 0.3, 11, True, w), want):
+        assert g.tobytes() == ref.tobytes()
+    for g, ref in zip(_gcn_grads(ad.gcn, sparse.csr_array(a), ax, w1, w2, 0.3, 11, True, w),
+                      want):
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_spmm_shape_error_names_shapes():
+    w = ad.constant(np.zeros((2, 2)))
     with pytest.raises(ShapeError, match=r"\(3, 3\)"):
-        ad.spmm(np.eye(3), ad.constant(np.zeros((2, 2))))
+        ad.gcn(np.eye(3), np.zeros((2, 2)), w, w, 0.0, np.random.default_rng(0), False)
+    with pytest.raises(ShapeError, match=r"\(3, 2\)"):
+        ad.gcn(np.eye(2), np.zeros((2, 2)), ad.constant(np.zeros((3, 2))), w, 0.0,
+               np.random.default_rng(0), False)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -347,9 +391,10 @@ def test_transpose_gradient():
 
 
 def test_dropout_gradient_matches_mask():
+    a, ax = _mlp_view(6)
     x = ad.parameter(np.ones((6, 6)))
     with ad.Tape() as tape:
-        out = ad.dropout(x, 0.5, np.random.default_rng(5), training=True)
+        out = ad.gcn(a, ax, x, ad.constant(np.eye(6)), 0.5, np.random.default_rng(5), True)
         ad.backward(ad.sum_all(out), tape)
     np.testing.assert_array_equal(x.grad, np.where(out.data > 0, 2.0, 0.0))
 
@@ -358,9 +403,9 @@ def test_forward_backward_determinism():
     def run():
         rng = np.random.default_rng(123)
         w = ad.parameter(rng.normal(size=(4, 4)))
-        x = ad.constant(rng.normal(size=(4, 4)))
+        x, a = rng.normal(size=(4, 4)), _symmetric_view(rng, 4)
         with ad.Tape() as tape:
-            h = ad.dropout(ad.relu(ad.matmul(w, x)), 0.3, np.random.default_rng(9), True)
+            h = ad.gcn(a, x, w, ad.constant(np.eye(4)), 0.3, np.random.default_rng(9), True)
             loss = ad.sq_l2(h)
             ad.backward(loss, tape)
         return loss.item(), w.grad.copy()

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gaa import autodiff as ad
 from gaa.featgraph import View, build_views
@@ -84,6 +85,25 @@ class TestGcnEncode:
                                        np.random.default_rng(0), training=False))
 
         fd_check(build, [w1, w2])
+
+    def test_tape_keeps_only_the_hidden_layer(self):
+        # after a training forward the tape holds H and the n x embed output,
+        # not the pre-activation, relu's output or either mask
+        n, d, hidden, embed = 3000, 10, 128, 16
+        rng = np.random.default_rng(8)
+        norm = sparse.random_array((n, n), density=0.003, format="csr", rng=rng)
+        view = View((norm + norm.T).tocsr(), rng.normal(size=(n, d)))
+        w1 = ad.parameter(rng.normal(size=(d, hidden)))
+        w2 = ad.parameter(rng.normal(size=(hidden, embed)))
+        tracemalloc.start()
+        try:
+            with ad.Tape() as tape:
+                z = gcn_encode(view, w1, w2, 0.5, rng, training=True)
+                kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [rec.kind for rec in tape.records] == ["gcn"] and z.shape == (n, embed)
+        assert kept < 1.25 * n * hidden * 8, f"tape keeps {kept / 1e6:.2f} MB"
 
 
 class TestAttention:

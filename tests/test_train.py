@@ -301,12 +301,10 @@ class TestVariantTable:
 # encoder, the domain head, L_D, L_T and the total; attending adds the
 # feature encoders, four pooled attention rows and L_A; refining adds the
 # cross-view scores that weight the pools.
-_GCN_EPOCH = {"matmul": 3, "relu": 1, "dropout": 1, "spmm": 1, "add": 1, "row_softmax": 1,
-              "xlogy_sum": 1, "scale": 1}
-_ADAPT_EPOCH = {"matmul": 8, "relu": 2, "dropout": 2, "spmm": 2, "add": 8, "row_softmax": 2,
-                "xlogy_sum": 4, "scale": 6, "grad_reverse": 2, "sigmoid": 2, "sub": 1}
-_ATTEND_EPOCH = {**_ADAPT_EPOCH, "matmul": 12, "relu": 4, "dropout": 4, "spmm": 4, "add": 9,
-                 "attention": 4, "sq_l2": 2, "sub": 3}
+_GCN_EPOCH = {"gcn": 1, "matmul": 1, "add": 1, "row_softmax": 1, "xlogy_sum": 1, "scale": 1}
+_ADAPT_EPOCH = {"gcn": 2, "matmul": 4, "add": 8, "row_softmax": 2, "xlogy_sum": 4, "scale": 6,
+                "grad_reverse": 2, "sigmoid": 2, "sub": 1}
+_ATTEND_EPOCH = {**_ADAPT_EPOCH, "gcn": 4, "add": 9, "attention": 4, "sq_l2": 2, "sub": 3}
 EPOCH_RECORDS = {
     "GAA": {**_ATTEND_EPOCH, "row_cosine": 2, "add": 11, "scale": 8},
     "GAA1": _ATTEND_EPOCH,
@@ -315,7 +313,7 @@ EPOCH_RECORDS = {
     "GCN": _GCN_EPOCH,
     "KNN_GCN": _GCN_EPOCH,
 }
-EPOCH_TOTALS = {"GAA": 64, "GAA1": 58, "GAA2": 39, "GAA3": 39, "GCN": 10, "KNN_GCN": 10}
+EPOCH_TOTALS = {"GAA": 48, "GAA1": 42, "GAA2": 31, "GAA3": 31, "GCN": 6, "KNN_GCN": 6}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -364,24 +362,24 @@ class TestViewBuilding:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_epoch_multiplies_by_each_view_once_per_encode(self, variant, monkeypatch):
-        """Inside an epoch's tape, an n x n view enters one spmm per encode
-        and no matmul, and its right operand has embed columns: ÂX is built
-        before training and layer 2 is Â(HW2), not (ÂH)W2."""
+        """Inside an epoch's tape, an n x n view enters one gcn record per
+        encode and no matmul, and its right operand has embed columns: ÂX is
+        built before training and layer 2 is Â(HW2), not (ÂH)W2."""
         pair, cfg = small_pair(), quick_cfg(variant=variant, epochs=1)
         n, spec = pair.source.n, VARIANT_SPECS[variant]
         right_cols, matmul_shapes = [], []
-        spmm, matmul = ad.spmm, ad.matmul
+        gcn, matmul = ad.gcn, ad.matmul
 
-        def recording_spmm(a, h):
+        def recording_gcn(a, ax, w1, w2, *args):
             if ad.active_tape() is not None and a.shape == (n, n):
-                right_cols.append(h.cols)
-            return spmm(a, h)
+                right_cols.append(w2.cols)
+            return gcn(a, ax, w1, w2, *args)
 
         def recording_matmul(a, b):
             matmul_shapes.append(a.shape)
             return matmul(a, b)
 
-        monkeypatch.setattr(ad, "spmm", recording_spmm)
+        monkeypatch.setattr(ad, "gcn", recording_gcn)
         monkeypatch.setattr(ad, "matmul", recording_matmul)
         train_gaa(pair, cfg)
         encodes = (spec.topo + spec.feat) * (2 if spec.adapts else 1)

@@ -1,10 +1,13 @@
-"""Error types shared across the package, and the field type check that
-config dataclasses run where a value enters."""
+"""Error types shared across the package, and the checks that config
+dataclasses and array sizes run where a value enters."""
 
 import dataclasses
 import functools
+import math
 import sys
 import typing
+
+import numpy as np
 
 
 class GaaError(Exception):
@@ -59,3 +62,12 @@ def check_field_types(obj, prefix: str = "") -> None:
             raise ConfigError(f"{prefix}{f.name} must be {kind.__name__}, got {value!r}")
         if kind is float and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{prefix}{f.name} must be finite, got {value!r}")
+
+
+def check_addressable(cause: str, name: str, shape: tuple[int, ...]) -> None:
+    """Raise ConfigError when a float64 array of ``shape`` would have more
+    bytes than numpy can address. numpy reports that size as a ValueError;
+    a smaller one it cannot allocate stays its MemoryError."""
+    if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+        dims = " x ".join(map(str, shape))
+        raise ConfigError(f"{cause} make the {dims} {name} more bytes than numpy can address")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError, ParseError
+from .exceptions import ConfigError, DomainError, ParseError, check_addressable
 from .featgraph import EdgeList, view_degrees
 
 GEN_FLOATS = 256 * 1024  # floats of a generator's n x n uniform draw held at once
@@ -290,10 +290,12 @@ def _seed_with_tag(seed: int, tag: float) -> np.random.SeedSequence:
 
 
 def _check_sizes(seed: int, n: int, d: int):
-    """The arguments both generators take; a pair needs two nodes."""
+    """The arguments both generators take; a pair needs two nodes, and the
+    n x d features are the largest array a generator makes."""
     for name, value, low in (("seed", seed, 0), ("n", n, 2), ("d", d, 1)):
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
+    check_addressable(f"n={n} and d={d}", "features", (n, d))
 
 
 def _row_blocks(n: int):

@@ -1,10 +1,12 @@
-"""The dual-channel network: per-view GCN encoders, pooled attention rows
-(cross-view scores weight the pooled mean), label classifier, and a
-gradient-reversal domain head.
+"""The dual-channel network's pieces: per-view GCN encoders (``encode``),
+pooled attention rows (cross-view scores weight the pooled mean), label
+classifier, and a gradient-reversal domain head. ``train._epoch_losses``
+runs the pieces a variant's row names and feeds them to its losses;
+evaluation runs ``encode`` on the classifier's view alone.
 
 One parameter set processes both domains; that weight sharing is what makes
 the alignment terms meaningful. Each variant is one row of ``VARIANT_SPECS``,
-which init, forward, loss assembly, view building and evaluation all read:
+which init, the forward pass, view building and evaluation all read:
 
   GAA      full model
   GAA1     no cross-view refinement (an unweighted attention mean)
@@ -25,7 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .exceptions import CheckpointError, ConfigError, DomainError, check_field_types
+from .exceptions import (CheckpointError, ConfigError, DomainError, check_addressable,
+                         check_field_types)
 from .featgraph import View, ViewMatrices
 
 # checkpoint payload order; also the order parameters are initialized in
@@ -110,7 +113,8 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
 
 
 def _param_shapes(variant: str, in_dim: int, num_classes: int, hyper: Hyper) -> dict:
-    """(rows, cols) of each parameter the variant has, in FIELD_ORDER."""
+    """(rows, cols) of each parameter the variant has, in FIELD_ORDER; a
+    shape too large for numpy to describe raises ConfigError."""
     spec, h, e, c = VARIANT_SPECS[variant], hyper.hidden, hyper.embed, num_classes
     shapes = {}
     if spec.topo:
@@ -122,6 +126,9 @@ def _param_shapes(variant: str, in_dim: int, num_classes: int, hyper: Hyper) -> 
     shapes.update(Wc=(e, c), bc=(1, c))
     if spec.adapts:
         shapes.update(Wd=(e, 1), bd=(1, 1))
+    for name, shape in shapes.items():
+        check_addressable(f"in_dim={in_dim}, hidden={h}, embed={e} and num_classes={c}",
+                          name, shape)
     return shapes
 
 
@@ -190,61 +197,16 @@ def domain_discriminate(z: Tensor, grl_lambda: float, wd: Tensor, bias: Tensor) 
     return ad.sigmoid(ad.add(ad.matmul(ad.grad_reverse(z, grl_lambda), wd), bias))
 
 
-@dataclass
-class ForwardOutputs:
-    z_s: Optional[Tensor] = None
-    z_t: Optional[Tensor] = None
-    z_s_f: Optional[Tensor] = None
-    z_t_f: Optional[Tensor] = None
-    att_s: Optional[Tensor] = None
-    att_t: Optional[Tensor] = None
-    att_s_f: Optional[Tensor] = None
-    att_t_f: Optional[Tensor] = None
-    probs_s: Optional[Tensor] = None
-    probs_t: Optional[Tensor] = None
-    dom_s: Optional[Tensor] = None
-    dom_t: Optional[Tensor] = None
-
-
-def forward_all(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices,
-                training: bool, rng: np.random.Generator) -> ForwardOutputs:
-    """Run every branch the variant's row names, in a fixed order.
-
-    Dropout draws happen in encoder order (source topo, source feat, target
-    topo, target feat), so equal seeds give bit-identical passes. A variant
-    that does not adapt never encodes the target.
-    """
-    spec, hy, p = model.spec, model.hyper, model.params
-
-    def encode(views):
-        def gcn(view, channel):
-            return gcn_encode(view, p[f"W1_{channel}"], p[f"W2_{channel}"], hy.dropout, rng,
-                              training, hy.relu_second_layer)
-        return (gcn(views.topo, "topo") if spec.topo else None,
-                gcn(views.feat, "feat") if spec.feat else None)
-
-    out = ForwardOutputs()
-    out.z_s, out.z_s_f = encode(views_s)
-    if spec.adapts:
-        out.z_t, out.z_t_f = encode(views_t)
-    if spec.attends:
-        # L_A is the only reader of the attention: the classifier and the
-        # domain head read the GCN embedding, so each call returns just the
-        # pooled 1 x e row that L_A compares, never the n x e embedding
-        def pooled(z_f, z):
-            s = (cross_view_scores(z_f, z) if spec.refines
-                 else ad.constant(np.ones((z.rows, 1))))
-            return [attention_embed(h, p["Wq"], p["Wk"], p["Wv"], s) for h in (z, z_f)]
-        out.att_s, out.att_s_f = pooled(out.z_s_f, out.z_s)
-        out.att_t, out.att_t_f = pooled(out.z_t_f, out.z_t)
-
-    z_s, z_t = (out.z_s, out.z_t) if spec.topo else (out.z_s_f, out.z_t_f)
-    out.probs_s = classify(z_s, p["Wc"], p["bc"])
-    if spec.adapts:
-        out.probs_t = classify(z_t, p["Wc"], p["bc"])
-        out.dom_s = domain_discriminate(z_s, hy.grl_lambda, p["Wd"], p["bd"])
-        out.dom_t = domain_discriminate(z_t, hy.grl_lambda, p["Wd"], p["bd"])
-    return out
+def encode(model: GaaModel, views: ViewMatrices, training: bool,
+           rng: np.random.Generator) -> list[Tensor]:
+    """The GCN embedding of each view of ``views`` that is present, with that
+    channel's W1/W2. Topology comes first, so dropout draws in a fixed order
+    and the first embedding is the one the classifier reads: the topology
+    one when there is one."""
+    hy, p = model.hyper, model.params
+    return [gcn_encode(view, p[f"W1_{channel}"], p[f"W2_{channel}"], hy.dropout, rng, training,
+                       hy.relu_second_layer)
+            for channel, view in zip(ViewMatrices._fields, views) if view is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +277,10 @@ def load_model(path) -> GaaModel:
     except ConfigError as exc:
         raise CheckpointError(path, f"bad hyper: {exc}")
     variant = header["variant"]
-    shapes = _param_shapes(variant, header["in_dim"], header["num_classes"], hyper)
+    try:
+        shapes = _param_shapes(variant, header["in_dim"], header["num_classes"], hyper)
+    except ConfigError as exc:
+        raise CheckpointError(path, str(exc))
     if header["tensors"] != [{"name": name, "rows": rows, "cols": cols}
                              for name, (rows, cols) in shapes.items()]:
         raise CheckpointError(path, f"tensor list does not match a {variant} model")

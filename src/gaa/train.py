@@ -24,9 +24,11 @@ from .model import (
     VARIANTS,
     GaaModel,
     Hyper,
+    attention_embed,
     classify,
-    forward_all,
-    gcn_encode,
+    cross_view_scores,
+    domain_discriminate,
+    encode,
     init_model,
 )
 
@@ -124,16 +126,35 @@ def adam_step(params, state: AdamState, lr: float, weight_decay: float = 0.0):
         p.zero_grad()
 
 
-def _epoch_losses(model: GaaModel, out, labels_s, w: L.LossWeights):
-    """Assemble the variant's loss graph; returns (total, L_S, L_A, L_D, L_T)."""
+def _epoch_losses(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices, labels_s,
+                  w: L.LossWeights, training: bool, rng: np.random.Generator):
+    """Run the branches the variant's row names straight into its losses;
+    returns (total, L_S, L_A, L_D, L_T). They run in a fixed order (encoders,
+    source first; attention pools; classifier; domain head; losses), which
+    fixes the tape and so the order ``backward`` sums gradients in."""
+    spec, hy, p = model.spec, model.hyper, model.params
     zero = ad.constant([[0.0]])
-    l_s = L.source_ce(out.probs_s, labels_s)
-    if not model.spec.adapts:
+    z_s = encode(model, views_s, training, rng)
+    if not spec.adapts:
+        l_s = L.source_ce(classify(z_s[0], p["Wc"], p["bc"]), labels_s)
         return l_s, l_s, zero, zero, zero
-    l_d = L.domain_bce(out.dom_s, out.dom_t)
-    l_t = L.target_entropy(out.probs_t)
-    l_a = (L.alignment_loss(out.att_s, out.att_t, out.att_s_f, out.att_t_f)
-           if model.spec.attends else zero)
+    z_t = encode(model, views_t, training, rng)
+    if spec.attends:
+        # L_A is the only reader of the attention: the classifier and the
+        # domain head read the GCN embedding, so each call returns just the
+        # pooled 1 x e row that L_A compares, never the n x e embedding
+        def pooled(z, z_f):
+            s = (cross_view_scores(z_f, z) if spec.refines
+                 else ad.constant(np.ones((z.rows, 1))))
+            return [attention_embed(h, p["Wq"], p["Wk"], p["Wv"], s) for h in (z, z_f)]
+        (att_s, att_s_f), (att_t, att_t_f) = pooled(*z_s), pooled(*z_t)
+    probs_s, probs_t = (classify(z[0], p["Wc"], p["bc"]) for z in (z_s, z_t))
+    dom_s, dom_t = (domain_discriminate(z[0], hy.grl_lambda, p["Wd"], p["bd"])
+                    for z in (z_s, z_t))
+    l_s = L.source_ce(probs_s, labels_s)
+    l_d = L.domain_bce(dom_s, dom_t)
+    l_t = L.target_entropy(probs_t)
+    l_a = L.alignment_loss(att_s, att_t, att_s_f, att_t_f) if spec.attends else zero
     return L.total_loss(l_a, l_s, l_d, l_t, w), l_s, l_a, l_d, l_t
 
 
@@ -179,7 +200,6 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig,
                        cfg.hyper(), init_seq)
     params = model.parameters()
     state = AdamState(params)
-    labels_s = pair.source.labels
 
     dropout_rng = np.random.default_rng(dropout_seq)
     metrics = RunMetrics(seed=cfg.seed, epochs=cfg.epochs, config_echo=asdict(cfg))
@@ -187,12 +207,12 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig,
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for epoch in range(cfg.epochs):
                 with ad.Tape() as tape:
-                    out = forward_all(model, inputs.views_s, inputs.views_t, True, dropout_rng)
-                    total, l_s, l_a, l_d, l_t = _epoch_losses(model, out, labels_s, cfg.weights)
-                    values = [t.item() for t in (total, l_s, l_a, l_d, l_t)]
+                    terms = _epoch_losses(model, inputs.views_s, inputs.views_t,
+                                          pair.source.labels, cfg.weights, True, dropout_rng)
+                    values = [t.item() for t in terms]
                     if not all(math.isfinite(v) for v in values):
                         raise NumericError(f"non-finite loss at epoch {epoch}: {values}")
-                    ad.backward(total, tape)
+                    ad.backward(terms[0], tape)
                 adam_step(params, state, cfg.lr, cfg.weight_decay)
                 metrics.per_epoch.append(EpochLosses(
                     epoch=epoch, loss_total=values[0], loss_S=values[1],
@@ -216,13 +236,13 @@ def _views_for(model: GaaModel, graph: Graph) -> ViewMatrices:
 
 
 def _predict(model: GaaModel, views: ViewMatrices) -> np.ndarray:
-    """Class probabilities from the view of ``views`` that classification reads."""
+    """Class probabilities from the first view of ``views``, the one the
+    classifier reads; the other is never encoded."""
     rng = np.random.default_rng(0)  # never consumed: dropout is off in eval
-    p, hy = model.params, model.hyper
-    channel, view = ("topo", views.topo) if model.spec.topo else ("feat", views.feat)
-    z = gcn_encode(view, p[f"W1_{channel}"], p[f"W2_{channel}"], hy.dropout, rng, False,
-                   hy.relu_second_layer)
-    return classify(z, p["Wc"], p["bc"]).data
+    if views.topo is not None:
+        views = views._replace(feat=None)
+    [z] = encode(model, views, False, rng)
+    return classify(z, model.params["Wc"], model.params["bc"]).data
 
 
 def _accuracy(model: GaaModel, views: ViewMatrices, graph: Graph) -> float:

@@ -22,7 +22,7 @@ from gaa.cli import run_command
 from gaa.featgraph import build_views, knn_edges
 from gaa.graphs import DomainPair, Graph, gen_attribute_shift
 from gaa.losses import LossWeights, alignment_loss, domain_bce, source_ce, target_entropy
-from gaa.model import forward_all, init_model, Hyper
+from gaa.model import init_model, Hyper
 from gaa.train import TrainConfig, run_repeated, train_gaa, _epoch_losses
 
 from helpers import (
@@ -171,9 +171,8 @@ def test_criterion_1_gradient_correctness():
         labels = pair.source.labels
 
         def terms():
-            out = forward_all(model, views_s, views_t,
-                              hyper.dropout > 0, np.random.default_rng(6000 + i))
-            total, _, _, l_d, _ = _epoch_losses(model, out, labels, w)
+            total, _, _, l_d, _ = _epoch_losses(model, views_s, views_t, labels, w,
+                                                hyper.dropout > 0, np.random.default_rng(6000 + i))
             return total, l_d
 
         with ad.Tape() as tape:

@@ -80,6 +80,12 @@ class TestGenerate:
          "cluster_std must be finite and >= 0, got nan"),
         ("sbm", "--p", "0", "p must be in (0, 1], got 0.0"),
         ("sbm", "--source-p", "1.5", "p must be in (0, 1], got 1.5"),
+        # past what numpy can address: one line, not its ValueError's traceback
+        *((kind, flag, str(2**60), f"{dims} make the {shape} features more bytes than "
+           "numpy can address")
+          for kind in ("attribute-shift", "sbm")
+          for flag, dims, shape in (("--n", f"n={2**60} and d=10", f"{2**60} x 10"),
+                                    ("--d", f"n=20 and d={2**60}", f"20 x {2**60}"))),
     ])
     def test_bad_argument_exit_1(self, tmp_path, capsys, kind, flag, value, message):
         out = tmp_path / "pair"
@@ -435,6 +441,19 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("item", [f"hidden={2**60}", f"hidden={2**63}", f"embed={2**63}"])
+    def test_a_model_numpy_cannot_address_exit_1_in_sweep(self, pair_dir, tmp_path, capsys,
+                                                          monkeypatch, threads, item):
+        # raised in the first cell, in this process or in a pool worker
+        monkeypatch.setenv("GAA_THREADS", threads)
+        code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
+                   "--runs", "1", "--grid", "k=2", "--set", item)
+        assert code == 1
+        err = self.one_error_line(capsys)
+        assert item.split("=")[0] in err and "more bytes than numpy can address" in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_non_integer_gaa_threads_exit_1(self, pair_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GAA_THREADS", "abc")
         code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
@@ -451,6 +470,7 @@ class TestErrors:
     @pytest.mark.parametrize("item", [
         "weights.alpha=abc", "embed=-2", "weights.alpha=nan", "grl_lambda=-1",
         "lr=nan", "weight_decay=nan", "seed=-1",
+        f"hidden={2**60}", f"hidden={2**63}", f"embed={2**63}",
     ])
     def test_bad_set_value_exit_1(self, pair_dir, tmp_path, capsys, item):
         code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
@@ -596,6 +616,16 @@ class TestBadCheckpoint:
         code, err = self.eval_bytes(trained, json.dumps(doc).encode() + b"\n" + payload)
         assert code == 1
         assert err == f"error: {trained[2]}: bad hyper: hidden must be >= 1, got 0\n"
+
+    def test_shape_numpy_cannot_address_exit_1(self, trained):
+        header, payload = trained[1].split(b"\n", 1)
+        doc = json.loads(header)
+        doc["hyper"]["hidden"] = 2**60
+        code, err = self.eval_bytes(trained, json.dumps(doc).encode() + b"\n" + payload)
+        assert code == 1
+        assert err == (f"error: {trained[2]}: in_dim=4, hidden={2**60}, embed=4 and "
+                       f"num_classes=2 make the 4 x {2**60} W1_topo more bytes than numpy "
+                       f"can address\n")
 
     @pytest.mark.parametrize("change", [-1, -8, 8])
     def test_payload_of_wrong_length_exit_1(self, trained, change):

@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 
 from gaa import autodiff as ad
+from gaa import losses
 from gaa.featgraph import View, build_views
 from gaa.graphs import gen_attribute_shift
 from gaa.model import (
@@ -17,12 +18,13 @@ from gaa.model import (
     classify,
     cross_view_scores,
     domain_discriminate,
-    forward_all,
+    encode,
     gcn_encode,
     init_model,
     load_model,
     save_model,
 )
+from gaa.train import _epoch_losses
 
 from helpers import EXPECTED_PARAMS, edges_of_dense, fd_check
 
@@ -299,6 +301,9 @@ def test_variant_row_is_consistent(variant):
 
 
 class TestForwardAll:
+    """The forward pass: ``encode`` and the branches ``_epoch_losses`` feeds
+    straight to the losses, read at the losses' arguments."""
+
     def pair_inputs(self, n_s=6, n_t=5, d=3, seed=0):
         rng = np.random.default_rng(seed)
         out = []
@@ -310,15 +315,31 @@ class TestForwardAll:
             out.append(build_views(edges_of_dense(adj), x, k=2))
         return out
 
-    def test_output_shapes_full_variant(self):
+    def loss_inputs(self, monkeypatch, model, views_s, views_t, training, rng):
+        """The arguments ``_epoch_losses`` hands each loss function, by name."""
+        seen = {}
+        labels = np.arange(views_s.topo.ax.shape[0]) % model.num_classes
+        with monkeypatch.context() as patch:
+            for name in ("source_ce", "alignment_loss", "domain_bce", "target_entropy"):
+                def recording(*args, name=name, original=getattr(losses, name)):
+                    seen[name] = args
+                    return original(*args)
+                patch.setattr(losses, name, recording)
+            _epoch_losses(model, views_s, views_t, labels, losses.LossWeights(), training, rng)
+        return seen
+
+    def test_output_shapes_full_variant(self, monkeypatch):
         views_s, views_t = self.pair_inputs()
         model = make_model("GAA")
-        out = forward_all(model, views_s, views_t, False, np.random.default_rng(0))
+        seen = self.loss_inputs(monkeypatch, model, views_s, views_t, False,
+                                np.random.default_rng(0))
         e, c = model.hyper.embed, model.num_classes
-        for att in (out.att_s, out.att_s_f, out.att_t, out.att_t_f):
+        for att in seen["alignment_loss"]:
             assert att.shape == (1, e)
-        assert out.probs_s.shape == (6, c) and out.probs_t.shape == (5, c)
-        assert out.dom_s.shape == (6, 1) and out.dom_t.shape == (5, 1)
+        probs_s, probs_t = seen["source_ce"][0], seen["target_entropy"][0]
+        dom_s, dom_t = seen["domain_bce"]
+        assert probs_s.shape == (6, c) and probs_t.shape == (5, c)
+        assert dom_s.shape == (6, 1) and dom_t.shape == (5, 1)
 
     def test_weight_sharing_same_objects(self):
         model = make_model("GAA")
@@ -326,31 +347,35 @@ class TestForwardAll:
         # the same tensors appear in source and target paths by construction;
         # check gradients from both domains accumulate into one buffer
         views_s, views_t = self.pair_inputs()
+        rng = np.random.default_rng(0)
         with ad.Tape() as tape:
-            out = forward_all(model, views_s, views_t, False, np.random.default_rng(0))
-            loss = ad.add(ad.sq_l2(out.z_s), ad.sq_l2(out.z_t))
+            z_s, z_t = (encode(model, views, False, rng)[0] for views in (views_s, views_t))
+            loss = ad.add(ad.sq_l2(z_s), ad.sq_l2(z_t))
             ad.backward(loss, tape)
         assert np.abs(model.params["W1_topo"].grad).sum() > 0
 
-    def test_gaa1_attention_unrefined(self):
+    def test_gaa1_attention_unrefined(self, monkeypatch):
         views_s, views_t = self.pair_inputs()
         m_full = make_model("GAA", seed=3)
         m_nore = make_model("GAA1", seed=3)
-        kw = dict(training=False, rng=np.random.default_rng(0))
-        out_full = forward_all(m_full, views_s, views_t, **kw)
-        out_nore = forward_all(m_nore, views_s, views_t, **kw)
+        att_full, att_nore = (
+            self.loss_inputs(monkeypatch, m, views_s, views_t, False,
+                             np.random.default_rng(0))["alignment_loss"][0]
+            for m in (m_full, m_nore))
         p, ones = m_nore.params, ad.constant(np.ones((6, 1)))
-        raw = attention_embed(out_nore.z_s, p["Wq"], p["Wk"], p["Wv"], ones)
-        np.testing.assert_array_equal(out_nore.att_s.data, raw.data)
-        assert np.abs(out_full.att_s.data - out_nore.att_s.data).max() > 0
+        z_s = encode(m_nore, views_s, False, np.random.default_rng(0))[0]
+        raw = attention_embed(z_s, p["Wq"], p["Wk"], p["Wv"], ones)
+        np.testing.assert_array_equal(att_nore.data, raw.data)
+        assert np.abs(att_full.data - att_nore.data).max() > 0
 
-    def test_deterministic_under_fixed_seed(self):
+    def test_deterministic_under_fixed_seed(self, monkeypatch):
         views_s, views_t = self.pair_inputs()
         model = make_model("GAA", hyper=Hyper(hidden=5, embed=4, dropout=0.4))
         runs = []
         for _ in range(2):
-            out = forward_all(model, views_s, views_t, True, np.random.default_rng(99))
-            runs.append(out.probs_s.data.copy())
+            seen = self.loss_inputs(monkeypatch, model, views_s, views_t, True,
+                                    np.random.default_rng(99))
+            runs.append(seen["source_ce"][0].data.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
 
 

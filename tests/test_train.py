@@ -120,7 +120,7 @@ class TestTrainLoop:
         cfg = quick_cfg(epochs=1, dropout=0.0,
                         weights=LossWeights(alpha=1.0, beta=1.0, tau=1.0))
         from gaa.featgraph import build_views
-        from gaa.model import forward_all, init_model
+        from gaa.model import init_model
         from gaa.train import _epoch_losses
 
         model = init_model(pair.source.dim, pair.num_classes, "GAA", cfg.k,
@@ -128,8 +128,8 @@ class TestTrainLoop:
         views_s = build_views(pair.source.edges, pair.source.features, cfg.k)
         views_t = build_views(pair.target.edges, pair.target.features, cfg.k)
         with ad.Tape() as tape:
-            out = forward_all(model, views_s, views_t, False, np.random.default_rng(0))
-            total, *_ = _epoch_losses(model, out, pair.source.labels, cfg.weights)
+            total, *_ = _epoch_losses(model, views_s, views_t, pair.source.labels, cfg.weights,
+                                      False, np.random.default_rng(0))
             ad.backward(total, tape)
         for name, p in model.params.items():
             assert p.grad is not None, name
@@ -315,11 +315,39 @@ EPOCH_RECORDS = {
 }
 EPOCH_TOTALS = {"GAA": 48, "GAA1": 42, "GAA2": 31, "GAA3": 31, "GCN": 6, "KNN_GCN": 6}
 
+# The same records in tape order, which is the order backward adds the
+# gradients of a shared parameter in, and so fixes the trained bytes:
+# encoders (source, then target), the attention pools (source, then
+# target; each refined pool scores its nodes first), the classifier on
+# both domains, the domain head on both, then L_S, L_D, L_T, L_A, total.
+_CLASSIFY = ["matmul", "add", "row_softmax"]
+_DOMAIN_HEAD = ["grad_reverse", "matmul", "add", "sigmoid"]
+_L_S = ["xlogy_sum", "scale"]
+_L_D_L_T = ["xlogy_sum", "sub", "xlogy_sum", "add", "scale", "xlogy_sum", "scale"]
+_L_A = ["sub", "sq_l2", "sub", "sq_l2", "add"]
+_TOTAL = ["scale", "add", "scale", "add", "scale", "add"]
+_SCORES = ["row_cosine", "add", "scale"]
+
+
+def _adapting_epoch(encoders, pools, l_a):
+    return (["gcn"] * encoders + pools + _CLASSIFY * 2 + _DOMAIN_HEAD * 2 + _L_S + _L_D_L_T
+            + l_a + _TOTAL)
+
+
+EPOCH_SEQUENCES = {
+    "GAA": _adapting_epoch(4, (_SCORES + ["attention"] * 2) * 2, _L_A),
+    "GAA1": _adapting_epoch(4, ["attention"] * 4, _L_A),
+    "GAA2": _adapting_epoch(2, [], []),
+    "GAA3": _adapting_epoch(2, [], []),
+    "GCN": ["gcn"] + _CLASSIFY + _L_S,
+    "KNN_GCN": ["gcn"] + _CLASSIFY + _L_S,
+}
+
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_one_epoch_emits_a_fixed_count_of_each_op_kind(variant, monkeypatch):
     """The op budget of a training epoch, read off the tape ``train_gaa``
-    hands to ``backward``."""
+    hands to ``backward``, and the order of its records."""
     kinds = []
     original = ad.backward
 
@@ -331,6 +359,29 @@ def test_one_epoch_emits_a_fixed_count_of_each_op_kind(variant, monkeypatch):
     train_gaa(small_pair(), quick_cfg(variant=variant, epochs=1))
     assert dict(collections.Counter(kinds)) == EPOCH_RECORDS[variant]
     assert len(kinds) == EPOCH_TOTALS[variant]
+    assert kinds == EPOCH_SEQUENCES[variant]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_scoring_accuracy_encodes_only_the_classifier_view(variant, monkeypatch):
+    """``evaluate`` and ``train_gaa``'s final accuracy each run one GCN
+    encoder, outside any tape: the channel the classifier reads, never the
+    other one too, whose output no prediction would read."""
+    pair = small_pair()
+    untaped = []  # the W1 of each encoder run outside a tape
+    gcn = ad.gcn
+
+    def recording(a, ax, w1, *args):
+        if ad.active_tape() is None:
+            untaped.append(w1)
+        return gcn(a, ax, w1, *args)
+
+    monkeypatch.setattr(ad, "gcn", recording)
+    model, _ = train_gaa(pair, quick_cfg(variant=variant, epochs=1))
+    assert len(untaped) == 1
+    evaluate(model, pair.target)
+    classifier_w1 = model.params["W1_topo" if VARIANT_SPECS[variant].topo else "W1_feat"]
+    assert len(untaped) == 2 and all(w1 is classifier_w1 for w1 in untaped)
 
 
 class TestViewBuilding:

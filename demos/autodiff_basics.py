@@ -20,7 +20,7 @@ print("\n== gradient reversal: identity forward, -lambda backward ==")
 z = ad.parameter([[1.0, 2.0]])
 with ad.Tape() as tape:
     flipped = ad.grad_reverse(z, 0.5)
-    ad.backward(ad.sum_all(flipped), tape)
+    ad.backward(ad.sq_l2(flipped), tape)  # d/dz ||z||^2 = 2z, times -0.5
 print("forward unchanged:", flipped.data, " backward scaled:", z.grad)
 
 print("\n== fitting 1-D logistic regression with Adam ==")

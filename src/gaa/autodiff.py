@@ -147,13 +147,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", a_data @ b_data, (a, b), backward_fn)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def backward_fn(g):
-        return (g.T.copy(),)
-
-    return _emit("transpose", a.data.T.copy(), (a,), backward_fn)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
     b_shape = b.shape
@@ -172,16 +165,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         return g, -_unbroadcast(g, b_shape)
 
     return _emit("sub", a.data - b.data, (a, b), backward_fn)
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "hadamard")
-    a_data, b_data = a.data, b.data
-
-    def backward_fn(g):
-        return g * b_data, _unbroadcast(g * a_data, b_data.shape)
-
-    return _emit("hadamard", a_data * b_data, (a, b), backward_fn)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -228,16 +211,6 @@ def row_softmax(a: Tensor) -> Tensor:
         return (out_data * (g - dot),)
 
     return _emit("row_softmax", out_data, (a,), backward_fn)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    _check_nonempty(a, "sum")
-    shape = a.shape
-
-    def backward_fn(g):
-        return (np.full(shape, g[0, 0]),)
-
-    return _emit("sum", np.array([[a.data.sum()]]), (a,), backward_fn)
 
 
 def row_cosine(a: Tensor, b: Tensor) -> Tensor:

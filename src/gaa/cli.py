@@ -236,7 +236,6 @@ def _cmd_train(args) -> int:
     if args.runs == 1:
         model, metrics = train_gaa(pair, cfg)
         out.mkdir(parents=True, exist_ok=True)
-        metrics.wall_seconds = 0.0  # keep seeded outputs byte-reproducible
         save_metrics(metrics, out / "metrics.json")
         save_model(model, out / "model.bin")
         print(f"accuracy={metrics.target_accuracy} "
@@ -245,7 +244,6 @@ def _cmd_train(args) -> int:
         result = run_repeated(pair, cfg, n_runs=args.runs)
         out.mkdir(parents=True, exist_ok=True)
         for i, metrics in enumerate(result.metrics):
-            metrics.wall_seconds = 0.0
             save_metrics(metrics, out / f"metrics_run{i}.json")
         save_model(result.first_model, out / "model.bin")
         with open(out / "summary.json", "w", encoding="utf-8") as fh:

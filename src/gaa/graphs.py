@@ -343,34 +343,42 @@ def gen_attribute_shift(cluster_std: float, seed: int, n: int = 100, d: int = 10
     return Graph(edges=edges, features=features, labels=labels, num_classes=2)
 
 
-def gen_sbm(seed: int, n: int = 100, p: float = 0.8, d: int = 10) -> Graph:
-    """Two-community stochastic block model with Uniform(0,1] edge weights.
-
-    Intra-community edge probability is ``p``, inter-community ``p / 10``.
-    Features are all ones; labels are the communities. Two n x n uniform
-    draws, made a row block at a time, pick the edges and weigh them; they
-    depend on ``seed`` only, so lowering ``p`` under a fixed seed removes
-    edges monotonically (nested edge sets). With constant features a
-    bias-free GCN embeds every node as a per-node scalar times one fixed vector,
-    so no GCN can tell the two balanced communities apart on this family.
-    """
-    _check_sizes(seed, n, d)
-    if not 0.0 < p <= 1.0:
-        raise ConfigError(f"p must be in (0, 1], got {p}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5B3]))
-    half = n // 2
+def _sbm(rng, n: int, intra: float, inter: float, d: int) -> Graph:
+    """A contextual two-community SBM drawn from ``rng``: edges from one
+    n x n uniform draw below ``intra`` within a community and ``inter``
+    between them, Uniform(0,1] weights from a second, then 1 + N(0,1)
+    features. The draws do not depend on the probabilities, so under one
+    stream raising a probability only adds edges (nested edge sets) and
+    every graph carries the same features."""
     labels = np.zeros(n, dtype=np.int64)
-    labels[half:] = 1
+    labels[n // 2:] = 1
     row, col = _strict_upper_draw(
-        rng, n, lambda lo, hi: np.where(labels[lo:hi, None] == labels, p, p / 10.0))
+        rng, n, lambda lo, hi: np.where(labels[lo:hi, None] == labels, intra, inter))
     # the second draw, the weights, is read at the picks one row block at a time
     weight = np.empty(row.size)
     for lo, hi in _row_blocks(n):
         a, b = np.searchsorted(row, (lo, hi))
         weight[a:b] = 1.0 - rng.random((hi - lo, n))[row[a:b] - lo, col[a:b]]  # Uniform(0, 1]
-    features = np.ones((n, d))
+    features = 1.0 + rng.standard_normal((n, d))
     return Graph(edges=EdgeList(n, row, col, weight), features=features, labels=labels,
                  num_classes=2)
+
+
+def gen_sbm(seed: int, n: int = 100, p: float = 0.8, d: int = 10) -> Graph:
+    """Two-community stochastic block model with Uniform(0,1] edge weights.
+
+    Intra-community edge probability is ``p``, inter-community ``p / 10``.
+    Features are 1 + N(0,1); labels are the communities. Two n x n uniform
+    draws, made a row block at a time, pick the edges and weigh them; they
+    and the features depend on ``seed`` only, so lowering ``p`` under a
+    fixed seed removes edges monotonically (nested edge sets) and keeps the
+    features.
+    """
+    _check_sizes(seed, n, d)
+    if not 0.0 < p <= 1.0:
+        raise ConfigError(f"p must be in (0, 1], got {p}")
+    return _sbm(np.random.default_rng(np.random.SeedSequence([int(seed), 0x5B3])),
+                n, p, p / 10.0, d)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ enter this module's loss path; they are read by ``evaluate`` alone.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
@@ -186,7 +185,6 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig,
     serve the final evaluation too; every epoch runs one forward, one
     backward, and one optimizer step.
     """
-    start = time.perf_counter()
     spec = VARIANT_SPECS[cfg.variant]
     if inputs is None:
         inputs = build_inputs(pair, cfg)
@@ -223,7 +221,6 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig,
 
     if pair.target.labels is not None:
         metrics.target_accuracy = _accuracy(model, inputs.views_t, pair.target)
-    metrics.wall_seconds = time.perf_counter() - start
     return model, metrics
 
 

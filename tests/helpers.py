@@ -1,5 +1,6 @@
 """Shared oracles for the test suite, kept independent of the library paths,
-and the test-only helpers ``load_metrics`` and ``predict``."""
+the test-only helpers ``load_metrics`` and ``predict``, and the tape ops
+that only tests use."""
 
 import json
 
@@ -68,16 +69,49 @@ def fd_check(build_loss, leaves, h=FD_H, rel_tol=FD_REL_TOL):
                 )
 
 
+# Tape ops that only tests use, recorded through ``autodiff._emit`` like the
+# library's own; criterion 1 checks each kind's gradient.
+
+
+def transpose(a):
+    def backward_fn(g):
+        return (g.T.copy(),)
+
+    return ad._emit("transpose", a.data.T.copy(), (a,), backward_fn)
+
+
+def hadamard(a, b):
+    """The elementwise product; ``b`` may broadcast as ``autodiff.add``'s does."""
+    ad._binary_shapes(a, b, "hadamard")
+    a_data, b_data = a.data, b.data
+
+    def backward_fn(g):
+        return g * b_data, ad._unbroadcast(g * a_data, b_data.shape)
+
+    return ad._emit("hadamard", a_data * b_data, (a, b), backward_fn)
+
+
+def sum_all(a):
+    """The sum of every entry, as a 1x1 tensor."""
+    ad._check_nonempty(a, "sum")
+    shape = a.shape
+
+    def backward_fn(g):
+        return (np.full(shape, g[0, 0]),)
+
+    return ad._emit("sum", np.array([[a.data.sum()]]), (a,), backward_fn)
+
+
 def dense_attention(z, wq, wk, wv, s):
     """Node attention pooled to its s-weighted node mean, composed from dense
     tape ops; it builds the n x n scores and the n x e embedding."""
-    zt = ad.transpose(z)
+    zt = transpose(z)
     q = ad.matmul(wq, zt)
     k = ad.matmul(wk, zt)
     m = ad.matmul(wv, zt)
-    scores = ad.scale(ad.matmul(ad.transpose(k), q), 1.0 / np.sqrt(z.cols))
-    embedding = ad.matmul(ad.row_softmax(scores), ad.transpose(m))
-    return ad.scale(ad.matmul(ad.transpose(s), embedding), 1.0 / z.rows)
+    scores = ad.scale(ad.matmul(transpose(k), q), 1.0 / np.sqrt(z.cols))
+    embedding = ad.matmul(ad.row_softmax(scores), transpose(m))
+    return ad.scale(ad.matmul(transpose(s), embedding), 1.0 / z.rows)
 
 
 def composed_gcn(a, ax, w1, w2, rate, rng, training):
@@ -87,7 +121,7 @@ def composed_gcn(a, ax, w1, w2, rate, rng, training):
     h = ad.relu(ad.matmul(ad.constant(ax), w1))
     if training:
         keep = rng.random(h.shape) >= rate
-        h = ad.hadamard(h, ad.constant(keep * (1.0 / (1.0 - rate))))
+        h = hadamard(h, ad.constant(keep * (1.0 / (1.0 - rate))))
     return ad.matmul(ad.constant(a), ad.matmul(h, w2))
 
 

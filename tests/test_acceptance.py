@@ -16,7 +16,7 @@ from scipy import sparse
 from scipy.stats import spearmanr
 
 from gaa import autodiff as ad
-from gaa import featgraph
+from gaa import featgraph, graphs
 from gaa.analysis import proposition1_bound
 from gaa.cli import run_command
 from gaa.featgraph import build_views, knn_edges
@@ -29,6 +29,7 @@ from helpers import (
     dense_adjacency,
     edges_of_dense,
     empirical_margin_loss,
+    hadamard,
     loop_cosine_matrix,
     loop_domain_bce,
     loop_knn,
@@ -36,6 +37,8 @@ from helpers import (
     loop_pair_bound,
     loop_source_ce,
     loop_target_entropy,
+    sum_all,
+    transpose,
 )
 
 FD_H = 1e-5
@@ -128,20 +131,20 @@ def test_criterion_1_gradient_correctness():
                 z = ad.gcn(view, ax, L[0], L[1], 0.3, np.random.default_rng(77 + i), i % 4 < 2)
                 return ad.sq_l2(ad.relu(z) if relu_second else z)
             check_op("gcn", i, encode, [(k_inner, hidden), (hidden, c)])
-        check_op("transpose", i, lambda L: ad.sq_l2(ad.transpose(L[0])), [(r, c)])
+        check_op("transpose", i, lambda L: ad.sq_l2(transpose(L[0])), [(r, c)])
         check_op("add", i, lambda L: ad.sq_l2(ad.add(L[0], L[1])), [(r, c), (1, c)])
         check_op("sub", i, lambda L: ad.sq_l2(ad.sub(L[0], L[1])), [(r, c), (r, 1)])
-        check_op("hadamard", i, lambda L: ad.sq_l2(ad.hadamard(L[0], L[1])),
+        check_op("hadamard", i, lambda L: ad.sq_l2(hadamard(L[0], L[1])),
                  [(r, c), (r, c)])
         check_op("scale", i, lambda L: ad.sq_l2(ad.scale(L[0], 1.7)), [(r, c)])
         check_op("relu", i, lambda L: ad.sq_l2(ad.relu(L[0])), [(r, c)])
         check_op("sigmoid", i, lambda L: ad.sq_l2(ad.sigmoid(L[0])), [(r, c)])
         check_op("row_softmax", i,
-                 lambda L: ad.sum_all(ad.hadamard(ad.row_softmax(L[0]), w_full)), [(r, c)])
+                 lambda L: sum_all(hadamard(ad.row_softmax(L[0]), w_full)), [(r, c)])
         check_op("attention", i,
-                 lambda L: ad.sum_all(ad.hadamard(ad.attention(*L), w_row)),
+                 lambda L: sum_all(hadamard(ad.attention(*L), w_row)),
                  [(r, c), (c, c), (c, c), (c, c), (r, 1)])
-        check_op("sum", i, lambda L: ad.scale(ad.sum_all(L[0]), 0.9), [(r, c)])
+        check_op("sum", i, lambda L: ad.scale(sum_all(L[0]), 0.9), [(r, c)])
         check_op("row_cosine", i, lambda L: ad.sq_l2(ad.row_cosine(L[0], L[1])),
                  [(r, c), (r, c)])
         # leaves in [0.05, 2): entries below the 0.4 clamp check the masked branch
@@ -211,10 +214,11 @@ UNCHECKED_OPS = {"grad_reverse"}
 
 
 def test_every_op_kind_has_a_gradient_check():
-    """The op kinds any gaa module emits are exactly criterion 1's checked
-    kinds plus UNCHECKED_OPS, so no op lands without a check and no check
-    outlives its op."""
-    emitted = {kind for path in Path(ad.__file__).parent.glob("*.py")
+    """The op kinds any gaa module or the test helpers emit are exactly
+    criterion 1's checked kinds plus UNCHECKED_OPS, so no op lands without a
+    check and no check outlives its op."""
+    sources = [*Path(ad.__file__).parent.glob("*.py"), Path(__file__).parent / "helpers.py"]
+    emitted = {kind for path in sources
                for kind in re.findall(r'_emit\("(\w+)"', path.read_text(encoding="utf-8"))}
     checked = set(re.findall(r'check_op\("(\w+)"',
                              inspect.getsource(test_criterion_1_gradient_correctness)))
@@ -303,40 +307,16 @@ def test_criterion_3_attribute_trend():
     assert report("3 (attribute trend)", ok, detail)
 
 
-def _csbm_inter_shift(seed, inter_ps):
-    """Contextual two-community SBMs (n=100, d=10, intra-community edge
-    probability 0.8) that differ only in inter-community edge probability;
-    returns one graph per entry of ``inter_ps``.
-
-    Edge presence, Uniform(0,1] weights and features come from one set of
-    draws under ``seed``, so raising the inter probability only adds
-    between-community edges (nested edge sets) and every graph carries the
-    same feature matrix.
-    """
-    rng = np.random.default_rng(seed)
-    labels = np.repeat([0, 1], 50)
-    same = np.equal.outer(labels, labels)
-    u = rng.random((100, 100))
-    weights = 1.0 - rng.random((100, 100))  # Uniform(0, 1]
-    features = 1.0 + rng.standard_normal((100, 10))
-    graphs = []
-    for inter_p in inter_ps:
-        adjacency = np.where(np.triu(u < np.where(same, 0.8, inter_p), 1), weights, 0.0)
-        graphs.append(Graph(edges=edges_of_dense(adjacency + adjacency.T), features=features,
-                            labels=labels, num_classes=2))
-    return graphs
-
-
 def test_criterion_4_topology_trend():
-    # Pure structure shift on contextual SBMs: the intra-community probability
+    # Pure structure shift on contextual SBMs (n=100, d=10), the family that
+    # `gaa generate --kind sbm` writes: the intra-community probability
     # stays at 0.8 while the inter-community probability rises from the
     # source's 0.08 to 0.8, so the class structure fades into an
-    # Erdos-Renyi graph. Source and targets share one feature matrix, so the
-    # bound's attribute term is the same at every point and only topology
-    # moves. The features are 1 + N(0,1), not constant: with constant
-    # features a bias-free GCN embeds every node as a per-node scalar times a
-    # fixed vector, which cannot separate balanced communities at all.
-    source, *targets = _csbm_inter_shift(11, [0.08, *np.linspace(0.08, 0.8, 10)])
+    # Erdos-Renyi graph. Every graph is drawn from one seed, so source and
+    # targets share one feature matrix, the bound's attribute term is the
+    # same at every point and only topology moves.
+    source, *targets = [graphs._sbm(np.random.default_rng(11), 100, 0.8, q, 10)
+                        for q in [0.08, *np.linspace(0.08, 0.8, 10)]]
     topo_terms, attr_terms, accs = [], [], []
     for target in targets:
         bound = proposition1_bound(source, target, normalize_by=100)

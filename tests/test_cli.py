@@ -27,6 +27,15 @@ from gaa.model import VARIANTS
 from gaa.train import TrainConfig, run_repeated
 
 
+DATA = Path(__file__).parent / "data"
+
+# the arguments that wrote each data/pair_<kind> directory
+GOLDEN_PAIRS = {
+    "attribute-shift": ["--edge-prob", "0.3", "--source-std", "0.4", "--std", "1.2"],
+    "sbm": ["--source-p", "0.8", "--p", "0.4"],
+}
+
+
 def cli(*argv):
     return run_command(list(argv))
 
@@ -60,6 +69,18 @@ class TestGenerate:
                        "--out", str(out)) == 0
         for name in ("source.edges", "target.features.csv", "pair.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", GOLDEN_PAIRS)
+    def test_golden_pair(self, tmp_path, kind):
+        """Pins every file `gaa generate` writes across commits, as the
+        golden checkpoints pin init."""
+        golden, out = DATA / f"pair_{kind}", tmp_path / "pair"
+        assert cli("generate", "--kind", kind, "--seed", "3", "--n", "12", "--d", "3",
+                   *GOLDEN_PAIRS[kind], "--out", str(out)) == 0
+        names = sorted(path.name for path in golden.iterdir())
+        assert sorted(path.name for path in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
     def test_sbm_pair_kind(self, tmp_path):
         out = tmp_path / "sbm"

@@ -24,6 +24,7 @@ from gaa.graphs import (
     save_graph,
     save_metrics,
 )
+from gaa.train import TrainConfig, run_repeated
 
 from helpers import (
     csr_sym_normalize,
@@ -435,10 +436,6 @@ class TestAttributeShift:
 
 
 class TestSbm:
-    def test_features_all_ones(self):
-        g = gen_sbm(seed=6)
-        np.testing.assert_array_equal(g.features, np.ones((100, 10)))
-
     def test_symmetric_zero_diagonal(self):
         adj = dense_adjacency(gen_sbm(seed=7).edges)
         np.testing.assert_array_equal(adj, adj.T)
@@ -472,6 +469,19 @@ class TestSbm:
         np.testing.assert_array_equal(dense_adjacency(gen_sbm(seed=1).edges),
                                       dense_adjacency(gen_sbm(seed=1).edges))
 
+    def test_pair_shares_its_features(self):
+        """A `generate --kind sbm` pair differs only in topology."""
+        source, target = gen_sbm(seed=6, p=0.8), gen_sbm(seed=6, p=0.3)
+        assert source.features.tobytes() == target.features.tobytes()
+        assert source.edges.row.size > target.edges.row.size
+
+    def test_gcn_tells_the_communities_apart(self):
+        """The features are 1 + N(0,1), not constant: a GCN learns the
+        communities on the source and carries them to a sparser target."""
+        pair = DomainPair(source=gen_sbm(seed=5, p=0.8), target=gen_sbm(seed=5, p=0.4))
+        cfg = TrainConfig(seed=0, variant="GCN", epochs=100, lr=3e-3, dropout=0.3)
+        assert min(run_repeated(pair, cfg, n_runs=3).accuracies) >= 0.8
+
     @pytest.mark.parametrize("p", [0.3, 0.8, 1.0])
     @pytest.mark.parametrize("n", [3, *ONE_BLOCK_OR_TWO])
     def test_edges_equal_the_dense_draw(self, n, p):
@@ -486,16 +496,17 @@ class TestSbm:
     def assert_dense_draw(n, p):
         """The blocked draws against the dense ones they replace: the strict
         upper triangle of one n x n uniform matrix below each pair's
-        probability, weighed by a second n x n draw."""
+        probability, weighed by a second n x n draw, then the features."""
         g = gen_sbm(seed=n, n=n, p=p, d=2)
         rng = np.random.default_rng(np.random.SeedSequence([n, 0x5B3]))
         community = np.arange(n) >= n // 2
         same = np.equal.outer(community, community)
         u = rng.random((n, n))
         weights = 1.0 - rng.random((n, n))
+        features = 1.0 + rng.standard_normal((n, 2))
         row, col = np.nonzero(np.triu(u < np.where(same, p, p / 10.0), 1))
         for got, want in ((g.edges.row, row), (g.edges.col, col),
-                          (g.edges.weight, weights[row, col])):
+                          (g.edges.weight, weights[row, col]), (g.features, features)):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 

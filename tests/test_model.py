@@ -26,7 +26,7 @@ from gaa.model import (
 )
 from gaa.train import _epoch_losses
 
-from helpers import EXPECTED_PARAMS, edges_of_dense, fd_check
+from helpers import EXPECTED_PARAMS, edges_of_dense, fd_check, hadamard, sum_all
 
 
 DATA = Path(__file__).parent / "data"
@@ -160,7 +160,7 @@ class TestAttention:
         try:
             with ad.Tape() as tape:
                 att = attention_embed(z, wq, wk, wv, s)
-                ad.backward(ad.sum_all(ad.hadamard(att, w)), tape)
+                ad.backward(sum_all(hadamard(att, w)), tape)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -243,7 +243,7 @@ class TestHeads:
             z = ad.parameter(z_data)
             with ad.Tape() as tape:
                 p = domain_discriminate(z, lam, ad.constant(wd_data), ad.constant(np.zeros((1, 1))))
-                ad.backward(ad.sum_all(p), tape)
+                ad.backward(sum_all(p), tape)
             grads[lam] = z.grad.copy()
         np.testing.assert_array_equal(grads[0.0], np.zeros_like(z_data))
         np.testing.assert_allclose(grads[2.0], 2.0 * grads[1.0], atol=1e-12)

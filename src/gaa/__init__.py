@@ -12,6 +12,14 @@ Submodules:
              diagnose / sweep)
 """
 
+import os
+
+# BLAS computes on one thread, so seeded output does not depend on the
+# caller's BLAS settings and GAA_THREADS is gaa's one thread budget. This
+# must run before numpy loads, which the first import below does.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS"), "1"))
+
 from .graphs import DomainPair, Graph
 from .losses import LossWeights
 from .train import TrainConfig, evaluate, run_repeated, train_gaa

@@ -325,9 +325,10 @@ _POOL = None  # (pid, threads, executor) of this process's attention threads
 
 
 def thread_budget() -> int:
-    """``GAA_THREADS`` (default 1), gaa's thread budget: the sweep's worker
-    processes, or the attention row blocks in flight in one process."""
-    raw = os.environ.get("GAA_THREADS", "1")
+    """``GAA_THREADS`` (default ``os.cpu_count()``), gaa's thread budget: the
+    sweep's worker processes, or the attention row blocks in flight in one
+    process."""
+    raw = os.environ.get("GAA_THREADS", str(os.cpu_count() or 1))
     try:
         threads = int(raw)
     except ValueError:
@@ -360,7 +361,8 @@ def _map_blocks(fn, blocks, threads: int):
     """Yield ``fn(lo, hi)`` for each block, in block order. Above one thread
     the blocks run on the pool, at most one more submitted than run at once,
     so a call holds a few blocks' temporaries whatever n is. Each block runs
-    in a copy of the caller's context, so numpy's errstate carries over."""
+    in a copy of the caller's context, so numpy's errstate, a context
+    variable since numpy 2.0, carries over."""
     if threads == 1:
         for lo, hi in blocks:
             yield fn(lo, hi)

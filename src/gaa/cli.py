@@ -2,8 +2,9 @@
 
 Verbs: ``train``, ``eval``, ``generate``, ``bound``, ``diagnose``, ``sweep``.
 Exit codes: 0 success, 1 configuration problems, 2 runtime failures. Every
-command that takes ``--seed`` writes byte-reproducible output files; measured
-wall time goes to stdout, never into seeded artifacts.
+command that takes ``--seed`` writes byte-reproducible output files, whatever
+the BLAS thread variables and ``GAA_THREADS`` are set to; measured wall time
+goes to stdout, never into seeded artifacts.
 
 A pair directory (as produced by ``generate``) holds::
 
@@ -88,7 +89,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", required=True)
     gen.add_argument("--std", type=float, default=1.2, help="target cluster std (attribute-shift)")
     gen.add_argument("--source-std", type=float, default=0.4)
-    gen.add_argument("--p", type=float, default=0.8, help="target intra-community prob (sbm)")
+    gen.add_argument("--p", type=float, default=0.4, help="target intra-community prob (sbm)")
     gen.add_argument("--source-p", type=float, default=0.8)
     gen.add_argument("--n", type=int, default=100)
     gen.add_argument("--d", type=int, default=10)

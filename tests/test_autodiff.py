@@ -531,6 +531,14 @@ def test_attention_is_the_same_bytes_on_any_thread_count(threads, n_blocks, monk
     assert ad._POOL[:2] == (os.getpid(), int(threads))
 
 
+def test_thread_budget_defaults_to_the_cpu_count(monkeypatch):
+    monkeypatch.delenv("GAA_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert ad.thread_budget() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ad.thread_budget() == 1
+
+
 def test_attention_thread_count_is_capped_by_budget_blocks_and_cores(monkeypatch):
     monkeypatch.setattr(ad, "_POOL", None)
     monkeypatch.setenv("GAA_THREADS", "100000")

@@ -20,7 +20,7 @@ from gaa.autodiff import thread_budget
 from gaa.analysis import avg_feature_value, proposition1_bound
 from gaa.cli import load_pair, run_command
 from gaa.exceptions import GaaError
-from gaa.featgraph import EdgeList, build_views
+from gaa.featgraph import SPARSE_MIN_NODES, EdgeList, build_views
 from gaa.graphs import DomainPair, Graph
 from gaa.losses import LossWeights
 from gaa.model import VARIANTS
@@ -81,6 +81,15 @@ class TestGenerate:
         assert sorted(path.name for path in out.iterdir()) == names
         for name in names:
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_default_sbm_pair_shifts_only_topology(self, tmp_path):
+        out = tmp_path / "sbm"
+        assert cli("generate", "--kind", "sbm", "--seed", "5", "--out", str(out)) == 0
+        meta = json.loads((out / "pair.json").read_text())
+        assert (meta["source_p"], meta["target_p"]) == (0.8, 0.4)
+        assert (out / "source.edges").read_bytes() != (out / "target.edges").read_bytes()
+        assert ((out / "source.features.csv").read_bytes()
+                == (out / "target.features.csv").read_bytes())
 
     def test_sbm_pair_kind(self, tmp_path):
         out = tmp_path / "sbm"
@@ -903,6 +912,17 @@ class TestSweep:
                    "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3") == 0
         assert seen.get("processes") == processes
 
+    @pytest.mark.parametrize("cores, processes", [(8, 4), (3, 3), (None, None)])
+    def test_pool_defaults_to_one_worker_per_cpu(self, pair_dir, tmp_path, monkeypatch,
+                                                 cores, processes):
+        seen = {}
+        self.serial_pool(monkeypatch, seen, cores)
+        monkeypatch.delenv("GAA_THREADS", raising=False)
+        assert cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
+                   "--runs", "1", "--set", "epochs=1", "--grid", "alpha=0.1,0.5",
+                   "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3") == 0
+        assert seen.get("processes") == processes
+
     def test_pool_workers_attend_on_one_thread(self, pair_dir, tmp_path, monkeypatch):
         # the budget goes to the worker processes, not to threads within them
         seen, budgets = {}, []
@@ -1050,6 +1070,37 @@ class TestSweep:
         assert code == 1
         assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
         assert blocker.read_text() == ""
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("variant", ["KNN_GCN", "GAA"])
+def test_train_bytes_do_not_depend_on_the_blas_settings(tmp_path, variant):
+    """`gaa train` writes the same bytes with the BLAS thread variables
+    unset, at one thread and at two. At n=1000 the views are CSR and
+    attention runs in eight row blocks; products whose inner dimension is n
+    change bytes with BLAS's thread count unless gaa pins it."""
+    n, pair = 1000, tmp_path / "pair"
+    assert n >= SPARSE_MIN_NODES
+    assert cli("generate", "--kind", "attribute-shift", "--seed", "3", "--n", str(n),
+               "--edge-prob", "0.02", "--out", str(pair)) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = {}
+    for threads in (None, "1", "2"):
+        env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = str(src)
+        if threads is not None:
+            env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+        out = tmp_path / f"run_{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaa.cli", "train", "--pair", str(pair), "--out", str(out),
+             "--variant", variant, "--seed", "0", "--set", "epochs=2"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = [(out / name).read_bytes() for name in ("metrics.json", "model.bin")]
+    assert outputs["1"] == outputs[None]
+    assert outputs["2"] == outputs[None]
 
 
 def test_dense_path_never_imports_scipy(tmp_path):

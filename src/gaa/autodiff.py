@@ -280,12 +280,12 @@ def grad_reverse(a: Tensor, lam: float) -> Tensor:
 
 
 def gcn(a, ax: np.ndarray, w1: Tensor, w2: Tensor, rate: float,
-        rng: np.random.Generator, training: bool) -> Tensor:
+        rng: np.random.Generator | None) -> Tensor:
     """A two-layer GCN encoder as one record: Z = Â (H W2) with
     H = dropout(relu(ÂX W1)), for a constant symmetric view ``a`` = Â, a
-    dense array or a scipy.sparse one, and its constant ÂX ``ax``. At train
-    time inverted dropout draws its keep mask from ``rng`` and scales the
-    survivors by 1/(1-rate).
+    dense array or a scipy.sparse one, and its constant ÂX ``ax``. Given a
+    generator ``rng``, inverted dropout draws its keep mask from it and
+    scales the survivors by 1/(1-rate); with ``rng`` None there is no dropout.
 
     Backward keeps only H, as In-Place ABN keeps only its output
     (arXiv:1712.02616): since 1/(1-rate) > 0, H > 0 exactly where relu was
@@ -304,7 +304,7 @@ def gcn(a, ax: np.ndarray, w1: Tensor, w2: Tensor, rate: float,
     h = ax @ w1_data
     np.maximum(h, 0.0, out=h)
     inv = 1.0
-    if training:
+    if rng is not None:
         inv = 1.0 / (1.0 - rate)
         h *= rng.random(h.shape) >= rate
         h *= inv
@@ -324,11 +324,19 @@ ATTENTION_BLOCK = 128
 _POOL = None  # (pid, threads, executor) of this process's attention threads
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def thread_budget() -> int:
-    """``GAA_THREADS`` (default ``os.cpu_count()``), gaa's thread budget: the
+    """``GAA_THREADS`` (default ``usable_cpus()``), gaa's thread budget: the
     sweep's worker processes, or the attention row blocks in flight in one
     process."""
-    raw = os.environ.get("GAA_THREADS", str(os.cpu_count() or 1))
+    raw = os.environ.get("GAA_THREADS", str(usable_cpus()))
     try:
         threads = int(raw)
     except ValueError:
@@ -340,8 +348,8 @@ def thread_budget() -> int:
 
 def worker_count(items: int) -> int:
     """The threads or processes to run ``items`` independent pieces of work
-    on: the thread budget, capped by ``items`` and by ``os.cpu_count()``."""
-    return min(thread_budget(), items, os.cpu_count() or 1)
+    on: the thread budget, capped by ``items`` and by ``usable_cpus()``."""
+    return min(thread_budget(), items, usable_cpus())
 
 
 def _thread_pool(threads: int):

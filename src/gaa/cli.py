@@ -51,6 +51,14 @@ DEFAULT_SWEEP_GRID = {
     "tau": [0.005, 0.01, 0.1, 0.5, 1.0, 5.0],
     "k": list(range(1, 11)),
 }
+# the grid axis that sets each of these config keys in every sweep cell
+GRID_AXIS_OF_KEY = {"weights.alpha": "alpha", "weights.beta": "beta", "weights.tau": "tau",
+                    "k": "k"}
+# each generator kind's own flags and their defaults; the other kind's are unset
+GENERATE_KIND_FLAGS = {
+    "attribute-shift": {"std": 1.2, "source_std": 0.4, "edge_prob": 0.3},
+    "sbm": {"p": 0.4, "source_p": 0.8},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,13 +95,13 @@ def _build_parser() -> _Parser:
     gen.add_argument("--kind", required=True, choices=["attribute-shift", "sbm"])
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--std", type=float, default=1.2, help="target cluster std (attribute-shift)")
-    gen.add_argument("--source-std", type=float, default=0.4)
-    gen.add_argument("--p", type=float, default=0.4, help="target intra-community prob (sbm)")
-    gen.add_argument("--source-p", type=float, default=0.8)
+    gen.add_argument("--std", type=float, help="target cluster std (attribute-shift)")
+    gen.add_argument("--source-std", type=float, help="source cluster std (attribute-shift)")
+    gen.add_argument("--p", type=float, help="target intra-community prob (sbm)")
+    gen.add_argument("--source-p", type=float, help="source intra-community prob (sbm)")
     gen.add_argument("--n", type=int, default=100)
     gen.add_argument("--d", type=int, default=10)
-    gen.add_argument("--edge-prob", type=float, default=0.3)
+    gen.add_argument("--edge-prob", type=float, help="edge probability (attribute-shift)")
 
     bound = sub.add_parser("bound", help="print the pairwise divergence report for a pair")
     add_pair_arg(bound)
@@ -268,6 +276,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    for kind, flags in GENERATE_KIND_FLAGS.items():
+        for name, default in flags.items():
+            if kind == args.kind and getattr(args, name) is None:
+                setattr(args, name, default)
+            elif kind != args.kind and getattr(args, name) is not None:
+                raise ConfigError(f"--{name.replace('_', '-')} shapes only {kind} pairs, "
+                                  f"not {args.kind} ones")
     if args.kind == "attribute-shift":
         source = gen_attribute_shift(args.source_std, args.seed, n=args.n, d=args.d,
                                      edge_prob=args.edge_prob)
@@ -335,23 +350,21 @@ def _parse_grid(items) -> dict:
     return grid
 
 
-_sweep_pair = None  # the pair every sweep cell of this process trains on
-
-
-def _set_sweep_pair(pair):
-    global _sweep_pair
-    _sweep_pair = pair
+_sweep_pair = None  # the pair every sweep cell of this worker process trains on
 
 
 def _init_sweep_worker(pair):
+    global _sweep_pair
     # the thread budget is spent on the worker processes: each attends on one
     os.environ["GAA_THREADS"] = "1"
-    _set_sweep_pair(pair)
+    _sweep_pair = pair
 
 
-def _sweep_cell(task):
+def _sweep_cell(task, pair=None):
+    """A cell's mean and std accuracy over its runs on ``pair``, or, in a
+    pool worker, on the pair its initializer stored."""
     cfg, runs = task
-    result = run_repeated(_sweep_pair, cfg, n_runs=runs)
+    result = run_repeated(_sweep_pair if pair is None else pair, cfg, n_runs=runs)
     return result.mean_acc, result.std_acc
 
 
@@ -359,6 +372,11 @@ def _cmd_sweep(args) -> int:
     _check_runs(args.runs)
     thread_budget()
     cfg = _load_config(args)
+    for item in args.set:
+        key = item.split("=", 1)[0]
+        if key in GRID_AXIS_OF_KEY:
+            raise ConfigError(f"--set {key}: the grid sets {key} in every cell; "
+                              f"give its values with --grid {GRID_AXIS_OF_KEY[key]}=V1,V2,...")
     grid = _parse_grid(args.grid)
     out = Path(args.out)
     _check_out(out, is_dir=False)
@@ -385,11 +403,7 @@ def _cmd_sweep(args) -> int:
         with Pool(processes=workers, initializer=_init_sweep_worker, initargs=(pair,)) as pool:
             done = pool.map(_sweep_cell, tasks)
     else:
-        _set_sweep_pair(pair)
-        try:
-            done = [_sweep_cell(t) for t in tasks]
-        finally:
-            _set_sweep_pair(None)
+        done = [_sweep_cell(t, pair) for t in tasks]
     results = dict(zip(distinct, done))
 
     out.parent.mkdir(parents=True, exist_ok=True)

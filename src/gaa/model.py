@@ -159,14 +159,14 @@ def init_model(in_dim: int, num_classes: int, variant: str, k: int,
 
 
 def gcn_encode(view: View, w1: Tensor, w2: Tensor,
-               dropout_rate: float, rng: np.random.Generator, training: bool,
+               dropout_rate: float, rng: np.random.Generator | None,
                relu_second: bool = False) -> Tensor:
-    """Two propagation layers on ``view.ax`` = ÂX: relu((ÂX) W1) with dropout,
-    then Â (H W2), ``view.norm`` being Â, dense or sparse. W2 comes first
-    (Kipf & Welling, arXiv:1609.02907, eq. 2), so the n x n product and its
-    gradient have embed, not hidden, columns. Both layers are one tape
-    record (``autodiff.gcn``) that keeps only the hidden layer H."""
-    z = ad.gcn(view.norm, view.ax, w1, w2, dropout_rate, rng, training)
+    """Two propagation layers on ``view.ax`` = ÂX: relu((ÂX) W1), dropped out
+    by ``rng`` unless it is None, then Â (H W2), ``view.norm`` being Â, dense
+    or sparse. W2 comes first (Kipf & Welling, arXiv:1609.02907, eq. 2), so the
+    n x n product and its gradient have embed, not hidden, columns. Both layers
+    are one tape record (``autodiff.gcn``) that keeps only the hidden layer H."""
+    z = ad.gcn(view.norm, view.ax, w1, w2, dropout_rate, rng)
     return ad.relu(z) if relu_second else z
 
 
@@ -197,14 +197,14 @@ def domain_discriminate(z: Tensor, grl_lambda: float, wd: Tensor, bias: Tensor) 
     return ad.sigmoid(ad.add(ad.matmul(ad.grad_reverse(z, grl_lambda), wd), bias))
 
 
-def encode(model: GaaModel, views: ViewMatrices, training: bool,
-           rng: np.random.Generator) -> list[Tensor]:
+def encode(model: GaaModel, views: ViewMatrices,
+           rng: np.random.Generator | None) -> list[Tensor]:
     """The GCN embedding of each view of ``views`` that is present, with that
-    channel's W1/W2. Topology comes first, so dropout draws in a fixed order
-    and the first embedding is the one the classifier reads: the topology
-    one when there is one."""
+    channel's W1/W2, under dropout from ``rng`` unless it is None. Topology
+    comes first, so dropout draws in a fixed order and the first embedding is
+    the one the classifier reads: the topology one when there is one."""
     hy, p = model.hyper, model.params
-    return [gcn_encode(view, p[f"W1_{channel}"], p[f"W2_{channel}"], hy.dropout, rng, training,
+    return [gcn_encode(view, p[f"W1_{channel}"], p[f"W2_{channel}"], hy.dropout, rng,
                        hy.relu_second_layer)
             for channel, view in zip(ViewMatrices._fields, views) if view is not None]
 

@@ -37,15 +37,15 @@ class TrainConfig:
     epochs: int = 100
     lr: float = 3e-4
     weight_decay: float = 1e-4
-    dropout: float = 0.5
+    dropout: float = Hyper.dropout
     k: int = 3
     weights: L.LossWeights = field(default_factory=L.LossWeights)
-    grl_lambda: float = 1.0
+    grl_lambda: float = Hyper.grl_lambda
     seed: int = 0
     variant: str = VARIANTS[0]  # the full model
-    hidden: int = 128
-    embed: int = 16
-    relu_second_layer: bool = False
+    hidden: int = Hyper.hidden
+    embed: int = Hyper.embed
+    relu_second_layer: bool = Hyper.relu_second_layer
 
     def __post_init__(self):
         check_field_types(self)
@@ -126,18 +126,19 @@ def adam_step(params, state: AdamState, lr: float, weight_decay: float = 0.0):
 
 
 def _epoch_losses(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices, labels_s,
-                  w: L.LossWeights, training: bool, rng: np.random.Generator):
-    """Run the branches the variant's row names straight into its losses;
-    returns (total, L_S, L_A, L_D, L_T). They run in a fixed order (encoders,
+                  w: L.LossWeights, rng: np.random.Generator | None):
+    """Run the branches the variant's row names straight into its losses,
+    the encoders under dropout from ``rng`` unless it is None; returns
+    (total, L_S, L_A, L_D, L_T). They run in a fixed order (encoders,
     source first; attention pools; classifier; domain head; losses), which
     fixes the tape and so the order ``backward`` sums gradients in."""
     spec, hy, p = model.spec, model.hyper, model.params
     zero = ad.constant([[0.0]])
-    z_s = encode(model, views_s, training, rng)
+    z_s = encode(model, views_s, rng)
     if not spec.adapts:
         l_s = L.source_ce(classify(z_s[0], p["Wc"], p["bc"]), labels_s)
         return l_s, l_s, zero, zero, zero
-    z_t = encode(model, views_t, training, rng)
+    z_t = encode(model, views_t, rng)
     if spec.attends:
         # L_A is the only reader of the attention: the classifier and the
         # domain head read the GCN embedding, so each call returns just the
@@ -206,7 +207,7 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig,
             for epoch in range(cfg.epochs):
                 with ad.Tape() as tape:
                     terms = _epoch_losses(model, inputs.views_s, inputs.views_t,
-                                          pair.source.labels, cfg.weights, True, dropout_rng)
+                                          pair.source.labels, cfg.weights, dropout_rng)
                     values = [t.item() for t in terms]
                     if not all(math.isfinite(v) for v in values):
                         raise NumericError(f"non-finite loss at epoch {epoch}: {values}")
@@ -234,11 +235,10 @@ def _views_for(model: GaaModel, graph: Graph) -> ViewMatrices:
 
 def _predict(model: GaaModel, views: ViewMatrices) -> np.ndarray:
     """Class probabilities from the first view of ``views``, the one the
-    classifier reads; the other is never encoded."""
-    rng = np.random.default_rng(0)  # never consumed: dropout is off in eval
+    classifier reads, without dropout; the other is never encoded."""
     if views.topo is not None:
         views = views._replace(feat=None)
-    [z] = encode(model, views, False, rng)
+    [z] = encode(model, views, None)
     return classify(z, model.params["Wc"], model.params["bc"]).data
 
 

@@ -114,12 +114,13 @@ def dense_attention(z, wq, wk, wv, s):
     return ad.scale(ad.matmul(transpose(s), embedding), 1.0 / z.rows)
 
 
-def composed_gcn(a, ax, w1, w2, rate, rng, training):
+def composed_gcn(a, ax, w1, w2, rate, rng):
     """The GCN encoder as separate tape ops, with a dense Â ``a``:
     relu((ÂX) W1), dropout as a product with a constant keep/(1-rate) tensor
-    drawn from ``rng`` as ``autodiff.gcn`` draws it, then Â (H W2)."""
+    drawn from ``rng``, unless it is None, as ``autodiff.gcn`` draws it, then
+    Â (H W2)."""
     h = ad.relu(ad.matmul(ad.constant(ax), w1))
-    if training:
+    if rng is not None:
         keep = rng.random(h.shape) >= rate
         h = hadamard(h, ad.constant(keep * (1.0 / (1.0 - rate))))
     return ad.matmul(ad.constant(a), ad.matmul(h, w2))

@@ -128,18 +128,16 @@ def test_dropout_rate_zero_and_eval_identity():
     a, ax = _mlp_view(4)
     w1, w2 = ad.constant(rand(rng, 4, 4)), ad.constant(np.eye(4))
     plain = np.maximum(w1.data, 0.0)
-    out = ad.gcn(a, ax, w1, w2, 0.0, np.random.default_rng(0), training=True)
+    out = ad.gcn(a, ax, w1, w2, 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(out.data, plain)
-    draws = np.random.default_rng(0)
-    out_eval = ad.gcn(a, ax, w1, w2, 0.9, draws, training=False)
+    out_eval = ad.gcn(a, ax, w1, w2, 0.9, None)  # no generator, no dropout
     np.testing.assert_array_equal(out_eval.data, plain)
-    assert draws.random() == np.random.default_rng(0).random()  # eval draws nothing
 
 
 def test_dropout_survival_statistics():
     a, ax = _mlp_view(100)
     ones, eye = ad.constant(np.ones((100, 100))), ad.constant(np.eye(100))
-    out = ad.gcn(a, ax, ones, eye, 0.5, np.random.default_rng(42), training=True)
+    out = ad.gcn(a, ax, ones, eye, 0.5, np.random.default_rng(42))
     surviving = np.count_nonzero(out.data) / out.data.size
     assert abs(surviving - 0.5) < 0.02
     assert abs(out.data.mean() - 1.0) / 1.0 < 0.05
@@ -149,9 +147,9 @@ def test_gcn_rate_outside_unit_interval_is_a_domain_error():
     a, ax = _mlp_view(2)
     w = ad.constant(np.eye(2))
     for rate in (-0.1, 1.0):
-        for training in (True, False):
+        for rng in (np.random.default_rng(0), None):
             with pytest.raises(DomainError, match="dropout rate"):
-                ad.gcn(a, ax, w, w, rate, np.random.default_rng(0), training)
+                ad.gcn(a, ax, w, w, rate, rng)
 
 
 def test_backward_requires_scalar_on_tape():
@@ -244,12 +242,14 @@ def _symmetric_view(rng, n):
     return a + a.T
 
 
-def _gcn_grads(op, a, ax, w1_data, w2_data, rate, seed, training, w):
+def _gcn_grads(op, a, ax, w1_data, w2_data, rate, seed, w):
     """The encoder's value and its W1 and W2 gradients under the loss
-    sum(w * Z), from ``op`` (``ad.gcn`` or ``composed_gcn``)."""
+    sum(w * Z), from ``op`` (``ad.gcn`` or ``composed_gcn``), with dropout
+    drawn from a generator seeded ``seed``, or none when ``seed`` is None."""
     w1, w2 = ad.parameter(w1_data.copy()), ad.parameter(w2_data.copy())
+    rng = None if seed is None else np.random.default_rng(seed)
     with ad.Tape() as tape:
-        out = op(a, ax, w1, w2, rate, np.random.default_rng(seed), training)
+        out = op(a, ax, w1, w2, rate, rng)
         ad.backward(sum_all(hadamard(out, ad.constant(w))), tape)
     return out.data, w1.grad, w2.grad
 
@@ -267,8 +267,8 @@ def test_spmm_matches_dense_matmul(seed, as_sparse):
     value and gradients of the dense composition, exactly for a dense Â."""
     a, ax, w1, w2, w = _gcn_case(seed, 9)
     left = sparse.csr_array(a) if as_sparse else a
-    got = _gcn_grads(ad.gcn, left, ax, w1, w2, 0.0, 0, False, w)
-    want = _gcn_grads(composed_gcn, a, ax, w1, w2, 0.0, 0, False, w)
+    got = _gcn_grads(ad.gcn, left, ax, w1, w2, 0.0, None, w)
+    want = _gcn_grads(composed_gcn, a, ax, w1, w2, 0.0, None, w)
     for g, ref in zip(got, want):
         assert isinstance(g, np.ndarray)
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -282,10 +282,10 @@ def test_gcn_is_the_composed_ops_bit_for_bit(n):
     relu, dropout and the products recorded one by one; a CSR Â agrees with
     the dense one within 1e-12."""
     a, ax, w1, w2, w = _gcn_case(n, n, d=7, hidden=16, e=4)
-    want = _gcn_grads(composed_gcn, a, ax, w1, w2, 0.3, 11, True, w)
-    for g, ref in zip(_gcn_grads(ad.gcn, a, ax, w1, w2, 0.3, 11, True, w), want):
+    want = _gcn_grads(composed_gcn, a, ax, w1, w2, 0.3, 11, w)
+    for g, ref in zip(_gcn_grads(ad.gcn, a, ax, w1, w2, 0.3, 11, w), want):
         assert g.tobytes() == ref.tobytes()
-    for g, ref in zip(_gcn_grads(ad.gcn, sparse.csr_array(a), ax, w1, w2, 0.3, 11, True, w),
+    for g, ref in zip(_gcn_grads(ad.gcn, sparse.csr_array(a), ax, w1, w2, 0.3, 11, w),
                       want):
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -293,10 +293,9 @@ def test_gcn_is_the_composed_ops_bit_for_bit(n):
 def test_spmm_shape_error_names_shapes():
     w = ad.constant(np.zeros((2, 2)))
     with pytest.raises(ShapeError, match=r"\(3, 3\)"):
-        ad.gcn(np.eye(3), np.zeros((2, 2)), w, w, 0.0, np.random.default_rng(0), False)
+        ad.gcn(np.eye(3), np.zeros((2, 2)), w, w, 0.0, None)
     with pytest.raises(ShapeError, match=r"\(3, 2\)"):
-        ad.gcn(np.eye(2), np.zeros((2, 2)), ad.constant(np.zeros((3, 2))), w, 0.0,
-               np.random.default_rng(0), False)
+        ad.gcn(np.eye(2), np.zeros((2, 2)), ad.constant(np.zeros((3, 2))), w, 0.0, None)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -394,7 +393,7 @@ def test_dropout_gradient_matches_mask():
     a, ax = _mlp_view(6)
     x = ad.parameter(np.ones((6, 6)))
     with ad.Tape() as tape:
-        out = ad.gcn(a, ax, x, ad.constant(np.eye(6)), 0.5, np.random.default_rng(5), True)
+        out = ad.gcn(a, ax, x, ad.constant(np.eye(6)), 0.5, np.random.default_rng(5))
         ad.backward(sum_all(out), tape)
     np.testing.assert_array_equal(x.grad, np.where(out.data > 0, 2.0, 0.0))
 
@@ -405,7 +404,7 @@ def test_forward_backward_determinism():
         w = ad.parameter(rng.normal(size=(4, 4)))
         x, a = rng.normal(size=(4, 4)), _symmetric_view(rng, 4)
         with ad.Tape() as tape:
-            h = ad.gcn(a, x, w, ad.constant(np.eye(4)), 0.3, np.random.default_rng(9), True)
+            h = ad.gcn(a, x, w, ad.constant(np.eye(4)), 0.3, np.random.default_rng(9))
             loss = ad.sq_l2(h)
             ad.backward(loss, tape)
         return loss.item(), w.grad.copy()
@@ -509,9 +508,9 @@ def _attention_bytes(seed=31, n=2 * ad.ATTENTION_BLOCK + 3):
 
 @pytest.fixture()
 def cores(monkeypatch):
-    """Eight cores as far as the attention thread cap can tell, so up to
+    """Eight CPUs as far as the attention thread cap can tell, so up to
     eight threads run even on a smaller machine."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 8)
 
 
 @pytest.mark.parametrize("threads, n_blocks", [("2", 3), ("3", 3), ("8", 9)])
@@ -532,19 +531,24 @@ def test_attention_is_the_same_bytes_on_any_thread_count(threads, n_blocks, monk
 
 
 def test_thread_budget_defaults_to_the_cpu_count(monkeypatch):
+    """The budget defaults to the CPUs this process may run on: its affinity
+    mask, or the CPU count on a platform without one."""
     monkeypatch.delenv("GAA_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert ad.thread_budget() == 8
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2}, raising=False)
+    assert ad.usable_cpus() == ad.thread_budget() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert ad.usable_cpus() == ad.thread_budget() == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert ad.thread_budget() == 1
+    assert ad.usable_cpus() == ad.thread_budget() == 1
 
 
 def test_attention_thread_count_is_capped_by_budget_blocks_and_cores(monkeypatch):
     monkeypatch.setattr(ad, "_POOL", None)
     monkeypatch.setenv("GAA_THREADS", "100000")
     assert ad.worker_count(1) == 1
-    assert ad.worker_count(3) == min(3, os.cpu_count())
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert ad.worker_count(3) == min(3, ad.usable_cpus())
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 64)
     assert ad.worker_count(3) == 3
     assert ad.worker_count(1000) == 64
     monkeypatch.setenv("GAA_THREADS", "2")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaa import autodiff
 from gaa import cli as cli_module
 from gaa import train
 from gaa.autodiff import thread_budget
@@ -110,6 +111,11 @@ class TestGenerate:
          "cluster_std must be finite and >= 0, got nan"),
         ("sbm", "--p", "0", "p must be in (0, 1], got 0.0"),
         ("sbm", "--source-p", "1.5", "p must be in (0, 1], got 1.5"),
+        # a flag of the other kind would be ignored
+        *(("sbm", flag, "0.01", f"{flag} shapes only attribute-shift pairs, not sbm ones")
+          for flag in ("--edge-prob", "--std", "--source-std")),
+        *(("attribute-shift", flag, "0.3", f"{flag} shapes only sbm pairs, not "
+           "attribute-shift ones") for flag in ("--p", "--source-p")),
         # past what numpy can address: one line, not its ValueError's traceback
         *((kind, flag, str(2**60), f"{dims} make the {shape} features more bytes than "
            "numpy can address")
@@ -804,6 +810,19 @@ class TestSweep:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, axis", [("k", "k"), ("weights.alpha", "alpha"),
+                                           ("weights.beta", "beta"), ("weights.tau", "tau")])
+    def test_set_of_a_grid_axis_exit_1_before_the_pair_loads(self, tmp_path, capsys, key,
+                                                              axis):
+        # every cell sets the axis, so the --set value would be dropped
+        code = cli("sweep", "--pair", str(tmp_path / "missing"), "--out",
+                   str(tmp_path / "s.csv"), "--set", "epochs=1", "--set", f"{key}=7")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --set {key}: the grid sets {key} in every cell; "
+            f"give its values with --grid {axis}=V1,V2,...\n")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_a_k_the_graphs_cannot_hold_exit_1_before_any_cell(self, pair_dir, tmp_path,
                                                                capsys, monkeypatch):
         monkeypatch.setattr(cli_module, "run_repeated", None)  # calling it would raise
@@ -828,7 +847,8 @@ class TestSweep:
     def serial_pool(monkeypatch, seen, cores=8):
         """Stand in for multiprocessing.Pool: record what it was given and map
         in this process, so no worker process starts. The worker cap sees
-        ``cores`` CPUs, whatever this machine has."""
+        ``cores`` usable CPUs, whatever this machine has; with None, it asks
+        the operating system."""
         class SerialPool:
             def __init__(self, processes, initializer, initargs):
                 seen["processes"], seen["initargs"] = processes, initargs
@@ -846,7 +866,8 @@ class TestSweep:
 
         monkeypatch.setattr(cli_module, "Pool", SerialPool)
         monkeypatch.setattr(cli_module, "_sweep_pair", None)
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        if cores is not None:
+            monkeypatch.setattr(autodiff, "usable_cpus", lambda: cores)
 
     def test_unlabeled_target_exit_1_before_a_pool_starts(self, pair_dir, tmp_path, capsys,
                                                           monkeypatch):
@@ -900,10 +921,10 @@ class TestSweep:
         assert seen["processes"] == len(seen["tasks"]) == 4
         assert capped.read_bytes() == serial.read_bytes()
 
-    @pytest.mark.parametrize("cores, processes", [(2, 2), (3, 3), (None, None)])
+    @pytest.mark.parametrize("cores, processes", [(2, 2), (3, 3), (1, None)])
     def test_pool_never_outnumbers_the_cpus(self, pair_dir, tmp_path, monkeypatch, cores,
                                             processes):
-        # cpu_count() may be None; the sweep then runs in this process
+        # on one usable CPU the sweep runs in this process
         seen = {}
         self.serial_pool(monkeypatch, seen, cores)
         monkeypatch.setenv("GAA_THREADS", "64")
@@ -912,7 +933,7 @@ class TestSweep:
                    "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3") == 0
         assert seen.get("processes") == processes
 
-    @pytest.mark.parametrize("cores, processes", [(8, 4), (3, 3), (None, None)])
+    @pytest.mark.parametrize("cores, processes", [(8, 4), (3, 3), (1, None)])
     def test_pool_defaults_to_one_worker_per_cpu(self, pair_dir, tmp_path, monkeypatch,
                                                  cores, processes):
         seen = {}
@@ -922,6 +943,20 @@ class TestSweep:
                    "--runs", "1", "--set", "epochs=1", "--grid", "alpha=0.1,0.5",
                    "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3") == 0
         assert seen.get("processes") == processes
+
+    def test_an_affinity_of_one_cpu_budgets_one_thread_and_starts_no_pool(
+            self, pair_dir, tmp_path, monkeypatch):
+        # as under `taskset -c 0` on a machine with two CPUs
+        seen = {}
+        self.serial_pool(monkeypatch, seen, cores=None)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.delenv("GAA_THREADS", raising=False)
+        assert thread_budget() == 1
+        assert cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
+                   "--runs", "1", "--set", "epochs=1", "--grid", "alpha=0.1,0.5",
+                   "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3") == 0
+        assert seen == {}
 
     def test_pool_workers_attend_on_one_thread(self, pair_dir, tmp_path, monkeypatch):
         # the budget goes to the worker processes, not to threads within them
@@ -962,7 +997,7 @@ class TestSweep:
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         monkeypatch.setenv("GAA_THREADS", "1")
         assert cli(*self.GAA_GRID_ARGS, "--pair", str(pair_dir), "--out", str(serial)) == 0
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
+        monkeypatch.setattr(autodiff, "usable_cpus", lambda: 2)  # two workers on any machine
         monkeypatch.setenv("GAA_THREADS", "2")
         assert cli(*self.GAA_GRID_ARGS, "--pair", str(pair_dir), "--out", str(parallel)) == 0
         assert serial.read_bytes() == parallel.read_bytes()

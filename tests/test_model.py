@@ -48,7 +48,7 @@ class TestGcnEncode:
         x = rng.normal(size=(4, 3))
         w1 = ad.parameter(np.zeros((3, 5)))
         w2 = ad.parameter(np.zeros((5, 2)))
-        z = gcn_encode(View(norm, norm @ x), w1, w2, 0.0, rng, training=False)
+        z = gcn_encode(View(norm, norm @ x), w1, w2, 0.0, None)
         np.testing.assert_array_equal(z.data, np.zeros((4, 2)))
 
     def test_single_node_identity_norm_is_mlp(self):
@@ -57,8 +57,7 @@ class TestGcnEncode:
         w1_data = rng.normal(size=(3, 5))
         w2_data = rng.normal(size=(5, 2))
         z = gcn_encode(View(np.eye(1), x_data),
-                       ad.parameter(w1_data), ad.parameter(w2_data),
-                       0.0, rng, training=False)
+                       ad.parameter(w1_data), ad.parameter(w2_data), 0.0, None)
         expected = np.maximum(x_data @ w1_data, 0.0) @ w2_data
         np.testing.assert_allclose(z.data, expected, atol=1e-12)
 
@@ -71,8 +70,7 @@ class TestGcnEncode:
         for view in views:
             hidden = np.maximum((view.norm @ g.features) @ w1, 0.0)
             want = (view.norm @ hidden) @ w2
-            got = gcn_encode(view, ad.parameter(w1), ad.parameter(w2),
-                             0.0, rng, training=False).data
+            got = gcn_encode(view, ad.parameter(w1), ad.parameter(w2), 0.0, None).data
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_gradients_match_finite_differences(self):
@@ -83,8 +81,7 @@ class TestGcnEncode:
         w2 = ad.parameter(rng.uniform(-1, 1, size=(4, 2)))
 
         def build(leaves):
-            return ad.sq_l2(gcn_encode(view, leaves[0], leaves[1], 0.0,
-                                       np.random.default_rng(0), training=False))
+            return ad.sq_l2(gcn_encode(view, leaves[0], leaves[1], 0.0, None))
 
         fd_check(build, [w1, w2])
 
@@ -100,7 +97,7 @@ class TestGcnEncode:
         tracemalloc.start()
         try:
             with ad.Tape() as tape:
-                z = gcn_encode(view, w1, w2, 0.5, rng, training=True)
+                z = gcn_encode(view, w1, w2, 0.5, rng)
                 kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -315,7 +312,7 @@ class TestForwardAll:
             out.append(build_views(edges_of_dense(adj), x, k=2))
         return out
 
-    def loss_inputs(self, monkeypatch, model, views_s, views_t, training, rng):
+    def loss_inputs(self, monkeypatch, model, views_s, views_t, rng):
         """The arguments ``_epoch_losses`` hands each loss function, by name."""
         seen = {}
         labels = np.arange(views_s.topo.ax.shape[0]) % model.num_classes
@@ -325,14 +322,13 @@ class TestForwardAll:
                     seen[name] = args
                     return original(*args)
                 patch.setattr(losses, name, recording)
-            _epoch_losses(model, views_s, views_t, labels, losses.LossWeights(), training, rng)
+            _epoch_losses(model, views_s, views_t, labels, losses.LossWeights(), rng)
         return seen
 
     def test_output_shapes_full_variant(self, monkeypatch):
         views_s, views_t = self.pair_inputs()
         model = make_model("GAA")
-        seen = self.loss_inputs(monkeypatch, model, views_s, views_t, False,
-                                np.random.default_rng(0))
+        seen = self.loss_inputs(monkeypatch, model, views_s, views_t, None)
         e, c = model.hyper.embed, model.num_classes
         for att in seen["alignment_loss"]:
             assert att.shape == (1, e)
@@ -347,9 +343,8 @@ class TestForwardAll:
         # the same tensors appear in source and target paths by construction;
         # check gradients from both domains accumulate into one buffer
         views_s, views_t = self.pair_inputs()
-        rng = np.random.default_rng(0)
         with ad.Tape() as tape:
-            z_s, z_t = (encode(model, views, False, rng)[0] for views in (views_s, views_t))
+            z_s, z_t = (encode(model, views, None)[0] for views in (views_s, views_t))
             loss = ad.add(ad.sq_l2(z_s), ad.sq_l2(z_t))
             ad.backward(loss, tape)
         assert np.abs(model.params["W1_topo"].grad).sum() > 0
@@ -359,11 +354,10 @@ class TestForwardAll:
         m_full = make_model("GAA", seed=3)
         m_nore = make_model("GAA1", seed=3)
         att_full, att_nore = (
-            self.loss_inputs(monkeypatch, m, views_s, views_t, False,
-                             np.random.default_rng(0))["alignment_loss"][0]
+            self.loss_inputs(monkeypatch, m, views_s, views_t, None)["alignment_loss"][0]
             for m in (m_full, m_nore))
         p, ones = m_nore.params, ad.constant(np.ones((6, 1)))
-        z_s = encode(m_nore, views_s, False, np.random.default_rng(0))[0]
+        z_s = encode(m_nore, views_s, None)[0]
         raw = attention_embed(z_s, p["Wq"], p["Wk"], p["Wv"], ones)
         np.testing.assert_array_equal(att_nore.data, raw.data)
         assert np.abs(att_full.data - att_nore.data).max() > 0
@@ -373,7 +367,7 @@ class TestForwardAll:
         model = make_model("GAA", hyper=Hyper(hidden=5, embed=4, dropout=0.4))
         runs = []
         for _ in range(2):
-            seen = self.loss_inputs(monkeypatch, model, views_s, views_t, True,
+            seen = self.loss_inputs(monkeypatch, model, views_s, views_t,
                                     np.random.default_rng(99))
             runs.append(seen["source_ce"][0].data.copy())
         np.testing.assert_array_equal(runs[0], runs[1])

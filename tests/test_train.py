@@ -1,6 +1,5 @@
 import collections
 import functools
-import os
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -129,7 +128,7 @@ class TestTrainLoop:
         views_t = build_views(pair.target.edges, pair.target.features, cfg.k)
         with ad.Tape() as tape:
             total, *_ = _epoch_losses(model, views_s, views_t, pair.source.labels, cfg.weights,
-                                      False, np.random.default_rng(0))
+                                      None)
             ad.backward(total, tape)
         for name, p in model.params.items():
             assert p.grad is not None, name
@@ -463,7 +462,7 @@ class TestViewBuilding:
 def test_attention_threads_leave_training_bytes_unchanged(variant, tmp_path, monkeypatch):
     """Three attention blocks on one, two or three threads: the same metrics
     and parameters, byte for byte."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # so three threads run here too
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 4)  # so three threads run here too
     n = 2 * ad.ATTENTION_BLOCK + 3
     pair = small_pair(n=n, d=6)
     cfg = quick_cfg(variant=variant, epochs=2, hidden=16, embed=8)

@@ -12,16 +12,16 @@ x = ad.constant([[2.0], [1.0]])
 with ad.Tape() as tape:
     y = ad.relu(ad.matmul(w, x))        # ReLU(W x)
     loss = ad.sq_l2(y)                  # ||ReLU(W x)||^2
-    ad.backward(loss, tape)
+    grads = ad.backward(loss, tape)     # {leaf: gradient}, here just W's
 print("loss      =", loss.item())
-print("dloss/dW  =\n", w.grad)
+print("dloss/dW  =\n", grads[w])
 
 print("\n== gradient reversal: identity forward, -lambda backward ==")
 z = ad.parameter([[1.0, 2.0]])
 with ad.Tape() as tape:
     flipped = ad.grad_reverse(z, 0.5)
-    ad.backward(ad.sq_l2(flipped), tape)  # d/dz ||z||^2 = 2z, times -0.5
-print("forward unchanged:", flipped.data, " backward scaled:", z.grad)
+    grads = ad.backward(ad.sq_l2(flipped), tape)  # d/dz ||z||^2 = 2z, times -0.5
+print("forward unchanged:", flipped.data, " backward scaled:", grads[z])
 
 print("\n== fitting 1-D logistic regression with Adam ==")
 rng = np.random.default_rng(0)
@@ -41,8 +41,8 @@ for step in range(200):
         log_lik = ad.add(ad.xlogy_sum(y_t, p, 1e-12),
                          ad.xlogy_sum(ad.sub(ones, y_t), ad.sub(ones, p), 1e-12))
         loss = ad.scale(log_lik, -1.0 / len(inputs))
-        ad.backward(loss, tape)
-    adam_step([weight, bias], state, lr=0.05)
+        grads = ad.backward(loss, tape)
+    adam_step([weight, bias], grads, state, lr=0.05)
     if step % 50 == 0:
         print(f"step {step:3d}: loss={loss.item():.4f}")
 acc = ((p.data > 0.5) == targets).mean()

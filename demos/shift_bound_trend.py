@@ -19,7 +19,7 @@ print(f"{'target std':>10} {'topo term':>14} {'attr term':>14} {'total':>14}")
 rows = []
 for std in STDS:
     target = gen_attribute_shift(cluster_std=std, seed=SEED)
-    report = proposition1_bound(source, target, normalize_by=100)
+    report = proposition1_bound(source, target)
     rows.append((std, report.topo_term, report.attr_term, report.total))
     print(f"{std:>10.1f} {report.topo_term:>14.1f} {report.attr_term:>14.1f} {report.total:>14.1f}")
 

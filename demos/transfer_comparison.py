@@ -1,7 +1,8 @@
 """Train the full model and its ablations on one synthetic shift pair and
 compare target accuracy against the source-only baselines.
 
-Takes a couple of minutes: 6 variants x 5 seeds x 100 epochs.
+Takes a few seconds (3.0-3.3 s on a 2-core Intel Xeon): 6 variants x 5 seeds
+x 100 epochs.
 """
 
 from gaa.graphs import DomainPair, gen_attribute_shift

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError
+from .exceptions import DomainError
 from .featgraph import knn_edges
 from .graphs import Graph
 
@@ -35,22 +35,16 @@ def _pairwise_sq_sum(u: np.ndarray, v: np.ndarray) -> float:
     )
 
 
-def proposition1_bound(source: Graph, target: Graph, normalize_by: int | None = None) -> BoundReport:
-    """Pairwise topology and attribute divergence between two graphs.
-
-    ``normalize_by`` divides each term; it defaults to the target node count.
-    """
+def proposition1_bound(source: Graph, target: Graph) -> BoundReport:
+    """Pairwise topology and attribute divergence between two graphs, each
+    term divided by the target node count."""
     if source.dim != target.dim:
         raise DomainError(f"feature dims differ: {source.dim} vs {target.dim}")
-    if normalize_by is None:
-        normalize_by = target.n
-    if normalize_by < 1:
-        raise ConfigError(f"normalize_by must be >= 1, got {normalize_by}")
+    m = target.n
     topo = _pairwise_sq_sum(source.edges.matmul(source.features),
-                            target.edges.matmul(target.features)) / normalize_by
-    attr = _pairwise_sq_sum(source.features, target.features) / normalize_by
-    return BoundReport(topo_term=topo, attr_term=attr, total=topo + attr,
-                       normalization=int(normalize_by))
+                            target.edges.matmul(target.features)) / m
+    attr = _pairwise_sq_sum(source.features, target.features) / m
+    return BoundReport(topo_term=topo, attr_term=attr, total=topo + attr, normalization=m)
 
 
 def avg_feature_value(graph: Graph, view: str, k: int | None = None) -> float:

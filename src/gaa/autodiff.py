@@ -2,9 +2,9 @@
 
 Everything is float64 and strictly two-dimensional (scalars live in 1x1
 tensors). Operations record themselves on the innermost active ``Tape``;
-``backward`` replays the records in reverse and sums a tensor's path
-contributions. Op-output gradients live only inside ``backward``; leaves made
-by ``parameter`` own a gradient buffer, zeroed by the optimizer.
+``backward`` replays the records in reverse, sums a tensor's path
+contributions, and returns the gradient of each leaf the loss reaches.
+Tensors hold no gradient: op-output gradients live only inside ``backward``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ COSINE_CLAMP = 1e-24
 class Tensor:
     """A rows x cols float64 matrix, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -32,7 +32,6 @@ class Tensor:
             raise ShapeError(f"tensors are 2-D; got ndim={arr.ndim}")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(arr) if requires_grad else None
 
     @property
     def rows(self) -> int:
@@ -50,10 +49,6 @@ class Tensor:
         if self.data.shape != (1, 1):
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -481,10 +476,12 @@ def attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, s: Tensor) -> Tenso
     return _emit("attention", w.T @ m, (z, wq, wk, wv, s), backward_fn)
 
 
-def backward(loss: Tensor, tape: Tape):
-    """Reverse sweep from a scalar loss that pops each record off ``tape``.
-    Op-output gradients live in ``grads`` until their record is replayed;
-    leaves accumulate into ``.grad``."""
+def backward(loss: Tensor, tape: Tape) -> dict:
+    """Reverse sweep from a scalar loss that pops each record off ``tape``
+    and returns ``{leaf: gradient}`` for every ``requires_grad`` tensor the
+    loss reaches that no record of ``tape`` made. A gradient is summed out
+    of place in tape order; an op output's gradient is dropped once its
+    record is replayed. Two entries may share one array, so read them only."""
     if loss.shape != (1, 1):
         raise ShapeError(f"backward needs a 1x1 loss, got {loss.shape}")
     if not any(rec.out is loss for rec in tape.records):
@@ -498,10 +495,9 @@ def backward(loss: Tensor, tape: Tape):
         for parent, pg in zip(rec.parents, rec.backward_fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            if parent.grad is not None:
-                parent.grad += pg
-            elif parent in grads:
+            if parent in grads:
                 # out of place: add hands one array to both of its parents
                 grads[parent] = grads[parent] + pg
             else:
                 grads[parent] = pg
+    return grads

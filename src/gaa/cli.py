@@ -105,7 +105,6 @@ def _build_parser() -> _Parser:
 
     bound = sub.add_parser("bound", help="print the pairwise divergence report for a pair")
     add_pair_arg(bound)
-    bound.add_argument("--normalize-by", type=int, default=None)
 
     diag = sub.add_parser("diagnose", help="print average propagated feature values per view")
     add_pair_arg(diag)
@@ -312,7 +311,7 @@ def _check_finite(pair_dir, what: str, terms: dict):
 def _cmd_bound(args) -> int:
     pair = load_pair(args.pair)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = proposition1_bound(pair.source, pair.target, args.normalize_by)
+        report = proposition1_bound(pair.source, pair.target)
     _check_finite(args.pair, "bound term", asdict(report))
     print(json.dumps(asdict(report)))
     return 0

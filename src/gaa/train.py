@@ -100,10 +100,11 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params, state: AdamState, lr: float, weight_decay: float = 0.0):
+def adam_step(params, grads, state: AdamState, lr: float, weight_decay: float = 0.0):
     """Bias-corrected Adam with L2-style decay folded into the gradient.
 
-    Gradients are zeroed after the update.
+    ``grads`` maps a parameter to its gradient, as ``autodiff.backward``
+    returns it; a parameter it lacks has zero gradient and still decays.
     """
     if len(params) != len(state.m):
         raise DomainError("optimizer state does not match parameter list")
@@ -112,9 +113,7 @@ def adam_step(params, state: AdamState, lr: float, weight_decay: float = 0.0):
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     for p, m, v in zip(params, state.m, state.v):
-        if p.grad is None:
-            raise DomainError("parameter without gradient buffer in adam_step")
-        g = p.grad + weight_decay * p.data
+        g = grads.get(p, 0.0) + weight_decay * p.data
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -122,7 +121,6 @@ def adam_step(params, state: AdamState, lr: float, weight_decay: float = 0.0):
         m_hat = m / bias1
         v_hat = v / bias2
         p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        p.zero_grad()
 
 
 def _epoch_losses(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices, labels_s,
@@ -211,8 +209,8 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig,
                     values = [t.item() for t in terms]
                     if not all(math.isfinite(v) for v in values):
                         raise NumericError(f"non-finite loss at epoch {epoch}: {values}")
-                    ad.backward(terms[0], tape)
-                adam_step(params, state, cfg.lr, cfg.weight_decay)
+                    grads = ad.backward(terms[0], tape)
+                adam_step(params, grads, state, cfg.lr, cfg.weight_decay)
                 metrics.per_epoch.append(EpochLosses(
                     epoch=epoch, loss_total=values[0], loss_S=values[1],
                     loss_A=values[2], loss_D=values[3], loss_T=values[4],

@@ -36,12 +36,9 @@ def fd_check(build_loss, leaves, h=FD_H, rel_tol=FD_REL_TOL):
     alone; it is re-run for every perturbed entry, so it has to be
     deterministic (re-seed any RNG inside).
     """
-    for leaf in leaves:
-        leaf.zero_grad()
     with ad.Tape() as tape:
-        loss = build_loss(leaves)
-        ad.backward(loss, tape)
-    analytic = [leaf.grad.copy() for leaf in leaves]
+        grads = ad.backward(build_loss(leaves), tape)
+    analytic = [grads[leaf] for leaf in leaves]
 
     def loss_value():
         with ad.Tape():

@@ -29,7 +29,7 @@ def random_graph(rng, n, d, weighted=False):
 class TestBound:
     def test_single_identical_node_pair_is_zero(self):
         g = Graph(edges=edges_of_dense(np.zeros((1, 1))), features=np.array([[1.0, 2.0]]))
-        report = proposition1_bound(g, g, normalize_by=1)
+        report = proposition1_bound(g, g)
         assert report.total == 0.0
 
     def test_identical_features_zero_attr_term(self):
@@ -39,7 +39,7 @@ class TestBound:
         ones = np.ones((5, 3))
         ga = Graph(edges=a.edges, features=ones)
         gb = Graph(edges=b.edges, features=ones)
-        report = proposition1_bound(ga, gb, normalize_by=5)
+        report = proposition1_bound(ga, gb)
         assert report.attr_term == pytest.approx(0.0, abs=1e-12)
         assert report.topo_term > 0
 
@@ -47,7 +47,7 @@ class TestBound:
         rng = np.random.default_rng(1)
         gs = random_graph(rng, 8, 4, weighted=True)
         gt = random_graph(rng, 6, 4, weighted=True)
-        report = proposition1_bound(gs, gt, normalize_by=6)
+        report = proposition1_bound(gs, gt)
         topo, attr = loop_pair_bound(dense_adjacency(gs.edges), gs.features,
                                      dense_adjacency(gt.edges), gt.features, 6)
         assert report.topo_term == pytest.approx(topo, rel=1e-9)
@@ -60,7 +60,7 @@ class TestBound:
             rng = np.random.default_rng(n)
             gs = random_graph(rng, n, 4, weighted=True)
             gt = random_graph(rng, 6, 4, weighted=True)
-            report = proposition1_bound(gs, gt, normalize_by=6)
+            report = proposition1_bound(gs, gt)
             u, v = dense_adjacency(gs.edges) @ gs.features, dense_adjacency(gt.edges) @ gt.features
             topo = ((u[:, None, :] - v[None, :, :]) ** 2).sum() / 6
             attr = ((gs.features[:, None, :] - gt.features[None, :, :]) ** 2).sum() / 6
@@ -74,8 +74,8 @@ class TestBound:
         perm = rng.permutation(7)
         gs_perm = Graph(edges=edges_of_dense(dense_adjacency(gs.edges)[np.ix_(perm, perm)]),
                         features=gs.features[perm])
-        a = proposition1_bound(gs, gt, 5).attr_term
-        b = proposition1_bound(gs_perm, gt, 5).attr_term
+        a = proposition1_bound(gs, gt).attr_term
+        b = proposition1_bound(gs_perm, gt).attr_term
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_default_normalization_is_target_count(self):
@@ -94,7 +94,7 @@ class TestBound:
         from scipy.stats import spearmanr
         stds = [0.2 * i for i in range(1, 11)]
         source = gen_attribute_shift(0.4, seed=3)
-        totals = [proposition1_bound(source, gen_attribute_shift(s, seed=3), 100).total
+        totals = [proposition1_bound(source, gen_attribute_shift(s, seed=3)).total
                   for s in stds]
         assert spearmanr(stds, totals).statistic >= 0.9
 

@@ -92,9 +92,8 @@ def test_reduction_empty_tensor_rejected():
 def test_sum_gradient_is_ones():
     w = ad.parameter(np.arange(4.0).reshape(2, 2))
     with ad.Tape() as tape:
-        loss = sum_all(w)
-        ad.backward(loss, tape)
-    np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
+        grads = ad.backward(sum_all(w), tape)
+    np.testing.assert_array_equal(grads[w], np.ones((2, 2)))
 
 
 def test_grad_reverse_forward_identity_and_scaling():
@@ -105,17 +104,16 @@ def test_grad_reverse_forward_identity_and_scaling():
         with ad.Tape() as tape:
             y = ad.grad_reverse(x, lam)
             np.testing.assert_array_equal(y.data, x.data)
-            loss = sum_all(y)
-            ad.backward(loss, tape)
-        np.testing.assert_array_equal(x.grad, want * np.ones_like(x_data))
+            grads = ad.backward(sum_all(y), tape)
+        np.testing.assert_array_equal(grads[x], want * np.ones_like(x_data))
 
 
 def test_grad_reverse_composes_with_positive_sign():
     x = ad.parameter(np.ones((2, 2)))
     with ad.Tape() as tape:
         y = ad.grad_reverse(ad.grad_reverse(x, 2.0), 3.0)
-        ad.backward(sum_all(y), tape)
-    np.testing.assert_array_equal(x.grad, 6.0 * np.ones((2, 2)))
+        grads = ad.backward(sum_all(y), tape)
+    np.testing.assert_array_equal(grads[x], 6.0 * np.ones((2, 2)))
 
 
 def _mlp_view(n):
@@ -169,21 +167,35 @@ def test_diamond_fanout_accumulates_both_paths():
     w = ad.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with ad.Tape() as tape:
         loss = ad.add(sum_all(hadamard(w, w)), sum_all(ad.scale(w, 2.0)))
-        ad.backward(loss, tape)
-    np.testing.assert_allclose(w.grad, 2.0 * w.data + 2.0)
+        grads = ad.backward(loss, tape)
+    np.testing.assert_allclose(grads[w], 2.0 * w.data + 2.0)
 
 
 def test_backward_empties_the_tape_and_only_leaves_hold_grad():
+    # the returned map holds exactly the leaves the loss reaches: no op
+    # output, no constant, and no parameter that only a dead branch reads
     w, b = ad.parameter(np.ones((3, 2))), ad.parameter(np.zeros((1, 2)))
+    c, unread = ad.constant(np.full((3, 2), 2.0)), ad.parameter(np.ones((3, 2)))
     with ad.Tape() as tape:
         h = ad.relu(ad.add(w, b))
-        loss = sum_all(h)
-        assert h.grad is None and loss.grad is None  # forward allocates no gradient
-        ad.backward(loss, tape)
+        ad.scale(unread, 2.0)
+        loss = sum_all(hadamard(h, c))
+        grads = ad.backward(loss, tape)
     assert tape.records == []
-    assert h.requires_grad and h.grad is None and loss.grad is None
-    np.testing.assert_array_equal(w.grad, np.ones((3, 2)))
-    np.testing.assert_array_equal(b.grad, [[3.0, 3.0]])
+    assert h.requires_grad and set(grads) == {w, b}
+    np.testing.assert_array_equal(grads[w], np.full((3, 2), 2.0))
+    np.testing.assert_array_equal(grads[b], [[6.0, 6.0]])
+
+
+def test_two_sweeps_over_the_same_leaves_return_equal_gradients():
+    # no gradient is kept on a leaf, so a second sweep needs no reset
+    w = ad.parameter(np.array([[0.5, -1.0], [2.0, 3.0]]))
+    sweeps = []
+    for _ in range(2):
+        with ad.Tape() as tape:
+            sweeps.append(ad.backward(ad.sq_l2(ad.scale(w, 3.0)), tape))
+    np.testing.assert_array_equal(sweeps[0][w], 18.0 * w.data)
+    np.testing.assert_array_equal(sweeps[1][w], sweeps[0][w])
 
 
 def test_backward_peak_memory_is_the_activations():
@@ -197,11 +209,11 @@ def test_backward_peak_memory_is_the_activations():
             h = w
             for _ in range(40):
                 h = ad.scale(h, 1.0)
-            ad.backward(sum_all(h), tape)
+            grads = ad.backward(sum_all(h), tape)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    np.testing.assert_array_equal(w.grad, np.ones((1000, 16)))
+    np.testing.assert_array_equal(grads[w], np.ones((1000, 16)))
     assert peak < 1.25 * activations
 
 
@@ -213,8 +225,8 @@ def test_shared_upstream_gradient_is_never_summed_in_place():
     with ad.Tape() as tape:
         p, q = ad.scale(w, 1.0), ad.scale(w, 3.0)
         r = hadamard(q, q)
-        ad.backward(sum_all(ad.add(ad.add(p, q), r)), tape)
-    np.testing.assert_allclose(w.grad, 4.0 + 18.0 * w.data, rtol=1e-15)
+        grads = ad.backward(sum_all(ad.add(ad.add(p, q), r)), tape)
+    np.testing.assert_allclose(grads[w], 4.0 + 18.0 * w.data, rtol=1e-15)
 
 
 def test_broadcast_column_gradient_is_row_sum():
@@ -223,8 +235,8 @@ def test_broadcast_column_gradient_is_row_sum():
     mat = ad.constant(rand(rng, 5, 3))
     with ad.Tape() as tape:
         out = hadamard(mat, col)
-        ad.backward(sum_all(out), tape)
-    np.testing.assert_allclose(col.grad, mat.data.sum(axis=1, keepdims=True))
+        grads = ad.backward(sum_all(out), tape)
+    np.testing.assert_allclose(grads[col], mat.data.sum(axis=1, keepdims=True))
 
 
 def test_broadcast_shape_rules():
@@ -250,8 +262,8 @@ def _gcn_grads(op, a, ax, w1_data, w2_data, rate, seed, w):
     rng = None if seed is None else np.random.default_rng(seed)
     with ad.Tape() as tape:
         out = op(a, ax, w1, w2, rate, rng)
-        ad.backward(sum_all(hadamard(out, ad.constant(w))), tape)
-    return out.data, w1.grad, w2.grad
+        grads = ad.backward(sum_all(hadamard(out, ad.constant(w))), tape)
+    return out.data, grads[w1], grads[w2]
 
 
 def _gcn_case(seed, n, d=5, hidden=8, e=3):
@@ -339,9 +351,9 @@ def test_xlogy_sum_gradient_masks_clamped_entries():
     w = ad.parameter(np.array([[2.0, 3.0], [0.5, 4.0]]))
     p = ad.parameter(np.array([[0.5, 2.0], [1.0, 0.2]]))
     with ad.Tape() as tape:
-        ad.backward(ad.xlogy_sum(w, p, 0.6), tape)
-    np.testing.assert_array_equal(p.grad, [[0.0, 1.5], [0.5, 0.0]])
-    np.testing.assert_array_equal(w.grad, np.log([[0.6, 2.0], [1.0, 0.6]]))
+        grads = ad.backward(ad.xlogy_sum(w, p, 0.6), tape)
+    np.testing.assert_array_equal(grads[p], [[0.0, 1.5], [0.5, 0.0]])
+    np.testing.assert_array_equal(grads[w], np.log([[0.6, 2.0], [1.0, 0.6]]))
 
 
 def test_row_cosine_and_xlogy_sum_reject_bad_input():
@@ -394,8 +406,8 @@ def test_dropout_gradient_matches_mask():
     x = ad.parameter(np.ones((6, 6)))
     with ad.Tape() as tape:
         out = ad.gcn(a, ax, x, ad.constant(np.eye(6)), 0.5, np.random.default_rng(5))
-        ad.backward(sum_all(out), tape)
-    np.testing.assert_array_equal(x.grad, np.where(out.data > 0, 2.0, 0.0))
+        grads = ad.backward(sum_all(out), tape)
+    np.testing.assert_array_equal(grads[x], np.where(out.data > 0, 2.0, 0.0))
 
 
 def test_forward_backward_determinism():
@@ -406,8 +418,8 @@ def test_forward_backward_determinism():
         with ad.Tape() as tape:
             h = ad.gcn(a, x, w, ad.constant(np.eye(4)), 0.3, np.random.default_rng(9))
             loss = ad.sq_l2(h)
-            ad.backward(loss, tape)
-        return loss.item(), w.grad.copy()
+            grads = ad.backward(loss, tape)
+        return loss.item(), grads[w]
 
     l1, g1 = run()
     l2, g2 = run()
@@ -437,12 +449,10 @@ def _attention_leaves(seed, n, e):
 
 
 def _attention_value_and_grads(fn, leaves, w):
-    for leaf in leaves:
-        leaf.zero_grad()
     with ad.Tape() as tape:
         out = fn(*leaves)
-        ad.backward(sum_all(hadamard(out, w)), tape)
-    return out.data, [leaf.grad.copy() for leaf in leaves]
+        grads = ad.backward(sum_all(hadamard(out, w)), tape)
+    return out.data, [grads[leaf] for leaf in leaves]
 
 
 def test_attention_matches_dense_composition_over_ragged_blocks():

@@ -428,10 +428,6 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: --runs must be >= 1, got {runs}\n"
         assert not (tmp_path / "x").exists()
 
-    def test_normalize_by_zero_exit_1(self, pair_dir, capsys):
-        assert cli("bound", "--pair", str(pair_dir), "--normalize-by", "0") == 1
-        assert capsys.readouterr().err == "error: normalize_by must be >= 1, got 0\n"
-
     def test_diagnose_k_zero_exit_1(self, pair_dir, capsys):
         assert cli("diagnose", "--pair", str(pair_dir), "--k", "0") == 1
         assert capsys.readouterr().err == "error: k must be in [1, 23] for 24 nodes, got 0\n"
@@ -702,13 +698,6 @@ class TestBoundDiagnose:
         doc = json.loads(capsys.readouterr().out)
         assert doc["total"] == pytest.approx(doc["topo_term"] + doc["attr_term"])
         assert doc["normalization"] == 24
-
-    def test_bound_normalize_by(self, pair_dir, capsys):
-        assert cli("bound", "--pair", str(pair_dir), "--normalize-by", "1") == 0
-        doc1 = json.loads(capsys.readouterr().out)
-        assert cli("bound", "--pair", str(pair_dir), "--normalize-by", "24") == 0
-        doc24 = json.loads(capsys.readouterr().out)
-        assert doc1["total"] == pytest.approx(24 * doc24["total"], rel=1e-12)
 
     def test_diagnose_reports_both_views(self, pair_dir, capsys):
         assert cli("diagnose", "--pair", str(pair_dir), "--k", "2") == 0

@@ -240,8 +240,7 @@ class TestHeads:
             z = ad.parameter(z_data)
             with ad.Tape() as tape:
                 p = domain_discriminate(z, lam, ad.constant(wd_data), ad.constant(np.zeros((1, 1))))
-                ad.backward(sum_all(p), tape)
-            grads[lam] = z.grad.copy()
+                grads[lam] = ad.backward(sum_all(p), tape)[z]
         np.testing.assert_array_equal(grads[0.0], np.zeros_like(z_data))
         np.testing.assert_allclose(grads[2.0], 2.0 * grads[1.0], atol=1e-12)
 
@@ -277,7 +276,7 @@ class TestModelInit:
     def test_all_parameters_require_grad(self):
         model = make_model("GAA")
         for p in model.parameters():
-            assert p.requires_grad and p.grad is not None
+            assert p.requires_grad
 
     def test_field_order_is_checkpoint_order(self):
         model = make_model("GAA")
@@ -341,13 +340,13 @@ class TestForwardAll:
         model = make_model("GAA")
         assert model.params["W1_topo"] is model.params["W1_topo"]  # identity, not value
         # the same tensors appear in source and target paths by construction;
-        # check gradients from both domains accumulate into one buffer
+        # check gradients from both domains sum into one entry
         views_s, views_t = self.pair_inputs()
         with ad.Tape() as tape:
             z_s, z_t = (encode(model, views, None)[0] for views in (views_s, views_t))
             loss = ad.add(ad.sq_l2(z_s), ad.sq_l2(z_t))
-            ad.backward(loss, tape)
-        assert np.abs(model.params["W1_topo"].grad).sum() > 0
+            grads = ad.backward(loss, tape)
+        assert np.abs(grads[model.params["W1_topo"]]).sum() > 0
 
     def test_gaa1_attention_unrefined(self, monkeypatch):
         views_s, views_t = self.pair_inputs()

@@ -39,9 +39,8 @@ def quick_cfg(**kw):
 class TestAdam:
     def test_hand_executed_first_step(self):
         w = ad.parameter(np.array([[1.0]]))
-        w.grad[...] = 2.0  # gradient of w^2 at w=1
         state = AdamState([w])
-        adam_step([w], state, lr=0.1)
+        adam_step([w], {w: np.array([[2.0]])}, state, lr=0.1)  # gradient of w^2 at w=1
         assert w.data[0, 0] == pytest.approx(0.9, abs=1e-8)
 
     def test_constant_gradient_approaches_lr_sized_steps(self):
@@ -49,21 +48,19 @@ class TestAdam:
         state = AdamState([w])
         prev = 0.0
         for _ in range(200):
-            w.grad[...] = 3.0
-            adam_step([w], state, lr=0.01)
+            adam_step([w], {w: np.array([[3.0]])}, state, lr=0.01)
         step = prev - w.data[0, 0]
         assert w.data[0, 0] < 0
         # late steps have magnitude ~ lr regardless of gradient scale
         before = w.data[0, 0]
-        w.grad[...] = 3.0
-        adam_step([w], state, lr=0.01)
+        adam_step([w], {w: np.array([[3.0]])}, state, lr=0.01)
         assert abs(before - w.data[0, 0]) == pytest.approx(0.01, rel=1e-3)
 
     def test_zero_gradient_zero_decay_fixed_point(self):
         w = ad.parameter(np.array([[1.5, -2.0]]))
         state = AdamState([w])
         for _ in range(5):
-            adam_step([w], state, lr=0.1, weight_decay=0.0)
+            adam_step([w], {}, state, lr=0.1, weight_decay=0.0)
         np.testing.assert_array_equal(w.data, [[1.5, -2.0]])
 
     def test_lr_zero_never_changes_parameters(self):
@@ -72,27 +69,20 @@ class TestAdam:
         before = w.data.copy()
         state = AdamState([w])
         for _ in range(3):
-            w.grad[...] = rng.normal(size=(3, 3))
-            adam_step([w], state, lr=0.0, weight_decay=0.01)
+            adam_step([w], {w: rng.normal(size=(3, 3))}, state, lr=0.0, weight_decay=0.01)
         np.testing.assert_array_equal(w.data, before)
 
     def test_weight_decay_pulls_toward_zero(self):
         w = ad.parameter(np.array([[4.0]]))
         state = AdamState([w])
-        adam_step([w], state, lr=0.1, weight_decay=0.1)
+        adam_step([w], {}, state, lr=0.1, weight_decay=0.1)  # no gradient, decay alone
         assert w.data[0, 0] < 4.0
-
-    def test_gradients_zeroed_after_step(self):
-        w = ad.parameter(np.array([[1.0]]))
-        w.grad[...] = 5.0
-        adam_step([w], AdamState([w]), lr=0.1)
-        np.testing.assert_array_equal(w.grad, [[0.0]])
 
     def test_step_counter_increments_once(self):
         w = ad.parameter(np.array([[1.0]]))
         state = AdamState([w])
         for expect in (1, 2, 3):
-            adam_step([w], state, lr=0.1)
+            adam_step([w], {}, state, lr=0.1)
             assert state.t == expect
 
 
@@ -113,7 +103,7 @@ class TestTrainLoop:
         for a, b in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
-    def test_all_gaa_parameters_receive_gradient_buffers(self):
+    def test_all_gaa_parameters_receive_gradients(self):
         # every parameter is touched by the loss graph when all weights are on
         pair = small_pair()
         cfg = quick_cfg(epochs=1, dropout=0.0,
@@ -129,11 +119,11 @@ class TestTrainLoop:
         with ad.Tape() as tape:
             total, *_ = _epoch_losses(model, views_s, views_t, pair.source.labels, cfg.weights,
                                       None)
-            ad.backward(total, tape)
+            grads = ad.backward(total, tape)
         for name, p in model.params.items():
-            assert p.grad is not None, name
+            assert p in grads, name
             if not name.startswith("b"):
-                assert np.abs(p.grad).sum() > 0, f"dead parameter {name}"
+                assert np.abs(grads[p]).sum() > 0, f"dead parameter {name}"
 
     def test_loss_decreases_on_default_synthetic(self):
         pair = small_pair(n=30)

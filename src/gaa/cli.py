@@ -275,6 +275,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    _check_out(Path(args.out), is_dir=True)
     for kind, flags in GENERATE_KIND_FLAGS.items():
         for name, default in flags.items():
             if kind == args.kind and getattr(args, name) is None:
@@ -427,28 +428,14 @@ _HANDLERS = {
 
 
 def run_command(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return _HANDLERS[args.verb](args)
-    except (ConfigError, ParseError, CheckpointError) as exc:
-        # user-fixable input problems
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GaaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        # numpy names the request; a bare MemoryError says nothing
+    except (GaaError, OSError, MemoryError) as exc:
+        # numpy names a failed request; a bare MemoryError says nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
+        # 1 for input the user can fix, 2 for a runtime failure
+        return 1 if isinstance(exc, (ConfigError, ParseError, CheckpointError)) else 2
 
 
 def main():

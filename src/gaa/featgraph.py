@@ -33,12 +33,37 @@ SPARSE_MIN_NODES = 850
 @dataclass(frozen=True)
 class EdgeList:
     """An undirected weighted graph on ``n`` nodes, one entry per linked pair:
-    ``row[e] < col[e]`` with weight ``weight[e]``, in row-major order."""
+    ``row[e] < col[e]`` with weight ``weight[e]``, in row-major order.
+
+    A list is valid by construction: building one that breaks that rule, or
+    whose degree in A + I (as ``sym_normalize`` sums it) overflows float64,
+    is a DomainError."""
 
     n: int
     row: np.ndarray
     col: np.ndarray
     weight: np.ndarray
+
+    def __post_init__(self):
+        n, row, col, weight = self.n, self.row, self.col, self.weight
+        if row.ndim != 1 or not row.shape == col.shape == weight.shape:
+            raise DomainError("edge row, col and weight arrays differ in shape")
+        if not (np.issubdtype(row.dtype, np.integer) and np.issubdtype(col.dtype, np.integer)):
+            raise DomainError("edge ids are not integers")
+        if row.size and (row.min() < 0 or col.max() >= n or np.any(row >= col)):
+            raise DomainError(f"edge ids outside 0 <= row < col < {n}")
+        if not np.isfinite(weight).all():
+            raise DomainError("edge weights hold non-finite values")
+        if np.any(weight < 0.0):
+            raise DomainError("negative edge weight")
+        if np.any(np.diff(row.astype(np.int64) * n + col) <= 0):
+            raise DomainError("edge list repeats a pair or is not in row-major order")
+        # a degree is at most 1 + edges x the largest weight, so only near the
+        # float64 maximum does it need summing as the view sums it
+        if float(weight.max(initial=0.0)) * row.size > np.finfo(np.float64).max / 4:
+            heavy = np.flatnonzero(np.isinf(_looped_csr(self)[4]))
+            if heavy.size:
+                raise DomainError(f"the weighted degree of node {heavy[0]} overflows float64")
 
     @classmethod
     def from_pairs(cls, n: int, i: np.ndarray, j: np.ndarray,
@@ -158,8 +183,6 @@ def _looped_csr(edges: EdgeList) -> tuple[np.ndarray, ...]:
     concatenated in that order, and one stable sort by row sorts every row's
     columns.
     """
-    if np.any(edges.weight < 0.0) or np.any(edges.row >= edges.col):
-        raise DomainError("sym_normalize needs a strictly upper, non-negative edge list")
     n = edges.n
     nodes = np.arange(n)
     rows = np.concatenate([edges.col, nodes, edges.row])
@@ -173,12 +196,6 @@ def _looped_csr(edges: EdgeList) -> tuple[np.ndarray, ...]:
             degrees)
 
 
-def view_degrees(edges: EdgeList) -> np.ndarray:
-    """The degree of each node in A + I, summed exactly as ``sym_normalize``
-    sums it; a degree past the float64 range is inf."""
-    return _looped_csr(edges)[4]
-
-
 def sym_normalize(edges: EdgeList):
     """The view D^{-1/2} (A + I) D^{-1/2} of an edge list, degrees taken
     after the self-loops: a dense array below ``SPARSE_MIN_NODES`` nodes and
@@ -188,13 +205,10 @@ def sym_normalize(edges: EdgeList):
     at least 1, so no row is divided by zero. Each row's degree sums that
     row's entries in CSR column order (as scipy's ``csr.sum(axis=1)`` does),
     and each entry is scaled by ``dinv[row] * dinv[col]``, so an entry and
-    its mirror get the same bits. A degree past the float64 range is a
-    ``DomainError``.
+    its mirror get the same bits. Every degree is finite: an ``EdgeList``
+    whose degree overflows cannot be built.
     """
     rows, cols, data, indptr, degrees = _looped_csr(edges)
-    heavy = np.flatnonzero(np.isinf(degrees))
-    if heavy.size:
-        raise DomainError(f"sym_normalize: the degree of node {heavy[0]} overflows float64")
     dinv = 1.0 / np.sqrt(degrees)
     data = data * (dinv[rows] * dinv[cols])
     n = edges.n

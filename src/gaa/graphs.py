@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, ParseError, check_addressable
-from .featgraph import EdgeList, view_degrees
+from .featgraph import EdgeList
 
 GEN_FLOATS = 256 * 1024  # floats of a generator's n x n uniform draw held at once
 SAVE_BLOCK = 65536  # edges formatted and written at a time
@@ -54,25 +54,14 @@ class Graph:
         return self.features.shape[1]
 
     def validate(self):
-        """O(edges + nodes) checks of the edge list, features and labels."""
+        """O(nodes) checks that the edge list is on one node per feature row,
+        and of the features and labels; the list checked itself when it was
+        built (``EdgeList``)."""
         n = self.features.shape[0]
-        e = self.edges
-        if e.n != n:
-            raise DomainError(f"edge list on {e.n} nodes does not match {n} feature rows")
+        if self.edges.n != n:
+            raise DomainError(f"edge list on {self.edges.n} nodes does not match {n} feature rows")
         if not np.isfinite(self.features).all():
             raise DomainError("features hold non-finite values")
-        if e.row.ndim != 1 or not e.row.shape == e.col.shape == e.weight.shape:
-            raise DomainError("edge row, col and weight arrays differ in shape")
-        if not (np.issubdtype(e.row.dtype, np.integer) and np.issubdtype(e.col.dtype, np.integer)):
-            raise DomainError("edge ids are not integers")
-        if e.row.size and (e.row.min() < 0 or e.col.max() >= n or np.any(e.row >= e.col)):
-            raise DomainError(f"edge ids outside 0 <= row < col < {n}")
-        if not np.isfinite(e.weight).all():
-            raise DomainError("edge weights hold non-finite values")
-        if np.any(e.weight < 0.0):
-            raise DomainError("negative edge weight")
-        if np.any(np.diff(e.row.astype(np.int64) * n + e.col) <= 0):
-            raise DomainError("edge list repeats a pair or is not in row-major order")
         if self.labels is not None:
             if len(self.labels) != n:
                 raise DomainError(f"{len(self.labels)} labels for {n} nodes")
@@ -239,18 +228,16 @@ def load_graph(edge_path, feature_path, label_path=None, num_classes=None) -> Gr
     negative label, or one at or above ``num_classes`` (the node count when
     no class count is given), is a ParseError, and so is a feature row whose
     squared norm overflows float64. A node whose degree in the normalized
-    view overflows float64 is a ConfigError.
+    view overflows float64, the one rule of ``EdgeList`` that a parsed file
+    can still break, is a ConfigError naming the edge file.
     """
     features = _parse_features(feature_path)
     n = features.shape[0]
-    edges = EdgeList.from_pairs(n, *_parse_edges(edge_path, n))
-    # a degree is at most 1 + edges x the largest weight, so only near the
-    # float64 maximum does it need summing as the view sums it
-    if float(edges.weight.max(initial=0.0)) * edges.row.size > np.finfo(np.float64).max / 4:
-        heavy = np.flatnonzero(np.isinf(view_degrees(edges)))
-        if heavy.size:
-            raise ConfigError(f"{edge_path}: the weighted degree of node {heavy[0]} "
-                              "overflows float64")
+    i, j, weight = _parse_edges(edge_path, n)
+    try:
+        edges = EdgeList.from_pairs(n, i, j, weight)
+    except DomainError as exc:
+        raise ConfigError(f"{edge_path}: {exc}")
     labels = None if label_path is None else _parse_labels(label_path, n, num_classes)
     return Graph(edges=edges, features=features, labels=labels, num_classes=num_classes)
 

@@ -131,6 +131,23 @@ class TestGenerate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub, message", [
+        ("", "--out {afile} is not a directory"),
+        ("sub", "--out {afile}/sub: {afile} is not a directory"),
+    ], ids=["a-file", "under-a-file"])
+    def test_out_under_a_file_exit_1_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                       sub, message):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        generated = []
+        monkeypatch.setattr(cli_module, "gen_attribute_shift",
+                            lambda *args, **kw: generated.append(args))
+        code = cli("generate", "--kind", "attribute-shift", "--seed", "3", "--n", "20",
+                   "--out", str(afile / sub))
+        assert code == 1
+        assert capsys.readouterr().err == "error: " + message.format(afile=afile) + "\n"
+        assert generated == [] and afile.read_text() == "kept\n"
+
     def test_out_of_memory_exit_2(self, tmp_path, capsys):
         # the 1.4 EiB center draw is past any address space, so numpy's request
         # fails before anything is allocated, whatever the overcommit policy

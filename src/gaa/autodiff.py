@@ -329,8 +329,8 @@ def usable_cpus() -> int:
 
 def thread_budget() -> int:
     """``GAA_THREADS`` (default ``usable_cpus()``), gaa's thread budget: the
-    sweep's worker processes, or the attention row blocks in flight in one
-    process."""
+    processes that train a task list (``train.run_tasks``), or the attention
+    row blocks in flight in one process."""
     raw = os.environ.get("GAA_THREADS", str(usable_cpus()))
     try:
         threads = int(raw)

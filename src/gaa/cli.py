@@ -19,16 +19,14 @@ import csv
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, replace
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import thread_budget, worker_count
+from .autodiff import thread_budget
 from .exceptions import CheckpointError, ConfigError, GaaError, ParseError, field_types
 from .analysis import avg_feature_value, proposition1_bound
 from .featgraph import check_k
@@ -43,7 +41,7 @@ from .graphs import (
 )
 from .losses import LossWeights
 from .model import VARIANT_SPECS, load_model, save_model
-from .train import TrainConfig, evaluate, run_repeated, train_gaa
+from .train import RepeatedResult, TrainConfig, evaluate, run_repeated, run_tasks, train_gaa
 
 DEFAULT_SWEEP_GRID = {
     "alpha": [0.005, 0.01, 0.1, 0.5, 1.0, 5.0],
@@ -350,21 +348,10 @@ def _parse_grid(items) -> dict:
     return grid
 
 
-_sweep_pair = None  # the pair every sweep cell of this worker process trains on
-
-
-def _init_sweep_worker(pair):
-    global _sweep_pair
-    # the thread budget is spent on the worker processes: each attends on one
-    os.environ["GAA_THREADS"] = "1"
-    _sweep_pair = pair
-
-
-def _sweep_cell(task, pair=None):
-    """A cell's mean and std accuracy over its runs on ``pair``, or, in a
-    pool worker, on the pair its initializer stored."""
-    cfg, runs = task
-    result = run_repeated(_sweep_pair if pair is None else pair, cfg, n_runs=runs)
+def _sweep_cell(runs) -> tuple[float, float]:
+    """A cell's mean and std accuracy over the metrics of its runs, in seed
+    order."""
+    result = RepeatedResult.of_runs(runs)
     return result.mean_acc, result.std_acc
 
 
@@ -389,22 +376,17 @@ def _cmd_sweep(args) -> int:
         cell_cfg = replace(cfg, k=k, weights=LossWeights(alpha=alpha, beta=beta, tau=tau))
         key = (cell_cfg.weights if spec.adapts else None, k if spec.feat else None)
         keys.append(key)
-        distinct.setdefault(key, (cell_cfg, args.runs))
-    tasks = list(distinct.values())
-    # each worker receives the pair once, not once per task; no worker sits
-    # idle, and none waits for a core
-    workers = worker_count(len(tasks))
+        distinct.setdefault(key, cell_cfg)
     pair = load_pair(args.pair)
     _check_target_labels(pair, args.pair, "sweep")
     if spec.feat:  # a k too large for a graph fails before any cell
         check_k(min(pair.source.n, pair.target.n), max(grid["k"]))
 
-    if workers > 1:
-        with Pool(processes=workers, initializer=_init_sweep_worker, initargs=(pair,)) as pool:
-            done = pool.map(_sweep_cell, tasks)
-    else:
-        done = [_sweep_cell(t, pair) for t in tasks]
-    results = dict(zip(distinct, done))
+    runs = args.runs
+    metrics, _ = run_tasks(pair, [replace(cell_cfg, seed=cell_cfg.seed + offset)
+                                  for cell_cfg in distinct.values() for offset in range(runs)])
+    results = {key: _sweep_cell(metrics[i * runs:(i + 1) * runs])
+               for i, key in enumerate(distinct)}
 
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -412,7 +394,7 @@ def _cmd_sweep(args) -> int:
         writer.writerow(["alpha", "beta", "tau", "k", "mean_acc", "std_acc"])
         for (alpha, beta, tau, k), key in zip(cells, keys):
             writer.writerow([repr(alpha), repr(beta), repr(tau), k, *map(repr, results[key])])
-    trained = f"{len(tasks)} trained cell" + ("" if len(tasks) == 1 else "s")
+    trained = f"{len(distinct)} trained cell" + ("" if len(distinct) == 1 else "s")
     print(f"wrote {len(cells)} rows from {trained} to {out}")
     return 0
 

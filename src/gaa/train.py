@@ -9,13 +9,21 @@ enter this module's loss path; they are read by ``evaluate`` alone.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import losses as L
-from .exceptions import ConfigError, DomainError, NumericError, check_field_types, field_types
+from .exceptions import (
+    ConfigError,
+    DomainError,
+    GaaError,
+    NumericError,
+    check_field_types,
+    field_types,
+)
 from .featgraph import ViewMatrices, build_views
 from .graphs import DomainPair, EpochLosses, Graph, RunMetrics
 from .model import (
@@ -166,6 +174,19 @@ class TrainInputs:
     views_s: ViewMatrices
     views_t: ViewMatrices
 
+    @property
+    def key(self) -> tuple:
+        """The ``_inputs_key`` of the configs these inputs train."""
+        topo, feat = (view is not None for view in self.views_s)
+        return topo, feat, self.k if feat else None
+
+
+def _inputs_key(cfg: TrainConfig) -> tuple:
+    """What ``build_inputs`` reads of ``cfg``: the channels, and k where the
+    variant reads it. Configs with equal keys train on the same inputs."""
+    spec = VARIANT_SPECS[cfg.variant]
+    return spec.topo, spec.feat, cfg.k if spec.feat else None
+
 
 def build_inputs(pair: DomainPair, cfg: TrainConfig) -> TrainInputs:
     """Every channel of ``cfg.variant`` for both domains, at ``cfg.k``."""
@@ -184,11 +205,10 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig,
     serve the final evaluation too; every epoch runs one forward, one
     backward, and one optimizer step.
     """
-    spec = VARIANT_SPECS[cfg.variant]
     if inputs is None:
         inputs = build_inputs(pair, cfg)
-    topo, feat = (view is not None for view in inputs.views_s)
-    if (topo, feat, inputs.k) != (spec.topo, spec.feat, cfg.k):
+    if inputs.key != _inputs_key(cfg):
+        topo, feat, _ = inputs.key
         raise DomainError(f"inputs built for topo={topo}, feat={feat}, "
                           f"k={inputs.k} cannot train {cfg.variant} at k={cfg.k}")
     master = np.random.SeedSequence(cfg.seed)
@@ -259,26 +279,119 @@ class RepeatedResult:
     std_acc: float
     accuracies: list[float]
     metrics: list[RunMetrics]
-    first_model: GaaModel  # the model trained with cfg.seed
+    first_model: GaaModel | None  # the model trained with cfg.seed
+
+    @classmethod
+    def of_runs(cls, metrics: list[RunMetrics],
+                first_model: GaaModel | None = None) -> "RepeatedResult":
+        """The mean and sample std (0 for one run) of the accuracies of
+        ``metrics``, taken in the order given: seed order."""
+        accs = [m.target_accuracy for m in metrics]
+        std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
+        return cls(mean_acc=float(np.mean(accs)), std_acc=std, accuracies=accs,
+                   metrics=metrics, first_model=first_model)
+
+
+_inherited = None  # (pair, inputs) that processes forked by run_tasks start from
+
+
+def _train_share(share: list[TrainConfig]) -> tuple[list[RunMetrics], GaaModel]:
+    """Train each config of ``share`` in order, on the pair and inputs in
+    ``_inherited``, which it takes; returns their metrics and the first
+    model. It builds inputs where a config reads others than the last, so at
+    most one ``TrainInputs`` is alive in the process."""
+    global _inherited
+    pair, inputs = _inherited
+    _inherited = (pair, None)
+    done, first_model = [], None
+    for cfg in share:
+        if inputs is None or inputs.key != _inputs_key(cfg):
+            inputs = None  # the last views go before the next are built
+            inputs = build_inputs(pair, cfg)
+        model, metrics = train_gaa(pair, cfg, inputs)
+        if not done:
+            first_model = model
+        done.append(metrics)
+    return done, first_model
+
+
+def _worker(share: list[TrainConfig], conn):
+    """A forked worker: send the metrics of ``share``, or what stopped it."""
+    try:
+        result = _train_share(share)[0]
+    except BaseException as exc:
+        result = exc
+    conn.send(result)
+
+
+def run_tasks(pair: DomainPair,
+              tasks: list[TrainConfig]) -> tuple[list[RunMetrics], GaaModel]:
+    """Train on ``pair`` once per config of ``tasks``; returns each one's
+    metrics, in task order, and the model trained with ``tasks[0]``.
+
+    Tasks that read the same inputs run next to each other, in the order
+    those inputs first appear, and that order is cut into contiguous shares,
+    ``worker_count(len(tasks))`` of them (one where there is no ``os.fork``).
+    This process builds the first task's inputs, then forks one worker per
+    further share, which inherits the pair, those inputs and the imports,
+    and trains the first share itself. Each process builds an input when its
+    share first reaches it. While workers are up, every process attends on
+    one thread; ``GAA_THREADS`` is restored afterwards. An error in any
+    process is raised here, and stops every worker. A run's bytes depend on
+    its config alone, not on the process that trains it.
+    """
+    global _inherited
+    groups = {}
+    for i, cfg in enumerate(tasks):
+        groups.setdefault(_inputs_key(cfg), []).append(i)
+    order = [i for group in groups.values() for i in group]
+    processes = ad.worker_count(len(tasks)) if hasattr(os, "fork") else 1
+    shares = [[tasks[i] for i in part] for part in np.array_split(order, processes)]
+    threads = os.environ.get("GAA_THREADS")
+    _inherited = (pair, build_inputs(pair, shares[0][0]))
+    workers = []  # (process, the read end of its pipe)
+    try:
+        if len(shares) > 1:
+            from multiprocessing import get_context
+
+            fork = get_context("fork")
+            os.environ["GAA_THREADS"] = "1"  # the budget is spent on processes
+            for share in shares[1:]:
+                receive, send = fork.Pipe(duplex=False)
+                worker = fork.Process(target=_worker, args=(share, send))
+                worker.start()
+                send.close()
+                workers.append((worker, receive))
+        done, first_model = _train_share(shares[0])
+        for _, receive in workers:
+            try:
+                result = receive.recv()
+            except EOFError:
+                raise GaaError("a worker process stopped before it sent its results")
+            if isinstance(result, BaseException):
+                raise result
+            done += result
+    finally:
+        _inherited = None
+        if threads is None:
+            os.environ.pop("GAA_THREADS", None)
+        else:
+            os.environ["GAA_THREADS"] = threads
+        for worker, receive in workers:  # stops a worker still training after a failure
+            receive.close()
+            worker.kill()
+            worker.join()
+    by_task = dict(zip(order, done))
+    return [by_task[i] for i in range(len(tasks))], first_model
 
 
 def run_repeated(pair: DomainPair, cfg: TrainConfig, n_runs: int = 5) -> RepeatedResult:
-    """Train with seeds cfg.seed .. cfg.seed + n_runs - 1, all on the one
-    ``TrainInputs`` built here; sample std (0 for one run)."""
+    """Train with seeds cfg.seed .. cfg.seed + n_runs - 1, as ``run_tasks``
+    does, on the one ``TrainInputs`` they all read."""
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
     if pair.target.labels is None:
         raise DomainError("run_repeated needs a labeled target graph")
-    inputs = build_inputs(pair, cfg)
-    accs = []
-    all_metrics = []
-    for offset in range(n_runs):
-        model, metrics = train_gaa(pair, replace(cfg, seed=cfg.seed + offset), inputs)
-        if offset == 0:
-            first_model = model
-        accs.append(metrics.target_accuracy)
-        all_metrics.append(metrics)
-    mean = float(np.mean(accs))
-    std = float(np.std(accs, ddof=1)) if n_runs > 1 else 0.0
-    return RepeatedResult(mean_acc=mean, std_acc=std, accuracies=accs, metrics=all_metrics,
-                          first_model=first_model)
+    metrics, first_model = run_tasks(
+        pair, [replace(cfg, seed=cfg.seed + offset) for offset in range(n_runs)])
+    return RepeatedResult.of_runs(metrics, first_model)

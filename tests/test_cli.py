@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -20,9 +21,9 @@ from gaa import train
 from gaa.autodiff import thread_budget
 from gaa.analysis import avg_feature_value, proposition1_bound
 from gaa.cli import load_pair, run_command
-from gaa.exceptions import GaaError
+from gaa.exceptions import GaaError, NumericError
 from gaa.featgraph import SPARSE_MIN_NODES, EdgeList, build_views
-from gaa.graphs import DomainPair, Graph
+from gaa.graphs import DomainPair, Graph, RunMetrics
 from gaa.losses import LossWeights
 from gaa.model import VARIANTS
 from gaa.train import TrainConfig, run_repeated
@@ -39,6 +40,41 @@ GOLDEN_PAIRS = {
 
 def cli(*argv):
     return run_command(list(argv))
+
+
+def record_training(monkeypatch, log: Path):
+    """Wrap ``train.train_gaa`` so that each call, in this process or in a
+    worker forked from it, appends one line to ``log``: its pid, the thread
+    budget it attends on, and the config values a sweep varies. Returns a
+    reader of those lines."""
+    original = train.train_gaa
+
+    def recording(pair, cfg, inputs=None):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"pid": os.getpid(), "threads": thread_budget(),
+                                 "alpha": cfg.weights.alpha, "tau": cfg.weights.tau,
+                                 "k": cfg.k, "seed": cfg.seed}) + "\n")
+        return original(pair, cfg, inputs)
+
+    monkeypatch.setattr(train, "train_gaa", recording)
+    return lambda: ([json.loads(line) for line in log.read_text().splitlines()]
+                    if log.exists() else [])
+
+
+def spy_workers(monkeypatch, seen: dict, cores=8):
+    """Count in ``seen["workers"]`` the worker processes started, and start
+    them. The worker cap sees ``cores`` usable CPUs, whatever this machine
+    has; with None, it asks the operating system."""
+    fork = type(multiprocessing.get_context("fork"))
+
+    class Counted(fork.Process):
+        def start(self):
+            seen["workers"] = seen.get("workers", 0) + 1
+            super().start()
+
+    monkeypatch.setattr(fork, "Process", Counted)
+    if cores is not None:
+        monkeypatch.setattr(autodiff, "usable_cpus", lambda: cores)
 
 
 @pytest.fixture()
@@ -249,26 +285,31 @@ class TestTrainEval:
         assert (out / "metrics_run1.json").exists()
 
     def test_runs_flag_trains_each_seed_once(self, pair_dir, tmp_path, monkeypatch):
-        from gaa import cli as cli_mod
-        from gaa import train
-
-        calls = []
-        original = train.train_gaa
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(train, "train_gaa", counting)
-        monkeypatch.setattr(cli_mod, "train_gaa", counting)
+        # counted in every process that trains, this one and its workers
         single, multi = tmp_path / "single", tmp_path / "multi"
         assert cli(*self.train_args(pair_dir, single)) == 0
-        calls.clear()
+        trained = record_training(monkeypatch, tmp_path / "trained.jsonl")
         assert cli(*self.train_args(pair_dir, multi), "--runs", "3") == 0
-        assert len(calls) == 3
+        assert sorted(run["seed"] for run in trained()) == [1, 2, 3]
         # the seed model from run 0 is the one a single run writes
         assert (multi / "model.bin").read_bytes() == (single / "model.bin").read_bytes()
         assert (multi / "metrics_run0.json").read_bytes() == (single / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("variant", ["KNN_GCN", "GAA"])
+    def test_runs_write_the_same_bytes_on_one_or_two_processes(self, pair_dir, tmp_path,
+                                                                 monkeypatch, variant):
+        seen = {}
+        spy_workers(monkeypatch, seen, cores=2)
+        written = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GAA_THREADS", threads)
+            out = tmp_path / threads
+            assert cli(*self.train_args(pair_dir, out, "--variant", variant), "--runs", "3") == 0
+            written[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert seen["workers"] == 1  # seeds 1 and 2 here, seed 3 in the worker
+        assert sorted(written["1"]) == ["metrics_run0.json", "metrics_run1.json",
+                                        "metrics_run2.json", "model.bin", "summary.json"]
+        assert written["2"] == written["1"]
 
     def test_config_file_with_flag_override(self, pair_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -502,6 +543,68 @@ class TestErrors:
         err = self.one_error_line(capsys)
         assert item.split("=")[0] in err and "more bytes than numpy can address" in err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("verb", ["train", "sweep"])
+    @pytest.mark.parametrize("where, failing_offset", [("this", 0), ("a worker", 2)])
+    def test_a_numeric_error_in_any_process_exit_2_and_leaves_no_worker(
+            self, pair_dir, tmp_path, capfd, monkeypatch, verb, where, failing_offset):
+        """Three seeds on two processes: seeds 0 and 1 here, seed 2 in the
+        worker. A failure in either exits 2 with one line (captured at the
+        file descriptor, so a worker's traceback would show), stops every
+        worker and gives this process its GAA_THREADS back."""
+        caller = os.getpid()
+        original = train.train_gaa
+
+        def failing(pair, cfg, inputs):
+            if cfg.seed == failing_offset:
+                process = "this" if os.getpid() == caller else "a worker"
+                raise NumericError(f"seed {cfg.seed} failed in {process} process")
+            return original(pair, cfg, inputs)
+
+        monkeypatch.setattr(train, "train_gaa", failing)
+        spy_workers(monkeypatch, {}, cores=2)
+        monkeypatch.setenv("GAA_THREADS", "2")
+        out = tmp_path / ("s.csv" if verb == "sweep" else "run")
+        args = ("--pair", str(pair_dir), "--out", str(out), "--runs", "3", "--seed", "0",
+                "--variant", "GCN", "--set", "epochs=2", "--set", "k=2")
+        if verb == "sweep":
+            args = args[:-2] + ("--grid", "alpha=0.5", "--grid", "k=2")
+        capfd.readouterr()
+        assert cli(verb, *args) == 2
+        assert capfd.readouterr() == (
+            "", f"error: seed {failing_offset} failed in {where} process\n")
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+        # the next command in this process spends the budget it was given
+        assert os.environ["GAA_THREADS"] == "2"
+        monkeypatch.setattr(train, "train_gaa", original)
+        seen = {}
+        spy_workers(monkeypatch, seen, cores=2)
+        assert cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "next"),
+                   "--runs", "2", "--set", "epochs=1") == 0
+        assert seen["workers"] == 1
+
+    def test_a_worker_that_stops_without_its_results_exit_2(self, pair_dir, tmp_path, capfd,
+                                                            monkeypatch):
+        caller = os.getpid()
+        original = train.train_gaa
+
+        def stopping(pair, cfg, inputs):
+            if os.getpid() != caller:
+                os._exit(9)  # as the kernel's out-of-memory killer would stop it
+            return original(pair, cfg, inputs)
+
+        monkeypatch.setattr(train, "train_gaa", stopping)
+        spy_workers(monkeypatch, {}, cores=2)
+        monkeypatch.setenv("GAA_THREADS", "2")
+        capfd.readouterr()
+        assert cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "run"),
+                   "--runs", "2", "--set", "epochs=1") == 2
+        assert capfd.readouterr() == (
+            "", "error: a worker process stopped before it sent its results\n")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "run").exists()
 
     def test_non_integer_gaa_threads_exit_1(self, pair_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GAA_THREADS", "abc")
@@ -831,7 +934,7 @@ class TestSweep:
 
     def test_a_k_the_graphs_cannot_hold_exit_1_before_any_cell(self, pair_dir, tmp_path,
                                                                capsys, monkeypatch):
-        monkeypatch.setattr(cli_module, "run_repeated", None)  # calling it would raise
+        monkeypatch.setattr(cli_module, "run_tasks", None)  # calling it would raise
         monkeypatch.setenv("GAA_THREADS", "1")
         code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
                    "--variant", "GAA", "--runs", "2", "--set", "epochs=2",
@@ -849,37 +952,11 @@ class TestSweep:
                    "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,100") == 0
         assert len(out.read_text().splitlines()) == 3
 
-    @staticmethod
-    def serial_pool(monkeypatch, seen, cores=8):
-        """Stand in for multiprocessing.Pool: record what it was given and map
-        in this process, so no worker process starts. The worker cap sees
-        ``cores`` usable CPUs, whatever this machine has; with None, it asks
-        the operating system."""
-        class SerialPool:
-            def __init__(self, processes, initializer, initargs):
-                seen["processes"], seen["initargs"] = processes, initargs
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                seen["tasks"] = tasks
-                return [fn(task) for task in tasks]
-
-        monkeypatch.setattr(cli_module, "Pool", SerialPool)
-        monkeypatch.setattr(cli_module, "_sweep_pair", None)
-        if cores is not None:
-            monkeypatch.setattr(autodiff, "usable_cpus", lambda: cores)
-
     def test_unlabeled_target_exit_1_before_a_pool_starts(self, pair_dir, tmp_path, capsys,
                                                           monkeypatch):
         (pair_dir / "target.labels.txt").unlink()
         seen = {}
-        self.serial_pool(monkeypatch, seen)
+        spy_workers(monkeypatch, seen)
         monkeypatch.setenv("GAA_THREADS", "2")
         code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
                    "--runs", "1", "--grid", "k=2,3")
@@ -893,7 +970,7 @@ class TestSweep:
     def test_runs_zero_exit_1_before_a_pool_starts(self, pair_dir, tmp_path, capsys,
                                                    monkeypatch):
         seen = {}
-        self.serial_pool(monkeypatch, seen)
+        spy_workers(monkeypatch, seen)
         monkeypatch.setenv("GAA_THREADS", "2")
         code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
                    "--runs", "0", "--grid", "k=2,3")
@@ -903,15 +980,22 @@ class TestSweep:
         assert not (tmp_path / "s.csv").exists()
 
     def test_pool_receives_the_pair_once_per_worker(self, pair_dir, tmp_path, monkeypatch):
+        """A worker inherits the pair and the first inputs when it is forked;
+        neither is ever pickled to it, and its share holds only configs."""
+        def unpicklable(obj, protocol):
+            raise AssertionError(f"a {type(obj).__name__} was pickled")
+
+        for cls in (DomainPair, train.TrainInputs):
+            monkeypatch.setattr(cls, "__reduce_ex__", unpicklable)
         seen = {}
-        self.serial_pool(monkeypatch, seen)
+        spy_workers(monkeypatch, seen)
+        trained = record_training(monkeypatch, tmp_path / "trained.jsonl")
         monkeypatch.setenv("GAA_THREADS", "2")
         assert cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
                    "--runs", "1", "--set", "epochs=1", "--grid", "alpha=0.5",
                    "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3") == 0
-        assert [type(arg) for arg in seen["initargs"]] == [DomainPair]
-        assert len(seen["tasks"]) == 2
-        assert not any(isinstance(item, DomainPair) for task in seen["tasks"] for item in task)
+        assert seen["workers"] == 1
+        assert len({run["pid"] for run in trained()}) == 2
 
     def test_pool_never_outnumbers_cells(self, pair_dir, tmp_path, monkeypatch):
         args = ("sweep", "--pair", str(pair_dir), "--runs", "1", "--seed", "0",
@@ -921,40 +1005,41 @@ class TestSweep:
         monkeypatch.setenv("GAA_THREADS", "1")
         assert cli(*args, "--out", str(serial)) == 0
         seen = {}
-        self.serial_pool(monkeypatch, seen)
+        spy_workers(monkeypatch, seen)
         monkeypatch.setenv("GAA_THREADS", "100000")
         assert cli(*args, "--out", str(capped)) == 0
-        assert seen["processes"] == len(seen["tasks"]) == 4
+        assert seen["workers"] == 3  # four tasks: this process and three workers
         assert capped.read_bytes() == serial.read_bytes()
 
     @pytest.mark.parametrize("cores, processes", [(2, 2), (3, 3), (1, None)])
     def test_pool_never_outnumbers_the_cpus(self, pair_dir, tmp_path, monkeypatch, cores,
                                             processes):
-        # on one usable CPU the sweep runs in this process
+        # ``processes`` counts this process and its workers; on one usable CPU
+        # (None) no worker starts and the sweep runs in this process alone
         seen = {}
-        self.serial_pool(monkeypatch, seen, cores)
+        spy_workers(monkeypatch, seen, cores)
         monkeypatch.setenv("GAA_THREADS", "64")
         assert cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
                    "--runs", "1", "--set", "epochs=1", "--grid", "alpha=0.1,0.5",
                    "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3") == 0
-        assert seen.get("processes") == processes
+        assert seen.get("workers") == (None if processes is None else processes - 1)
 
     @pytest.mark.parametrize("cores, processes", [(8, 4), (3, 3), (1, None)])
     def test_pool_defaults_to_one_worker_per_cpu(self, pair_dir, tmp_path, monkeypatch,
                                                  cores, processes):
         seen = {}
-        self.serial_pool(monkeypatch, seen, cores)
+        spy_workers(monkeypatch, seen, cores)
         monkeypatch.delenv("GAA_THREADS", raising=False)
         assert cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
                    "--runs", "1", "--set", "epochs=1", "--grid", "alpha=0.1,0.5",
                    "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3") == 0
-        assert seen.get("processes") == processes
+        assert seen.get("workers") == (None if processes is None else processes - 1)
 
     def test_an_affinity_of_one_cpu_budgets_one_thread_and_starts_no_pool(
             self, pair_dir, tmp_path, monkeypatch):
         # as under `taskset -c 0` on a machine with two CPUs
         seen = {}
-        self.serial_pool(monkeypatch, seen, cores=None)
+        spy_workers(monkeypatch, seen, cores=None)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.delenv("GAA_THREADS", raising=False)
@@ -965,21 +1050,21 @@ class TestSweep:
         assert seen == {}
 
     def test_pool_workers_attend_on_one_thread(self, pair_dir, tmp_path, monkeypatch):
-        # the budget goes to the worker processes, not to threads within them
-        seen, budgets = {}, []
-        self.serial_pool(monkeypatch, seen)
-
-        def recording_run_repeated(pair, cfg, n_runs):
-            budgets.append(thread_budget())
-            return run_repeated(pair, cfg, n_runs=n_runs)
-
-        monkeypatch.setattr(cli_module, "run_repeated", recording_run_repeated)
+        # the budget goes to the processes, this one included, not to threads
+        # within them; this process has its own budget back afterwards
+        seen = {}
+        spy_workers(monkeypatch, seen)
+        trained = record_training(monkeypatch, tmp_path / "trained.jsonl")
         monkeypatch.setenv("GAA_THREADS", "2")
         assert cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
                    "--runs", "1", "--set", "epochs=1", "--grid", "alpha=0.5",
                    "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3") == 0
-        assert seen["processes"] == 2
-        assert budgets == [1, 1]
+        assert seen["workers"] == 1
+        runs = trained()
+        assert os.getpid() in {run["pid"] for run in runs}
+        assert len({run["pid"] for run in runs}) == 2
+        assert [run["threads"] for run in runs] == [1, 1]
+        assert os.environ["GAA_THREADS"] == "2"
 
     def test_parallel_workers_match_serial(self, pair_dir, tmp_path, monkeypatch):
         args = ("sweep", "--pair", str(pair_dir), "--runs", "1", "--seed", "0",
@@ -1008,20 +1093,44 @@ class TestSweep:
         assert cli(*self.GAA_GRID_ARGS, "--pair", str(pair_dir), "--out", str(parallel)) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_a_one_cell_sweep_splits_its_seeds_over_two_processes(self, pair_dir, tmp_path,
+                                                                   monkeypatch):
+        # GCN reads no grid axis, so the grid is one cell: three seed tasks
+        args = ("sweep", "--pair", str(pair_dir), "--variant", "GCN", "--runs", "3",
+                "--seed", "0", "--set", "epochs=2", "--grid", "alpha=0.1,0.5",
+                "--grid", "beta=0.1", "--grid", "tau=0.1", "--grid", "k=2,3")
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        seen = {}
+        spy_workers(monkeypatch, seen, cores=2)
+        monkeypatch.setenv("GAA_THREADS", "1")
+        assert cli(*args, "--out", str(serial)) == 0
+        monkeypatch.setenv("GAA_THREADS", "2")
+        assert cli(*args, "--out", str(parallel)) == 0
+        assert seen["workers"] == 1
+        assert serial.read_bytes() == parallel.read_bytes()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_each_row_holds_its_own_cells_result(self, pair_dir, tmp_path, monkeypatch,
                                                   threads):
-        """Each cell's result goes back to its row, alpha-major and k-minor."""
-        self.serial_pool(monkeypatch, {})
-        monkeypatch.setattr(cli_module, "run_repeated", lambda pair, cfg, n_runs: (
-            train.RepeatedResult(cfg.weights.alpha, float(cfg.k), [], [], None)))
+        """Each run's result goes back to its cell and seed, and each cell's
+        to its row, alpha-major and k-minor, however the tasks were split."""
+        def accuracy(alpha, k, seed):
+            return alpha + k / 10 + seed**2 / 1000
+
+        monkeypatch.setattr(train, "train_gaa", lambda pair, cfg, inputs: (None, RunMetrics(
+            cfg.seed, cfg.epochs, target_accuracy=accuracy(cfg.weights.alpha, cfg.k, cfg.seed))))
+        spy_workers(monkeypatch, {})
         monkeypatch.setenv("GAA_THREADS", threads)
         out = tmp_path / "s.csv"
         assert cli(*self.GAA_GRID_ARGS, "--pair", str(pair_dir), "--out", str(out)) == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        assert [(r[0], r[3], r[4], r[5]) for r in rows] == [
-            (alpha, k, alpha, k + ".0") for alpha in ("0.5", "1.0") for k in ("2", "3")]
+        expected = []
+        for alpha, k in itertools.product((0.5, 1.0), (2, 3)):
+            accs = [accuracy(alpha, k, seed) for seed in (0, 1)]
+            expected.append((repr(alpha), str(k), repr(float(np.mean(accs))),
+                             repr(float(np.std(accs, ddof=1)))))
+        assert [(r[0], r[3], r[4], r[5]) for r in rows] == expected
 
     @pytest.mark.parametrize("variant, reads, calls", [
         ("GAA", ("alpha", "tau", "k"), 8), ("GAA1", ("alpha", "tau", "k"), 8),
@@ -1039,24 +1148,20 @@ class TestSweep:
         expected = [cell for cell in grid
                     if all(cell[axis] == axes[axis][0] for axis in axes if axis not in reads)]
         assert len(expected) == calls
-        trained = []
-
-        def recording_run_repeated(pair, cfg, n_runs):
-            trained.append({"alpha": cfg.weights.alpha, "tau": cfg.weights.tau, "k": cfg.k})
-            return run_repeated(pair, cfg, n_runs=n_runs)
-
         seen = {}
-        self.serial_pool(monkeypatch, seen)
-        monkeypatch.setattr(cli_module, "run_repeated", recording_run_repeated)
+        spy_workers(monkeypatch, seen)
+        trained = record_training(monkeypatch, tmp_path / "trained.jsonl")
         monkeypatch.setenv("GAA_THREADS", "2")
         out = tmp_path / "s.csv"
         assert cli("sweep", "--pair", str(pair_dir), "--out", str(out), "--variant", variant,
                    "--runs", "2", "--seed", "0", "--set", "epochs=2", "--set", "hidden=8",
                    "--set", "embed=4", "--grid", "alpha=0.5,1.0", "--grid", "beta=0.1",
                    "--grid", "tau=0.1,0.5", "--grid", "k=2,3") == 0
-        assert trained == expected
-        assert [{"alpha": cfg.weights.alpha, "tau": cfg.weights.tau, "k": cfg.k}
-                for cfg, _ in seen.get("tasks", [])] == (expected if calls > 1 else [])
+        # each cell that trains runs once per seed, over this process and one worker
+        assert seen["workers"] == 1
+        runs = sorted((run["alpha"], run["tau"], run["k"], run["seed"]) for run in trained())
+        assert runs == sorted((cell["alpha"], cell["tau"], cell["k"], seed)
+                              for cell in expected for seed in (0, 1))
         cells = "cell" if calls == 1 else "cells"
         assert capsys.readouterr().out == f"wrote 8 rows from {calls} trained {cells} to {out}\n"
 
@@ -1077,7 +1182,7 @@ class TestSweep:
     def test_k_zero_exit_1_for_a_variant_that_reads_no_k_or_only_k(self, pair_dir, tmp_path,
                                                                    capsys, monkeypatch,
                                                                    variant):
-        monkeypatch.setattr(cli_module, "run_repeated", None)  # calling it would raise
+        monkeypatch.setattr(cli_module, "run_tasks", None)  # calling it would raise
         code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
                    "--variant", variant, "--runs", "1", "--grid", "k=0,2")
         assert code == 1
@@ -1094,7 +1199,7 @@ class TestSweep:
 
     def test_out_that_is_a_directory_exit_1_before_any_cell(self, pair_dir, tmp_path, capsys,
                                                              monkeypatch):
-        monkeypatch.setattr(cli_module, "run_repeated", None)  # calling it would raise
+        monkeypatch.setattr(cli_module, "run_tasks", None)  # calling it would raise
         code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path), "--runs", "1",
                    "--grid", "k=2")
         assert code == 1
@@ -1102,7 +1207,7 @@ class TestSweep:
 
     def test_out_under_a_file_exit_1_before_any_cell(self, pair_dir, tmp_path, capsys,
                                                      monkeypatch):
-        monkeypatch.setattr(cli_module, "run_repeated", None)  # calling it would raise
+        monkeypatch.setattr(cli_module, "run_tasks", None)  # calling it would raise
         blocker = tmp_path / "afile"
         blocker.write_text("")
         out = blocker / "sub" / "s.csv"

@@ -18,6 +18,7 @@ from gaa.train import (
     build_inputs,
     evaluate,
     run_repeated,
+    run_tasks,
     train_gaa,
 )
 
@@ -256,6 +257,35 @@ class TestRunRepeated:
             _, shared = train_gaa(pair, cfg, build_inputs(pair, replace(cfg, variant=built_for)))
             _, alone = train_gaa(pair, cfg)
             assert shared.per_epoch == alone.per_epoch
+
+
+class TestRunTasks:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_tasks_group_by_inputs_and_return_in_task_order(self, threads, monkeypatch):
+        """Tasks reading k = 2, 3, 2, 3 train exactly as each trains alone,
+        come back in task order with the first task's model, and each
+        process builds each k's views once: here k=2 then k=3 on one
+        process; on two, k=2 before the fork, and k=3 in the worker alone."""
+        from gaa import train
+
+        pair, cfg = small_pair(), quick_cfg(variant="GAA")
+        tasks = [replace(cfg, k=k, seed=seed) for seed, k in ((0, 2), (0, 3), (1, 2), (1, 3))]
+        alone = [train_gaa(pair, task) for task in tasks]
+        built = []
+        original = train.build_views
+
+        def recording(edges, features, k):
+            built.append(k)
+            return original(edges, features, k)
+
+        monkeypatch.setattr(train, "build_views", recording)
+        monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
+        monkeypatch.setenv("GAA_THREADS", threads)
+        metrics, first_model = run_tasks(pair, tasks)
+        assert [asdict(m) for m in metrics] == [asdict(m) for _, m in alone]
+        assert built == ([2, 2, 3, 3] if threads == "1" else [2, 2])
+        for got, want in zip(first_model.parameters(), alone[0][0].parameters()):
+            assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestVariantTable:

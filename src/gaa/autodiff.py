@@ -278,9 +278,10 @@ def gcn(a, ax: np.ndarray, w1: Tensor, w2: Tensor, rate: float,
         rng: np.random.Generator | None) -> Tensor:
     """A two-layer GCN encoder as one record: Z = Â (H W2) with
     H = dropout(relu(ÂX W1)), for a constant symmetric view ``a`` = Â, a
-    dense array or a scipy.sparse one, and its constant ÂX ``ax``. Given a
-    generator ``rng``, inverted dropout draws its keep mask from it and
-    scales the survivors by 1/(1-rate); with ``rng`` None there is no dropout.
+    dense array or a ``featgraph.SparseView`` (whose ``.T`` is itself), and
+    its constant ÂX ``ax``. Given a generator ``rng``, inverted dropout draws
+    its keep mask from it and scales the survivors by 1/(1-rate); with
+    ``rng`` None there is no dropout.
 
     Backward keeps only H, as In-Place ABN keeps only its output
     (arXiv:1712.02616): since 1/(1-rate) > 0, H > 0 exactly where relu was

@@ -1,10 +1,11 @@
 """Command-line driver.
 
 Verbs: ``train``, ``eval``, ``generate``, ``bound``, ``diagnose``, ``sweep``.
-Exit codes: 0 success, 1 configuration problems, 2 runtime failures. Every
-command that takes ``--seed`` writes byte-reproducible output files, whatever
-the BLAS thread variables and ``GAA_THREADS`` are set to; measured wall time
-goes to stdout, never into seeded artifacts.
+Exit codes: 0 success, 1 configuration problems, 2 runtime failures, 130
+interrupted (Ctrl-C). Every command that takes ``--seed`` writes
+byte-reproducible output files, whatever the BLAS thread variables and
+``GAA_THREADS`` are set to; measured wall time goes to stdout, never into
+seeded artifacts.
 
 A pair directory (as produced by ``generate``) holds::
 
@@ -19,6 +20,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict, replace
@@ -229,6 +231,19 @@ def _check_target_labels(pair: DomainPair, pair_dir, what: str):
                           f"{Path(pair_dir) / 'target.labels.txt'} does not exist")
 
 
+# the names of the files a train run writes besides model.bin: metrics.json
+# for one run; metrics_run<i>.json and summary.json for several
+_RUN_FILE = re.compile(r"metrics\.json|metrics_run(0|[1-9][0-9]*)\.json|summary\.json")
+
+
+def _remove_stale_run_files(out: Path, written: set[str]):
+    """Remove the run files of an earlier train run into ``out`` that this
+    one did not write; any other file stays."""
+    for path in out.iterdir():
+        if _RUN_FILE.fullmatch(path.name) and path.name not in written and not path.is_dir():
+            path.unlink()
+
+
 def _cmd_train(args) -> int:
     _check_runs(args.runs)
     thread_budget()
@@ -244,6 +259,7 @@ def _cmd_train(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         save_metrics(metrics, out / "metrics.json")
         save_model(model, out / "model.bin")
+        _remove_stale_run_files(out, {"metrics.json"})
         print(f"accuracy={metrics.target_accuracy} "
               f"elapsed={time.perf_counter() - started:.2f}s -> {out}")
     else:
@@ -256,6 +272,8 @@ def _cmd_train(args) -> int:
             json.dump({"mean_acc": result.mean_acc, "std_acc": result.std_acc,
                        "accuracies": result.accuracies, "runs": args.runs}, fh, indent=2)
             fh.write("\n")
+        _remove_stale_run_files(out, {"summary.json"} | {f"metrics_run{i}.json"
+                                                          for i in range(args.runs)})
         print(f"mean_acc={result.mean_acc:.4f} std_acc={result.std_acc:.4f} "
               f"elapsed={time.perf_counter() - started:.2f}s -> {out}")
     return 0
@@ -418,6 +436,9 @@ def run_command(argv=None) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         # 1 for input the user can fix, 2 for a runtime failure
         return 1 if isinstance(exc, (ConfigError, ParseError, CheckpointError)) else 2
+    except KeyboardInterrupt:  # raised after run_tasks has stopped its workers
+        print("error: interrupted", file=sys.stderr)
+        return 130  # the shell's status for SIGINT
 
 
 def main():

@@ -8,10 +8,11 @@ Every graph is an undirected edge list (``EdgeList``), and every view comes
 from one on a single path: ``knn_edges`` picks the kNN edges from cosine
 rows computed a block at a time, and ``sym_normalize`` maps an edge list to
 its view in one pass, making the one format choice: a dense view below
-``SPARSE_MIN_NODES`` nodes and a scipy.sparse CSR view from it on. A view
-is symmetric by construction, since every entry is stored in both
-directions. No step builds an n x n array other than a dense view itself,
-and scipy is imported only for a CSR view.
+``SPARSE_MIN_NODES`` nodes and a ``SparseView`` (jagged-diagonal storage in
+numpy, with scipy's CSR product bits) from it on. A view is symmetric by
+construction, since every entry is stored in both directions. No step
+builds an n x n array other than a dense view itself, and no step needs a
+matrix library beyond numpy.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError
+from .exceptions import ConfigError, DomainError, ShapeError
 
 KNN_BLOCK = 256  # rows of the similarity matrix computed and selected at a time
-# Node count from which the views are CSR: the measured crossover of the
-# peak RSS of one training run (GAA for 5 epochs, KNN_GCN for 25). Below it,
-# loading scipy costs more memory than the dense views it saves.
+# Node count from which the views are sparse. It was set where scipy's import
+# stopped costing more memory than the dense views saved, and it stays only
+# because a dense view's BLAS product gives other bits than the sparse one's
+# ordered sums, so moving it moves every seeded output near it.
 SPARSE_MIN_NODES = 850
 
 
@@ -81,7 +83,7 @@ class EdgeList:
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
         """A @ x as one scatter-add over the list, each entry in both
-        directions, so neither an n x n array nor scipy is needed."""
+        directions, so no n x n array is needed."""
         out = np.zeros((self.n, x.shape[1]))
         np.add.at(out, np.concatenate([self.col, self.row]),
                   np.concatenate([self.weight, self.weight])[:, None]
@@ -199,7 +201,7 @@ def _looped_csr(edges: EdgeList) -> tuple[np.ndarray, ...]:
 def sym_normalize(edges: EdgeList):
     """The view D^{-1/2} (A + I) D^{-1/2} of an edge list, degrees taken
     after the self-loops: a dense array below ``SPARSE_MIN_NODES`` nodes and
-    a CSR array with sorted indices from it on.
+    a ``SparseView`` of the CSR arrays from it on.
 
     The loops (Kipf & Welling, arXiv:1609.02907, eq. 2) make every degree
     at least 1, so no row is divided by zero. Each row's degree sums that
@@ -216,13 +218,67 @@ def sym_normalize(edges: EdgeList):
         view = np.zeros((n, n))
         view[rows, cols] = data
         return view
-    from scipy import sparse
+    return SparseView(indptr, cols, data)
 
-    return sparse.csr_array((data, cols, indptr), shape=(n, n))
+
+class SparseView:
+    """A symmetric n x n view in jagged-diagonal storage (JDS, Saad's
+    SPARSKIT), built from its CSR arrays, whose rows hold their columns in
+    ascending order.
+
+    The rows are sorted stably by falling entry count, and slot s holds the
+    s-th entry of each row that has more than s, so slot s covers the first
+    m_s sorted rows. ``view @ x`` adds one slot at a time into those rows,
+    so each output entry is ``((0 + a0 x0) + a1 x1) + ...`` in column order,
+    the order and the bits of scipy's CSR product. An entry and its mirror
+    have equal bits, so ``view.T`` is the view itself.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
+        n = indptr.size - 1
+        counts = np.diff(indptr)
+        order = np.argsort(-counts, kind="stable")
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        # each entry's slot and its row's rank; slot-major, rank-minor order
+        slot = np.arange(indptr[-1]) - np.repeat(indptr[:-1], counts)
+        entries = np.argsort(slot * n + np.repeat(rank, counts), kind="stable")
+        cols, weights = indices[entries].astype(np.intp, copy=False), data[entries, None]
+        bounds = np.cumsum(np.bincount(slot)).tolist()
+        self.shape = (n, n)
+        self._rank = rank
+        self._slots = [(cols[lo:hi], weights[lo:hi]) for lo, hi in zip([0] + bounds, bounds)]
+
+    @property
+    def T(self) -> "SparseView":
+        return self
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The n x c product with ``x``; it holds one n x c array besides its
+        result."""
+        n, c = self.shape[0], x.shape[1]
+        if x.shape[0] != n:  # the gather clips ids, so it would not catch this
+            raise ShapeError(f"a {self.shape} view cannot multiply a {x.shape} array")
+        total = np.zeros((n, c))
+        part = np.empty((n, c))
+        for cols, weights in self._slots:
+            rows = part[:cols.size]
+            np.take(x, cols, axis=0, mode="clip", out=rows)
+            rows *= weights
+            total[:cols.size] += rows
+        return np.take(total, self._rank, axis=0, mode="clip", out=part)
+
+    def toarray(self) -> np.ndarray:
+        """The view as a dense n x n array."""
+        dense = np.zeros(self.shape)
+        nodes = np.argsort(self._rank)
+        for cols, weights in self._slots:
+            dense[nodes[:cols.size], cols] = weights[:, 0]
+        return dense
 
 
 class View(NamedTuple):
-    """A view Â (``sym_normalize``, dense or CSR) and ÂX, which depends on no
+    """A view Â (``sym_normalize``, dense or sparse) and ÂX, which depends on no
     parameter, so every epoch reads the one product (SGC, arXiv:1902.07153)."""
 
     norm: object

@@ -337,8 +337,9 @@ def run_tasks(pair: DomainPair,
     and trains the first share itself. Each process builds an input when its
     share first reaches it. While workers are up, every process attends on
     one thread; ``GAA_THREADS`` is restored afterwards. An error in any
-    process is raised here, and stops every worker. A run's bytes depend on
-    its config alone, not on the process that trains it.
+    process, or a Ctrl-C, which only this process receives, is raised here
+    once every worker is stopped. A run's bytes depend on its config alone,
+    not on the process that trains it.
     """
     global _inherited
     groups = {}
@@ -352,16 +353,23 @@ def run_tasks(pair: DomainPair,
     workers = []  # (process, the read end of its pipe)
     try:
         if len(shares) > 1:
+            import signal
             from multiprocessing import get_context
 
             fork = get_context("fork")
             os.environ["GAA_THREADS"] = "1"  # the budget is spent on processes
-            for share in shares[1:]:
-                receive, send = fork.Pipe(duplex=False)
-                worker = fork.Process(target=_worker, args=(share, send))
-                worker.start()
-                send.close()
-                workers.append((worker, receive))
+            # workers inherit SIGINT blocked and keep it so: Ctrl-C reaches the
+            # whole process group, and only this process acts on it
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                for share in shares[1:]:
+                    receive, send = fork.Pipe(duplex=False)
+                    worker = fork.Process(target=_worker, args=(share, send))
+                    worker.start()
+                    send.close()
+                    workers.append((worker, receive))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         done, first_model = _train_share(shares[0])
         for _, receive in workers:
             try:

@@ -9,7 +9,7 @@ import numpy as np
 from gaa import autodiff as ad
 from gaa import train
 from gaa.exceptions import DomainError
-from gaa.featgraph import EdgeList
+from gaa.featgraph import EdgeList, SparseView
 from gaa.graphs import EpochLosses, RunMetrics
 
 FD_H = 1e-5
@@ -173,6 +173,14 @@ def csr_sym_normalize(adj):
     rows = np.repeat(np.arange(n), np.diff(a.indptr))
     a.data *= dinv[rows] * dinv[a.indices]
     return a
+
+
+def sparse_view(a):
+    """The ``SparseView`` of a dense symmetric ``a``: its nonzero entries, in
+    row-major order."""
+    rows, cols = np.nonzero(a)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(a)))])
+    return SparseView(indptr, cols, a[rows, cols])
 
 
 def edges_of_dense(adj):

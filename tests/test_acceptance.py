@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.stats import spearmanr
 
 from gaa import autodiff as ad
@@ -37,6 +36,7 @@ from helpers import (
     loop_pair_bound,
     loop_source_ce,
     loop_target_entropy,
+    sparse_view,
     sum_all,
     transpose,
 )
@@ -117,10 +117,10 @@ def test_criterion_1_gradient_correctness():
 
         check_op("matmul", i, lambda L: ad.sq_l2(ad.matmul(L[0], L[1])),
                  [(r, k_inner), (k_inner, c)])
-        # a constant symmetric view, CSR on odd instances
+        # a constant symmetric view, sparse on odd instances
         view = rng.uniform(-1, 1, (r, r)) * (rng.random((r, r)) < 0.5)
         view = view + view.T
-        view = sparse.csr_array(view) if i % 2 else view
+        view = sparse_view(view) if i % 2 else view
         # one GCN encoder on that view, with and without the second relu;
         # dropout is on (its rng rebuilt for every call) where i % 4 < 2, so
         # both view kinds are checked with dropout and without

@@ -5,8 +5,10 @@ import itertools
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -310,6 +312,56 @@ class TestTrainEval:
         assert sorted(written["1"]) == ["metrics_run0.json", "metrics_run1.json",
                                         "metrics_run2.json", "model.bin", "summary.json"]
         assert written["2"] == written["1"]
+
+    @pytest.mark.parametrize("first, second", [(3, 1), (1, 3), (5, 3)])
+    def test_a_rerun_leaves_only_its_own_run_files(self, pair_dir, tmp_path, first, second):
+        """Training into a directory that holds an earlier run's result
+        removes that run's files the new run does not write, and no other."""
+        out, alone = tmp_path / "out", tmp_path / "alone"
+        assert cli(*self.train_args(pair_dir, out), "--runs", str(first)) == 0
+        kept = {"notes.txt": b"mine", "metrics_run01.json": b"{}", "summary.json.bak": b"{}"}
+        for name, body in kept.items():
+            (out / name).write_bytes(body)
+        assert cli(*self.train_args(pair_dir, out), "--runs", str(second)) == 0
+        assert cli(*self.train_args(pair_dir, alone), "--runs", str(second)) == 0
+        written = {path.name: path.read_bytes() for path in alone.iterdir()}
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == {**written, **kept}
+
+    def test_sigint_exit_130_with_one_line_and_no_worker_left(self, tmp_path):
+        """Ctrl-C, a SIGINT to the whole process group, while a run and its
+        worker train: one ``error: interrupted`` line, exit 130, no process
+        of the group left, and no output written."""
+        pair, out = tmp_path / "pair", tmp_path / "out"
+        assert cli("generate", "--kind", "attribute-shift", "--seed", "1", "--n", "300",
+                   "--out", str(pair)) == 0
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gaa.cli", "train", "--pair", str(pair), "--out", str(out),
+             "--runs", "2", "--variant", "GAA", "--set", "epochs=1000000"],
+            env={**os.environ, "PYTHONPATH": str(src), "GAA_THREADS": "2"},
+            stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            for _ in range(600):  # the worker is forked once the caller's inputs are built
+                if proc.poll() is not None or children.read_text().split():
+                    break
+                time.sleep(0.1)
+            assert proc.poll() is None, proc.stderr.read()
+            time.sleep(0.3)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+            try:
+                os.killpg(proc.pid, 0)
+                left = True
+            except ProcessLookupError:
+                left = False
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert (proc.returncode, err) == (130, "error: interrupted\n")
+        assert not left
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, pair_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -1250,12 +1302,19 @@ def test_train_bytes_do_not_depend_on_the_blas_settings(tmp_path, variant):
 
 
 def test_dense_path_never_imports_scipy(tmp_path):
-    """scipy serves only the sparse views, so importing the CLI and training
-    at the paper's scale (n=100) must not load it. Nor may generating,
-    loading, bounding or diagnosing a pair at n=1000, past SPARSE_MIN_NODES:
-    those read the edge lists without a matrix library."""
+    """No verb needs scipy: with ``import scipy`` blocked, the CLI imports,
+    trains at the paper's scale (n=100), and runs every verb at n=1000, past
+    SPARSE_MIN_NODES, where the views are sparse, and scipy is never
+    loaded."""
+    out, pair, run = (str(tmp_path / name) for name in ("out", "pair", "run"))
+    trained = ["--pair", pair, "--variant", "GAA", "--seed", "0", "--set", "epochs=1"]
     script = "\n".join([
         "import sys",
+        "class NoScipy:",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name.partition('.')[0] == 'scipy':",
+        "            raise ImportError('scipy is blocked')",
+        "sys.meta_path.insert(0, NoScipy())",
         "import gaa.cli",
         "assert 'scipy' not in sys.modules, 'import gaa.cli'",
         "from gaa.graphs import DomainPair, gen_attribute_shift",
@@ -1266,20 +1325,29 @@ def test_dense_path_never_imports_scipy(tmp_path):
         "train_gaa(pair, TrainConfig(variant='GAA', epochs=1, seed=0))",
         "assert 'scipy' not in sys.modules, 'train_gaa'",
         "from gaa.cli import load_pair, run_command",
-        f"out = {str(tmp_path / 'pair')!r}",
         "assert run_command(['generate', '--kind', 'attribute-shift', '--seed', '3',",
-        "                    '--n', '1000', '--edge-prob', '0.02', '--out', out]) == 0",
+        f"                    '--n', '1000', '--edge-prob', '0.02', '--out', {pair!r}]) == 0",
         "assert 'scipy' not in sys.modules, 'generate'",
-        "assert load_pair(out).source.n == 1000",
+        f"assert load_pair({pair!r}).source.n == 1000",
         "assert 'scipy' not in sys.modules, 'load_pair'",
-        "for verb in ('bound', 'diagnose'):",
-        "    assert run_command([verb, '--pair', out]) == 0",
-        "    assert 'scipy' not in sys.modules, verb",
+        f"for argv in (['train', '--out', {run!r}, *{trained!r}],",
+        f"             ['train', '--out', {out!r}, '--runs', '2', *{trained!r}],",
+        f"             ['eval', '--checkpoint', {run + '/model.bin'!r},",
+        f"              '--edges', {pair + '/target.edges'!r},",
+        f"              '--features', {pair + '/target.features.csv'!r},",
+        f"              '--labels', {pair + '/target.labels.txt'!r}],",
+        f"             ['bound', '--pair', {pair!r}],",
+        f"             ['diagnose', '--pair', {pair!r}],",
+        f"             ['sweep', '--out', {out + '.csv'!r}, '--runs', '2', *{trained!r},",
+        "              '--grid', 'alpha=0.1', '--grid', 'beta=0.1', '--grid', 'tau=0.1',",
+        "              '--grid', 'k=2,3']):",
+        "    assert run_command(argv) == 0, argv[0]",
+        "    assert 'scipy' not in sys.modules, argv[0]",
     ])
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(src), "GAA_THREADS": "2"}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -10,10 +10,11 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from gaa import featgraph
-from gaa.exceptions import ConfigError, DomainError
+from gaa.exceptions import ConfigError, DomainError, ShapeError
 from gaa.featgraph import (
     SPARSE_MIN_NODES,
     EdgeList,
+    SparseView,
     ViewMatrices,
     build_views,
     cosine_similarity_matrix,
@@ -256,7 +257,7 @@ FLOAT_MAX = np.finfo(np.float64).max
 def test_views_are_exactly_symmetric_non_negative_and_finite(seed, n, huge, force_csr):
     """Both views of any list that passes the entry checks are exactly
     symmetric, non-negative and finite, and equal the loop oracle (dense)
-    or scipy's normalization bit for bit (CSR). ``huge`` weights put the
+    or scipy's normalization bit for bit (sparse). ``huge`` weights put the
     largest degree between a quarter of the float64 maximum and the maximum
     itself."""
     rng = np.random.default_rng(seed)
@@ -279,13 +280,10 @@ def test_views_are_exactly_symmetric_non_negative_and_finite(seed, n, huge, forc
         views = build_views(edges, x, k)
     knn = dense_adjacency(knn_edges(x, k))
     for view, graph in ((views.topo.norm, adj), (views.feat.norm, knn)):
-        assert sparse.issparse(view) == (n >= threshold)
-        if sparse.issparse(view):
-            want = csr_sym_normalize(sparse.csr_array(graph))
-            np.testing.assert_array_equal(view.indptr, want.indptr)
-            np.testing.assert_array_equal(view.indices, want.indices)
-            assert view.data.tobytes() == want.data.tobytes()
+        assert isinstance(view, SparseView) == (n >= threshold)
+        if isinstance(view, SparseView):
             view = view.toarray()
+            assert view.tobytes() == csr_sym_normalize(sparse.csr_array(graph)).toarray().tobytes()
         else:
             np.testing.assert_allclose(view, loop_sym_normalize(graph), rtol=1e-14)
         assert np.array_equal(view, view.T)
@@ -319,34 +317,38 @@ def _tied_inputs(n, seed):
     return adj + adj.T, x
 
 
+def _array(view):
+    return view.toarray() if isinstance(view, SparseView) else view
+
+
 @pytest.mark.parametrize("n", [SPARSE_MIN_NODES - 1, SPARSE_MIN_NODES])
 def test_sparse_views_match_the_dense_ones(n):
     """Both sides of the threshold: the dense view of an edge list is its
-    CSR view's array exactly, ties and a zero-norm row included, and
+    sparse view's array exactly, ties and a zero-norm row included, and
     build_views returns the one its side calls for, with ÂX its product
     with the features bit for bit."""
     adj, x = _tied_inputs(n, seed=n)
     edges = edges_of_dense(adj)
     lists = (edges, knn_edges(x, 3))
     forms = {}
-    for threshold in (n + 1, n):  # dense, then CSR
+    for threshold in (n + 1, n):  # dense, then sparse
         with mock.patch.object(featgraph, "SPARSE_MIN_NODES", threshold):
             forms[threshold] = [sym_normalize(e) for e in lists]
-    for dense, csr in zip(forms[n + 1], forms[n]):
-        assert not sparse.issparse(dense) and sparse.issparse(csr)
-        np.testing.assert_array_equal(dense, csr.toarray())
+    for dense, view in zip(forms[n + 1], forms[n]):
+        assert isinstance(dense, np.ndarray) and isinstance(view, SparseView)
+        assert dense.tobytes() == view.toarray().tobytes()
     views = build_views(edges, x, k=3)
     want = forms[n] if n >= SPARSE_MIN_NODES else forms[n + 1]
     for built, norm in zip(views, want):
-        assert sparse.issparse(built.norm) == (n >= SPARSE_MIN_NODES)
-        assert (built.norm != norm).sum() == 0
+        assert isinstance(built.norm, SparseView) == (n >= SPARSE_MIN_NODES)
+        assert _array(built.norm).tobytes() == _array(norm).tobytes()
         assert built.ax.tobytes() == (norm @ x).tobytes()
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_csr_views_are_scipys_normalization_bit_for_bit(weighted):
-    """The CSR views hold the bits of normalizing in scipy: ``A + I``, its
-    row sums, then the scaling, entry for entry in the same order."""
+    """The sparse views hold the bits of normalizing in scipy: ``A + I``,
+    its row sums, then the scaling, entry for entry in the same order."""
     n = SPARSE_MIN_NODES
     adj, x = _tied_inputs(n, seed=5)
     if not weighted:
@@ -355,9 +357,58 @@ def test_csr_views_are_scipys_normalization_bit_for_bit(weighted):
     views = build_views(edges, x, k=3)
     for got, graph in ((views.topo.norm, edges), (views.feat.norm, knn_edges(x, 3))):
         want = csr_sym_normalize(sparse.csr_array(dense_adjacency(graph)))
-        np.testing.assert_array_equal(got.indptr, want.indptr)
-        np.testing.assert_array_equal(got.indices, want.indices)
-        assert got.data.tobytes() == want.data.tobytes()
+        assert got.toarray().tobytes() == want.toarray().tobytes()
+
+
+def _hub_edges(n, seed):
+    """A sparse weighted graph plus one hub linked to every other node, so
+    the view has n slots, most of them holding one row."""
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)
+    hub = np.arange(1, n)
+    return EdgeList.from_pairs(n, np.concatenate([i, np.zeros_like(hub)]),
+                               np.concatenate([j, hub]), rng.uniform(0.1, 3.0, i.size + hub.size))
+
+
+@pytest.mark.parametrize("graph", ["topology", "knn", "hub"])
+def test_sparse_view_products_are_scipys_bit_for_bit(graph):
+    """``view @ x`` and ``view.T @ x`` are scipy's CSR products of the same
+    normalization, byte for byte, at widths 1, 10, 16 (training) and 128."""
+    n = SPARSE_MIN_NODES + 50
+    adj, x = _tied_inputs(n, seed=9)
+    edges = {"topology": lambda: edges_of_dense(adj), "knn": lambda: knn_edges(x, 5),
+             "hub": lambda: _hub_edges(n, seed=9)}[graph]()
+    view = sym_normalize(edges)
+    assert isinstance(view, SparseView)
+    want = csr_sym_normalize(sparse.csr_array(dense_adjacency(edges)))
+    rng = np.random.default_rng(4)
+    for width in (1, 10, 16, 128):
+        y = rng.normal(size=(n, width))
+        y[::7] = 0.0  # rows of zeros, and an exact -0.0 product in some sums
+        y[3, 0] = -0.0
+        assert (view @ y).tobytes() == (want @ y).tobytes()
+        assert (view.T @ y).tobytes() == (want.T @ y).tobytes()
+
+
+def test_sparse_view_product_holds_one_array_besides_its_result():
+    """The product's temporaries are at most one n x c array: ÂX at n=2000,
+    d=1000 never gathers all nnz x d entries at once."""
+    n, c = 2000, 1000
+    view = sym_normalize(_hub_edges(n, seed=2))
+    x = np.random.default_rng(3).normal(size=(n, c))
+    tracemalloc.start()
+    try:
+        out = view @ x
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + n * c * 8 + 2**20  # 16 MB each; nnz x c would be 176 MB
+
+
+def test_sparse_view_rejects_a_row_count_other_than_its_own():
+    view = sym_normalize(_hub_edges(SPARSE_MIN_NODES, seed=1))
+    with pytest.raises(ShapeError, match=r"cannot multiply a \(849, 2\) array"):
+        view @ np.ones((SPARSE_MIN_NODES - 1, 2))
 
 
 def test_sparse_build_views_peaks_below_one_dense_array():

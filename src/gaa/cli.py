@@ -16,10 +16,12 @@ A pair directory (as produced by ``generate``) holds::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -43,7 +45,7 @@ from .graphs import (
 )
 from .losses import LossWeights
 from .model import VARIANT_SPECS, load_model, save_model
-from .train import RepeatedResult, TrainConfig, evaluate, run_repeated, run_tasks, train_gaa
+from .train import RepeatedResult, TrainConfig, evaluate, run_tasks
 
 DEFAULT_SWEEP_GRID = {
     "alpha": [0.005, 0.01, 0.1, 0.5, 1.0, 5.0],
@@ -75,15 +77,19 @@ def _build_parser() -> _Parser:
     def add_pair_arg(p):
         p.add_argument("--pair", required=True, help="pair directory from `generate`")
 
-    train = sub.add_parser("train", help="train a model on a pair, write metrics + checkpoint")
-    add_pair_arg(train)
-    train.add_argument("--config", help="JSON file mirroring the training config")
-    train.add_argument("--seed", type=int)
-    train.add_argument("--runs", type=int, default=1, help="repeated runs (seed, seed+1, ...)")
-    train.add_argument("--variant")
-    train.add_argument("--out", required=True)
-    train.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+    def add_training_args(p, runs: int):
+        add_pair_arg(p)
+        p.add_argument("--config", help="JSON file mirroring the training config")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--runs", type=int, default=runs,
+                       help="runs per config: seed, seed+1, ...")
+        p.add_argument("--variant")
+        p.add_argument("--out", required=True)
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config field, e.g. lr=0.003 or weights.alpha=0.5")
+
+    train = sub.add_parser("train", help="train a model on a pair, write metrics + checkpoint")
+    add_training_args(train, runs=1)
 
     ev = sub.add_parser("eval", help="load a checkpoint and report accuracy on a labeled graph")
     ev.add_argument("--checkpoint", required=True)
@@ -111,15 +117,9 @@ def _build_parser() -> _Parser:
     diag.add_argument("--k", type=int, default=3)
 
     sweep = sub.add_parser("sweep", help="grid over alpha/beta/tau/k, one CSV row per cell")
-    add_pair_arg(sweep)
-    sweep.add_argument("--config", help="JSON file mirroring the training config")
-    sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--runs", type=int, default=5)
-    sweep.add_argument("--variant")
-    sweep.add_argument("--out", required=True)
+    add_training_args(sweep, runs=5)
     sweep.add_argument("--grid", action="append", default=[], metavar="KEY=V1,V2,...",
                        help="override one grid axis (alpha, beta, tau, k)")
-    sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     return parser
 
 
@@ -151,7 +151,7 @@ def _coerce(key: str, raw: str):
 
 def _load_config(args) -> TrainConfig:
     doc = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         try:
             raw = path.read_bytes()
@@ -162,11 +162,11 @@ def _load_config(args) -> TrainConfig:
         except ValueError as exc:  # invalid JSON or undecodable bytes
             raise ConfigError(f"{path}: {exc}")
     cfg = TrainConfig.from_dict(doc)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "variant", None) is not None:
+    if args.variant is not None:
         cfg = replace(cfg, variant=args.variant)
-    for item in getattr(args, "set", []):
+    for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
@@ -194,15 +194,37 @@ def load_pair(pair_dir) -> DomainPair:
     return DomainPair(source=source, target=target)
 
 
+@contextlib.contextmanager
+def _staged():
+    """Yield ``stage``, which maps an output path to a temporary one next to
+    it to write instead. Once the block ends, every staged file is moved onto
+    its output; if the block raises, none is, and every temporary file is
+    removed, so a failed write leaves each output as it was."""
+    temps = {}
+
+    def stage(path: Path) -> Path:
+        temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        return temps[path]
+
+    try:
+        yield stage
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 def _write_pair(pair: DomainPair, out_dir: Path, meta: dict):
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_graph(pair.source, out_dir / "source.edges", out_dir / "source.features.csv",
-               out_dir / "source.labels.txt")
-    save_graph(pair.target, out_dir / "target.edges", out_dir / "target.features.csv",
-               out_dir / "target.labels.txt" if pair.target.labels is not None else None)
-    with open(out_dir / "pair.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _staged() as stage:
+        for name, graph in (("source", pair.source), ("target", pair.target)):
+            save_graph(graph, stage(out_dir / f"{name}.edges"),
+                       stage(out_dir / f"{name}.features.csv"),
+                       stage(out_dir / f"{name}.labels.txt") if graph.labels is not None else None)
+        with open(stage(out_dir / "pair.json"), "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +276,26 @@ def _cmd_train(args) -> int:
     if args.runs > 1:
         _check_target_labels(pair, args.pair, f"--runs {args.runs}")
     started = time.perf_counter()
-    if args.runs == 1:
-        model, metrics = train_gaa(pair, cfg)
-        out.mkdir(parents=True, exist_ok=True)
-        save_metrics(metrics, out / "metrics.json")
-        save_model(model, out / "model.bin")
-        _remove_stale_run_files(out, {"metrics.json"})
-        print(f"accuracy={metrics.target_accuracy} "
-              f"elapsed={time.perf_counter() - started:.2f}s -> {out}")
-    else:
-        result = run_repeated(pair, cfg, n_runs=args.runs)
-        out.mkdir(parents=True, exist_ok=True)
-        for i, metrics in enumerate(result.metrics):
-            save_metrics(metrics, out / f"metrics_run{i}.json")
-        save_model(result.first_model, out / "model.bin")
-        with open(out / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump({"mean_acc": result.mean_acc, "std_acc": result.std_acc,
-                       "accuracies": result.accuracies, "runs": args.runs}, fh, indent=2)
-            fh.write("\n")
-        _remove_stale_run_files(out, {"summary.json"} | {f"metrics_run{i}.json"
-                                                          for i in range(args.runs)})
-        print(f"mean_acc={result.mean_acc:.4f} std_acc={result.std_acc:.4f} "
-              f"elapsed={time.perf_counter() - started:.2f}s -> {out}")
+    metrics, model = run_tasks(pair, [replace(cfg, seed=cfg.seed + i) for i in range(args.runs)])
+    names = (["metrics.json"] if args.runs == 1
+             else [f"metrics_run{i}.json" for i in range(args.runs)])
+    out.mkdir(parents=True, exist_ok=True)
+    with _staged() as stage:
+        for name, run in zip(names, metrics):
+            save_metrics(run, stage(out / name))
+        save_model(model, stage(out / "model.bin"))
+        if args.runs == 1:
+            line = f"accuracy={metrics[0].target_accuracy}"
+        else:
+            result = RepeatedResult.of_runs(metrics)
+            names.append("summary.json")
+            with open(stage(out / "summary.json"), "w", encoding="utf-8") as fh:
+                json.dump({"mean_acc": result.mean_acc, "std_acc": result.std_acc,
+                           "accuracies": result.accuracies, "runs": args.runs}, fh, indent=2)
+                fh.write("\n")
+            line = f"mean_acc={result.mean_acc:.4f} std_acc={result.std_acc:.4f}"
+    _remove_stale_run_files(out, set(names))
+    print(f"{line} elapsed={time.perf_counter() - started:.2f}s -> {out}")
     return 0
 
 
@@ -407,7 +427,7 @@ def _cmd_sweep(args) -> int:
                for i, key in enumerate(distinct)}
 
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
+    with _staged() as stage, open(stage(out), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "beta", "tau", "k", "mean_acc", "std_acc"])
         for (alpha, beta, tau, k), key in zip(cells, keys):

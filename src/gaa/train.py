@@ -167,18 +167,12 @@ def _epoch_losses(model: GaaModel, views_s: ViewMatrices, views_t: ViewMatrices,
 @dataclass(frozen=True)
 class TrainInputs:
     """The views of both domains that a variant trains on, each with its ÂX,
-    and the k they were built for. None of it depends on a parameter (SGC,
-    arXiv:1902.07153), so every run on those channels and k shares it."""
+    and the ``_inputs_key`` they were built for. None of it depends on a
+    parameter (SGC, arXiv:1902.07153), so every config of that key shares it."""
 
-    k: int
+    key: tuple
     views_s: ViewMatrices
     views_t: ViewMatrices
-
-    @property
-    def key(self) -> tuple:
-        """The ``_inputs_key`` of the configs these inputs train."""
-        topo, feat = (view is not None for view in self.views_s)
-        return topo, feat, self.k if feat else None
 
 
 def _inputs_key(cfg: TrainConfig) -> tuple:
@@ -190,11 +184,11 @@ def _inputs_key(cfg: TrainConfig) -> tuple:
 
 def build_inputs(pair: DomainPair, cfg: TrainConfig) -> TrainInputs:
     """Every channel of ``cfg.variant`` for both domains, at ``cfg.k``."""
-    spec = VARIANT_SPECS[cfg.variant]
-    views_s, views_t = (build_views(g.edges if spec.topo else None, g.features,
-                                    cfg.k if spec.feat else None)
+    key = _inputs_key(cfg)
+    topo, _, k = key
+    views_s, views_t = (build_views(g.edges if topo else None, g.features, k)
                         for g in (pair.source, pair.target))
-    return TrainInputs(cfg.k, views_s, views_t)
+    return TrainInputs(key, views_s, views_t)
 
 
 def train_gaa(pair: DomainPair, cfg: TrainConfig,
@@ -208,9 +202,8 @@ def train_gaa(pair: DomainPair, cfg: TrainConfig,
     if inputs is None:
         inputs = build_inputs(pair, cfg)
     if inputs.key != _inputs_key(cfg):
-        topo, feat, _ = inputs.key
-        raise DomainError(f"inputs built for topo={topo}, feat={feat}, "
-                          f"k={inputs.k} cannot train {cfg.variant} at k={cfg.k}")
+        raise DomainError(f"inputs built for (topo, feat, k) = {inputs.key} cannot train "
+                          f"{cfg.variant}, which reads {_inputs_key(cfg)}")
     master = np.random.SeedSequence(cfg.seed)
     init_seq, dropout_seq = master.spawn(2)
     model = init_model(pair.source.dim, pair.num_classes, cfg.variant, cfg.k,
@@ -327,7 +320,9 @@ def _worker(share: list[TrainConfig], conn):
 def run_tasks(pair: DomainPair,
               tasks: list[TrainConfig]) -> tuple[list[RunMetrics], GaaModel]:
     """Train on ``pair`` once per config of ``tasks``; returns each one's
-    metrics, in task order, and the model trained with ``tasks[0]``.
+    metrics, in task order, and the model trained with ``tasks[0]``. Every
+    ``gaa train`` and ``gaa sweep`` trains through here; a list of one task
+    runs in this process alone.
 
     Tasks that read the same inputs run next to each other, in the order
     those inputs first appear, and that order is cut into contiguous shares,

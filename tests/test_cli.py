@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,9 @@ from gaa.analysis import avg_feature_value, proposition1_bound
 from gaa.cli import load_pair, run_command
 from gaa.exceptions import GaaError, NumericError
 from gaa.featgraph import SPARSE_MIN_NODES, EdgeList, build_views
-from gaa.graphs import DomainPair, Graph, RunMetrics
+from gaa.graphs import DomainPair, Graph, RunMetrics, save_metrics
 from gaa.losses import LossWeights
-from gaa.model import VARIANTS
+from gaa.model import VARIANTS, save_model
 from gaa.train import TrainConfig, run_repeated
 
 
@@ -300,18 +301,57 @@ class TestTrainEval:
     @pytest.mark.parametrize("variant", ["KNN_GCN", "GAA"])
     def test_runs_write_the_same_bytes_on_one_or_two_processes(self, pair_dir, tmp_path,
                                                                  monkeypatch, variant):
+        """``--runs 1`` and ``--runs 3`` each write the same bytes at one
+        thread and at two, and their first run's files are those of
+        ``train_gaa`` called alone with the first seed."""
+        model, metrics = train.train_gaa(load_pair(pair_dir), TrainConfig(
+            seed=1, epochs=5, hidden=8, embed=4, k=2, lr=0.003, variant=variant))
+        save_metrics(metrics, tmp_path / "metrics.json")
+        save_model(model, tmp_path / "model.bin")
+        alone = [(tmp_path / name).read_bytes() for name in ("metrics.json", "model.bin")]
         seen = {}
         spy_workers(monkeypatch, seen, cores=2)
-        written = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("GAA_THREADS", threads)
-            out = tmp_path / threads
-            assert cli(*self.train_args(pair_dir, out, "--variant", variant), "--runs", "3") == 0
-            written[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
-        assert seen["workers"] == 1  # seeds 1 and 2 here, seed 3 in the worker
-        assert sorted(written["1"]) == ["metrics_run0.json", "metrics_run1.json",
-                                        "metrics_run2.json", "model.bin", "summary.json"]
-        assert written["2"] == written["1"]
+        for runs, names, workers in [
+            (1, ["metrics.json", "model.bin"], 0),
+            # seeds 1 and 2 here, seed 3 in the worker
+            (3, ["metrics_run0.json", "metrics_run1.json", "metrics_run2.json", "model.bin",
+                 "summary.json"], 1),
+        ]:
+            written = {}
+            for threads in ("1", "2"):
+                monkeypatch.setenv("GAA_THREADS", threads)
+                out = tmp_path / f"{runs}_{threads}"
+                assert cli(*self.train_args(pair_dir, out, "--variant", variant),
+                           "--runs", str(runs)) == 0
+                written[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+            assert seen.pop("workers", 0) == workers
+            assert sorted(written["1"]) == names
+            assert written["2"] == written["1"]
+            assert [written["1"][names[0]], written["1"]["model.bin"]] == alone
+
+    def test_an_unlabeled_target_trains_one_run_in_this_process(self, pair_dir, tmp_path,
+                                                                capsys, monkeypatch):
+        """The paper's setting: the target has no labels. One run starts no
+        worker, builds each domain's views once, writes a null target
+        accuracy, and its model scores the labeled source graph."""
+        (pair_dir / "target.labels.txt").unlink()
+        seen, built = {}, []
+        spy_workers(monkeypatch, seen, cores=2)
+        monkeypatch.setenv("GAA_THREADS", "2")
+        original = train.build_views
+        monkeypatch.setattr(train, "build_views",
+                            lambda *args: built.append(args) or original(*args))
+        out = tmp_path / "run"
+        assert cli(*self.train_args(pair_dir, out, "--variant", "GAA")) == 0
+        assert capsys.readouterr().out.startswith("accuracy=None ")
+        assert seen == {}
+        assert len(built) == 2
+        assert json.loads((out / "metrics.json").read_text())["target_accuracy"] is None
+        assert cli("eval", "--checkpoint", str(out / "model.bin"),
+                   "--edges", str(pair_dir / "source.edges"),
+                   "--features", str(pair_dir / "source.features.csv"),
+                   "--labels", str(pair_dir / "source.labels.txt")) == 0
+        assert 0.0 <= json.loads(capsys.readouterr().out)["accuracy"] <= 1.0
 
     @pytest.mark.parametrize("first, second", [(3, 1), (1, 3), (5, 3)])
     def test_a_rerun_leaves_only_its_own_run_files(self, pair_dir, tmp_path, first, second):
@@ -443,9 +483,58 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
+    @pytest.mark.parametrize("verb", ["train", "sweep", "generate"])
+    def test_a_write_that_fails_partway_leaves_the_previous_outputs(self, pair_dir, tmp_path,
+                                                                    capsys, monkeypatch, verb):
+        """A rerun with other arguments whose writer raises partway, as on a
+        full disk, exits 2 and leaves every file of the first run
+        byte-identical, with no temporary file beside them."""
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+
+        def failing_on_call(original, call):
+            calls = []
+
+            def writer(*args):
+                calls.append(args)
+                return (full_disk if len(calls) == call else original)(*args)
+            return writer
+
+        out = tmp_path / {"train": "run", "sweep": "s.csv", "generate": "pair2"}[verb]
+        args = {
+            "train": ("train", "--pair", str(pair_dir), "--runs", "3", "--set", "epochs=1"),
+            "sweep": ("sweep", "--pair", str(pair_dir), "--runs", "1", "--set", "epochs=1",
+                      "--grid", "alpha=0.5", "--grid", "beta=0.1", "--grid", "tau=0.1",
+                      "--grid", "k=2,3"),
+            "generate": ("generate", "--kind", "sbm", "--n", "20"),
+        }[verb] + ("--out", str(out))
+        # train fails on its second metrics file, generate on its target graph,
+        # and sweep on its first row after the header
+        real_writer = csv.writer
+        owner, name, patched = {
+            "train": (cli_module, "save_metrics", failing_on_call(cli_module.save_metrics, 2)),
+            "sweep": (csv, "writer", lambda fh: types.SimpleNamespace(
+                writerow=failing_on_call(real_writer(fh).writerow, 2))),
+            "generate": (cli_module, "save_graph", failing_on_call(cli_module.save_graph, 2)),
+        }[verb]
+
+        def files():
+            return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+        rerun = args + ("--seed", "2") + (("--grid", "k=2") if verb == "sweep" else ())
+        assert cli(*args, "--seed", "1") == 0
+        first = files()
+        monkeypatch.setattr(owner, name, patched)
+        assert cli(*rerun) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert files() == first
+        monkeypatch.undo()  # the same rerun, written in full, does change the files
+        assert cli(*rerun) == 0
+        assert files().keys() == first.keys() and files() != first
+
     def test_out_under_a_file_exit_1_before_training(self, pair_dir, tmp_path, capsys,
                                                      monkeypatch):
-        monkeypatch.setattr(cli_module, "train_gaa", None)  # calling it would raise
+        monkeypatch.setattr(cli_module, "run_tasks", None)  # calling it would raise
         blocker = tmp_path / "afile"
         blocker.write_text("")
         out = blocker / "x"
@@ -456,7 +545,7 @@ class TestErrors:
 
     def test_out_that_is_a_file_exit_1_before_training(self, pair_dir, tmp_path, capsys,
                                                        monkeypatch):
-        monkeypatch.setattr(cli_module, "train_gaa", None)  # calling it would raise
+        monkeypatch.setattr(cli_module, "run_tasks", None)  # calling it would raise
         blocker = tmp_path / "afile"
         blocker.write_text("")
         code = cli("train", "--pair", str(pair_dir), "--out", str(blocker), "--set", "epochs=1")
@@ -552,7 +641,7 @@ class TestErrors:
     def test_runs_without_target_labels_exit_1_before_training(self, pair_dir, tmp_path,
                                                                 capsys, monkeypatch):
         (pair_dir / "target.labels.txt").unlink()
-        monkeypatch.setattr(cli_module, "run_repeated", None)  # calling it would raise
+        monkeypatch.setattr(cli_module, "run_tasks", None)  # calling it would raise
         code = cli("train", "--pair", str(pair_dir), "--out", str(tmp_path / "x"),
                    "--runs", "2")
         assert code == 1

@@ -30,20 +30,29 @@ class Graph:
 
     ``edges`` holds each linked pair once, ``row < col``, and is the only
     stored form: a consumer builds a matrix from it only where it reads one.
+    A graph stores no class count; a pair takes the source's. Built, it
+    checks in O(nodes) for one feature row per node of the list (which
+    checked itself, ``EdgeList``), finite features and one non-negative label
+    per node.
     """
 
     edges: EdgeList
     features: np.ndarray
     labels: np.ndarray | None = None
-    num_classes: int | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
+        n = self.features.shape[0]
+        if self.edges.n != n:
+            raise DomainError(f"edge list on {self.edges.n} nodes does not match {n} feature rows")
+        if not np.isfinite(self.features).all():
+            raise DomainError("features hold non-finite values")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.num_classes is None:
-                self.num_classes = int(self.labels.max()) + 1
-        self.validate()
+            if len(self.labels) != n:
+                raise DomainError(f"{len(self.labels)} labels for {n} nodes")
+            if self.labels.min(initial=0) < 0:
+                raise DomainError("negative label")
 
     @property
     def n(self) -> int:
@@ -53,27 +62,17 @@ class Graph:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def validate(self):
-        """O(nodes) checks that the edge list is on one node per feature row,
-        and of the features and labels; the list checked itself when it was
-        built (``EdgeList``)."""
-        n = self.features.shape[0]
-        if self.edges.n != n:
-            raise DomainError(f"edge list on {self.edges.n} nodes does not match {n} feature rows")
-        if not np.isfinite(self.features).all():
-            raise DomainError("features hold non-finite values")
-        if self.labels is not None:
-            if len(self.labels) != n:
-                raise DomainError(f"{len(self.labels)} labels for {n} nodes")
-            if self.labels.min(initial=0) < 0:
-                raise DomainError("negative label")
-            if self.num_classes is not None and self.labels.max(initial=-1) >= self.num_classes:
-                raise DomainError("label out of class range")
+    @property
+    def num_classes(self) -> int | None:
+        """The classes the labels show, 0 to the largest; None without labels."""
+        return None if self.labels is None else int(self.labels.max(initial=-1)) + 1
 
 
 @dataclass
 class DomainPair:
-    """A labeled source graph and a target graph sharing the attribute space."""
+    """A labeled source graph and a target graph sharing the attribute space.
+    The source's labels set the class count, which every target label lies
+    below; a target may show fewer classes. Pairing writes into neither graph."""
 
     source: Graph
     target: Graph
@@ -85,10 +84,10 @@ class DomainPair:
             raise DomainError(
                 f"feature dims differ: source {self.source.dim}, target {self.target.dim}"
             )
-        if self.target.num_classes is None:
-            self.target.num_classes = self.source.num_classes
-        if self.source.num_classes != self.target.num_classes:
-            raise DomainError("source and target class counts differ")
+        shown = self.target.num_classes or 0
+        if shown > self.num_classes:
+            raise DomainError(f"target label {shown - 1} outside the source's "
+                              f"{self.num_classes} classes")
 
     @property
     def num_classes(self) -> int:
@@ -225,9 +224,10 @@ def load_graph(edge_path, feature_path, label_path=None, num_classes=None) -> Gr
 
     Self-loops are skipped (normalization adds them), a later line for the
     same pair, in either direction, wins, and a zero weight is no edge. A
-    negative label, or one at or above ``num_classes`` (the node count when
-    no class count is given), is a ParseError, and so is a feature row whose
-    squared norm overflows float64. A node whose degree in the normalized
+    negative label, one at or above ``num_classes`` (the node count when no
+    class count is given; the count only bounds the labels, and the graph
+    does not keep it) and a feature row whose squared norm overflows float64
+    are ParseErrors. A node whose degree in the normalized
     view overflows float64, the one rule of ``EdgeList`` that a parsed file
     can still break, is a ConfigError naming the edge file.
     """
@@ -239,7 +239,7 @@ def load_graph(edge_path, feature_path, label_path=None, num_classes=None) -> Gr
     except DomainError as exc:
         raise ConfigError(f"{edge_path}: {exc}")
     labels = None if label_path is None else _parse_labels(label_path, n, num_classes)
-    return Graph(edges=edges, features=features, labels=labels, num_classes=num_classes)
+    return Graph(edges=edges, features=features, labels=labels)
 
 
 def save_graph(graph: Graph, edge_path, feature_path, label_path=None):
@@ -327,7 +327,7 @@ def gen_attribute_shift(cluster_std: float, seed: int, n: int = 100, d: int = 10
     labels[n // 2:] = 1
     noise_rng = np.random.default_rng(_seed_with_tag(seed, cluster_std))
     features = centers[labels] + cluster_std * noise_rng.standard_normal((n, d))
-    return Graph(edges=edges, features=features, labels=labels, num_classes=2)
+    return Graph(edges=edges, features=features, labels=labels)
 
 
 def _sbm(rng, n: int, intra: float, inter: float, d: int) -> Graph:
@@ -347,8 +347,7 @@ def _sbm(rng, n: int, intra: float, inter: float, d: int) -> Graph:
         a, b = np.searchsorted(row, (lo, hi))
         weight[a:b] = 1.0 - rng.random((hi - lo, n))[row[a:b] - lo, col[a:b]]  # Uniform(0, 1]
     features = 1.0 + rng.standard_normal((n, d))
-    return Graph(edges=EdgeList(n, row, col, weight), features=features, labels=labels,
-                 num_classes=2)
+    return Graph(edges=EdgeList(n, row, col, weight), features=features, labels=labels)
 
 
 def gen_sbm(seed: int, n: int = 100, p: float = 0.8, d: int = 10) -> Graph:

@@ -405,8 +405,7 @@ def test_criterion_8_target_label_firewall():
     shuffled = np.roll(pair.target.labels, 7)
     pair_b = DomainPair(
         source=pair.source,
-        target=Graph(edges=pair.target.edges, features=pair.target.features,
-                     labels=shuffled, num_classes=2),
+        target=Graph(edges=pair.target.edges, features=pair.target.features, labels=shuffled),
     )
     model_b, run_b = train_gaa(pair_b, cfg)
 

@@ -794,7 +794,7 @@ class TestErrors:
 
     def test_target_without_highest_class_trains(self, pair_dir, tmp_path):
         (pair_dir / "target.labels.txt").write_text("0\n" * 24)
-        assert load_pair(pair_dir).target.num_classes == 2
+        assert load_pair(pair_dir).num_classes == 2
         out = tmp_path / "x"
         assert cli("train", "--pair", str(pair_dir), "--out", str(out),
                    "--set", "epochs=1", "--set", "hidden=8") == 0
@@ -1053,6 +1053,21 @@ class TestSweep:
         assert [r[0] for r in rows[1:]] == ["0.1", "0.1", "0.5", "0.5"]
         for row in rows[1:]:
             float(row[4]), float(row[5])  # C-locale decimal points
+
+    @pytest.mark.parametrize("item, line", [
+        ("k=2.5", "bad grid value in 'k=2.5'"),
+        ("alpha=x", "bad grid value in 'alpha=x'"),
+        ("k=,", "empty grid for 'k'"),
+        ("k", "--grid needs KEY=V1,V2,..., got 'k'"),
+        ("alpha=-1", "weights.alpha must be >= 0, got -1.0"),
+        ("tau=nan", "weights.tau must be finite, got nan"),
+    ])
+    def test_bad_grid_exit_1_before_the_pair_loads(self, tmp_path, capsys, item, line):
+        code = cli("sweep", "--pair", str(tmp_path / "missing"), "--out",
+                   str(tmp_path / "s.csv"), "--grid", item)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "s.csv").exists()
 
     def test_unknown_grid_axis_exit_1(self, pair_dir, tmp_path, capsys):
         code = cli("sweep", "--pair", str(pair_dir), "--out", str(tmp_path / "s.csv"),
@@ -1451,8 +1466,7 @@ def test_analysis_at_scale_peaks_below_one_dense_array(tmp_path):
         row, col = pairs // n, pairs % n
         upper = row < col
         edges = EdgeList(n, row[upper], col[upper], rng.uniform(0.5, 2.0, upper.sum()))
-        graphs.append(Graph(edges=edges, features=rng.normal(size=(n, d)), labels=labels,
-                            num_classes=2))
+        graphs.append(Graph(edges=edges, features=rng.normal(size=(n, d)), labels=labels))
     cli_module._write_pair(DomainPair(source=graphs[0], target=graphs[1]), tmp_path, {})
     del graphs
     tracemalloc.start()

@@ -24,7 +24,7 @@ from gaa.graphs import (
     save_graph,
     save_metrics,
 )
-from gaa.train import TrainConfig, run_repeated
+from gaa.train import TrainConfig, run_repeated, train_gaa
 
 from helpers import (
     csr_sym_normalize,
@@ -333,9 +333,15 @@ class TestGraphInvariants:
             Graph(edges=edges_of_dense(np.zeros((2, 2))), features=features)
 
     def test_label_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 1)),
-                  labels=np.array([0, 3]), num_classes=2)
+        # a graph shows the classes its labels hold; the pair bounds the
+        # target's by the source's count
+        source = Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 1)),
+                       labels=np.array([0, 1]))
+        target = Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 1)),
+                       labels=np.array([0, 3]))
+        assert target.num_classes == 4
+        with pytest.raises(DomainError, match=r"target label 3 outside the source's 2 classes"):
+            DomainPair(source=source, target=target)
 
     def test_pair_requires_source_labels(self):
         g = Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 1)))
@@ -351,12 +357,28 @@ class TestGraphInvariants:
         with pytest.raises(DomainError):
             DomainPair(source=a, target=b)
 
-    def test_pair_propagates_num_classes_to_target(self):
-        a = Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 2)),
-                  labels=np.array([0, 1]))
-        b = Graph(edges=edges_of_dense(np.zeros((2, 2))), features=np.zeros((2, 2)))
-        pair = DomainPair(source=a, target=b)
-        assert pair.target.num_classes == 2
+    def test_pair_takes_the_class_count_from_the_source(self):
+        # pairing writes into neither graph, so an unlabeled target paired
+        # with a 3-class source pairs again with a 2-class one, and a target
+        # whose labels show only class 0 pairs and trains
+        source = gen_attribute_shift(0.4, seed=3, n=14, d=4)
+        shifted = gen_attribute_shift(1.2, seed=3, n=14, d=4)
+        three = Graph(edges=source.edges, features=source.features, labels=np.arange(14) % 3)
+        unlabeled = Graph(edges=shifted.edges, features=shifted.features)
+        assert DomainPair(source=three, target=unlabeled).num_classes == 3
+        only_zero = Graph(edges=shifted.edges, features=shifted.features,
+                          labels=np.zeros(14, dtype=np.int64))
+        for target, shown in ((unlabeled, None), (only_zero, 1)):
+            before = dict(vars(target))
+            pair = DomainPair(source=source, target=target)
+            assert pair.num_classes == 2
+            assert target.num_classes == shown
+            assert vars(target).keys() == before.keys()
+            assert all(vars(target)[key] is value for key, value in before.items())
+        cfg = TrainConfig(epochs=1, k=2, hidden=8, embed=4)
+        model, run = train_gaa(pair, cfg)
+        assert model.num_classes == 2
+        assert 0.0 <= run.target_accuracy <= 1.0
 
 
 # n for a generator's draw at the default GEN_FLOATS: 512 rows are the most

@@ -145,8 +145,7 @@ class TestTrainLoop:
         shuffled = np.roll(pair.target.labels, 5)
         pair2 = DomainPair(
             source=pair.source,
-            target=Graph(edges=pair.target.edges, features=pair.target.features,
-                         labels=shuffled, num_classes=pair.target.num_classes),
+            target=Graph(edges=pair.target.edges, features=pair.target.features, labels=shuffled),
         )
         m2, r2 = train_gaa(pair2, cfg)
         assert r1.per_epoch == r2.per_epoch
@@ -519,7 +518,7 @@ def _pair_and_permuted(n):
         perm = rng.permutation(n)
         adjacency = dense_adjacency(g.edges)[np.ix_(perm, perm)]
         graphs.append(Graph(edges=edges_of_dense(adjacency), features=g.features[perm],
-                            labels=g.labels[perm], num_classes=g.num_classes))
+                            labels=g.labels[perm]))
         perms.append(perm)
     return pair, DomainPair(source=graphs[0], target=graphs[1]), perms
 
